@@ -6,8 +6,11 @@ seed) produce byte-identical JSON.  Floating-point values are quantized to
 15 significant digits when the document is built, so serialization
 round-trips exactly.
 
-Exit codes: 0 success, 2 usage error, 3 solver non-convergence,
-4 invariant violation during the run.
+The CTC fixed point comes from one spectral solve (see
+:mod:`dctcsim.deutsch`); there is no iteration budget.
+
+Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
+check, 4 invariant violation during the run.
 """
 
 import argparse
@@ -40,6 +43,7 @@ from .protocols import (
     BellLabel,
     discriminate_bell,
     distill_smolin,
+    modal_readout,
     run_improper_mixture,
 )
 from .qmath import DensityOperator, KET_0, RegisterLayout, kron
@@ -150,7 +154,6 @@ def _base_parameters(args, amps: AmplitudePair) -> dict:
         "alpha": amps.alpha,
         "beta": amps.beta,
         "tolerance": args.tolerance,
-        "max_iterations": args.max_iterations,
         "seed": args.seed,
         "allow_degenerate": args.allow_degenerate,
         "circuit": args.circuit,
@@ -168,7 +171,6 @@ def _discrimination_row(record) -> dict:
         "outcome_probability": record.outcome_probability,
         "bob_state": _state_str(record.bob_state),
         "fp_residual": record.fixed_point.residual,
-        "fp_iterations": record.fixed_point.iterations,
         "fp_space_dim": record.fixed_point.fp_space_dim,
         "fp_unique": record.fixed_point.unique,
     }
@@ -181,17 +183,15 @@ def run_fixed_point(args, amps, config):
     for code, state in candidate_states(amps).items():
         rho_cr = DensityOperator.from_state_vector(kron(state, KET_0))
         cr_out, result = apply_dctc(interaction, rho_cr, layout, config)
-        probabilities = np.real(np.diag(cr_out.matrix))
-        modal = int(np.argmax(probabilities))
+        _, b1b2, probability = modal_readout(cr_out)
         rows.append({
             "code": _bits_str(code),
             "input_state": _state_str(state),
             "residual": result.residual,
-            "iterations": result.iterations,
             "fp_space_dim": result.fp_space_dim,
             "unique": result.unique,
-            "modal_outcome": f"{modal:02b}",
-            "modal_probability": float(probabilities[modal]),
+            "modal_outcome": _bits_str(b1b2),
+            "modal_probability": probability,
         })
     diagnostics = {
         "degenerate": amps.is_degenerate,
@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="amplitude of |0> in Alice's prepared state (beta is derived)")
     common.add_argument("--tolerance", type=float, default=1e-12,
                         help="trace-norm residual for the fixed-point solver")
-    common.add_argument("--max-iterations", type=int, default=1_000_000)
+    # Ignored (the solve has no iteration budget); bench alpha_sweep still passes it.
+    common.add_argument("--max-iterations", type=int, help=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output-format", choices=("table", "json", "csv"),
                         default="table")
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
 
     try:
         amps = AmplitudePair.from_alpha(args.alpha, allow_degenerate=args.allow_degenerate)
-        config = SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
+        config = SolverConfig(tolerance=args.tolerance)
     except (DegenerateAmplitudesError, InvariantViolationError) as exc:
         parser.error(str(exc))  # exits with status 2
 

@@ -12,47 +12,45 @@ builds the vectorized channel S, a d^2 x d^2 matrix, once, with one einsum
 
     S[tu, sv] = sum_{a,b,c} U[a,t,b,s] rho_CR[b,c] conj(U[a,u,c,v]),
 
-iterates sigma -> S vec(sigma) from the maximally mixed state, and accepts
-either the plain iterate or its Cesaro average, whichever first meets the
-residual tolerance in trace norm.  Both are divided by their trace before
-use, so rounding cannot drift the trace of a long solve past the
-``DensityOperator`` check.  The eigenvalue-1 multiplicity of the same S is
-reported as ``fp_space_dim`` so degeneracy is visible.
+and applies the eigenvalue-1 spectral projector of S to the maximally mixed
+state.  That is the limit of the Cesaro average (1/N) sum_n Phi^n(I/d), so a
+degenerate fixed-point space still gives one deterministic answer.  The
+number of eigenvalue-1 eigenvectors is reported as ``fp_space_dim`` so
+degeneracy is visible, and the answer must pass a trace-norm residual check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import UnitaryOperator
+from .circuits import DEGENERACY_ATOL, UnitaryOperator
 from .errors import FixedPointConvergenceError, InvariantViolationError
-from .qmath import DensityOperator, RegisterLayout, kron, trace_norm
+from .qmath import DensityOperator, RegisterLayout, _partial_trace_matrix, kron, trace_norm
+
+# |lambda - 1| window that counts an eigenvalue of S as 1.  The discrimination
+# channel's second eigenvalue sits (alpha^2 - beta^2)^2 ~ 2 (alpha - beta)^2
+# below 1, so it falls inside the window exactly when the amplitude pair is
+# degenerate; eig puts the unit eigenvalue of a CPTP map within ~4e-15 of 1.
+UNIT_EIGENVALUE_ATOL = 2 * DEGENERACY_ATOL ** 2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and tolerances for the fixed-point search."""
+    """Acceptance tolerance for the fixed point."""
 
     tolerance: float = 1e-12          # trace-norm residual ||Phi(s) - s||_1
-    max_iterations: int = 1_000_000
-    eigen_tolerance: float = 1e-9     # |lambda - 1| window for fp_space_dim
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise InvariantViolationError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvariantViolationError("max_iterations must be >= 1")
-        if not self.eigen_tolerance > 0:
-            raise InvariantViolationError("eigen_tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Converged CTC state plus solver diagnostics."""
+    """Self-consistent CTC state plus solver diagnostics."""
 
     fixed_point: DensityOperator
     residual: float
-    iterations: int
     fp_space_dim: int
     unique: bool
 
@@ -82,15 +80,21 @@ def _interaction_dims(U: UnitaryOperator, rho_cr: DensityOperator,
     return d_cr, d_ctc
 
 
+def _joint_output(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
+                  layout: RegisterLayout, keep: tuple) -> DensityOperator:
+    """The ``keep`` part of U (rho_CR (x) sigma) U^dag."""
+    big = U.matrix @ kron(rho_cr.matrix, sigma.matrix) @ U.matrix.conj().T
+    return DensityOperator(_partial_trace_matrix(big, layout.n_qubits, layout.positions(keep)))
+
+
 def ctc_map(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
             layout: RegisterLayout) -> DensityOperator:
     """Evaluate Phi(sigma) = Tr_CR(U (rho_CR (x) sigma) U^dag)."""
-    d_cr, d_ctc = _interaction_dims(U, rho_cr, layout)
+    _, d_ctc = _interaction_dims(U, rho_cr, layout)
     if sigma.dim != d_ctc:
         raise InvariantViolationError(
             f"CTC state has dimension {sigma.dim}, layout expects {d_ctc}")
-    big = U.matrix @ kron(rho_cr.matrix, sigma.matrix) @ U.matrix.conj().T
-    return DensityOperator(np.einsum("atau->tu", big.reshape(d_cr, d_ctc, d_cr, d_ctc)))
+    return _joint_output(U, rho_cr, sigma, layout, layout.ctc_labels)
 
 
 def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -102,14 +106,15 @@ def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
     return S.reshape(d_ctc * d_ctc, d_ctc * d_ctc)
 
 
-def _unit_eigenvalue_count(S: np.ndarray, eigen_tolerance: float) -> int:
-    return int(np.sum(np.abs(np.linalg.eigvals(S) - 1.0) <= eigen_tolerance))
+def _unit_eigenvectors(M: np.ndarray) -> np.ndarray:
+    values, vectors = np.linalg.eig(M)
+    return vectors[:, np.abs(values - 1.0) <= UNIT_EIGENVALUE_ATOL]
 
 
 def fixed_point_space_dim(U: UnitaryOperator, rho_cr: DensityOperator,
-                          layout: RegisterLayout, eigen_tolerance: float = 1e-9) -> int:
-    """Multiplicity of eigenvalue 1 of the vectorized channel, within tolerance."""
-    return _unit_eigenvalue_count(superoperator_matrix(U, rho_cr, layout), eigen_tolerance)
+                          layout: RegisterLayout) -> int:
+    """Multiplicity of eigenvalue 1 of the vectorized channel."""
+    return _unit_eigenvectors(superoperator_matrix(U, rho_cr, layout)).shape[1]
 
 
 def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -117,57 +122,38 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
                       config: SolverConfig | None = None) -> FixedPointResult:
     """Find sigma with ||Phi(sigma) - sigma||_1 below tolerance.
 
-    Starts from the maximally mixed state and tracks both the plain iterate
-    and the running Cesaro average (1/N) sum_n Phi^n; the Cesaro average
-    converges to a fixed point for every CPTP map, the plain iterate usually
-    gets there faster.  Each plain iterate is divided by its trace before
-    the next step, and the average by the trace of the running sum.  When
-    the fixed-point space is degenerate this procedure is still
-    deterministic: it lands on the eigenvalue-1 component of the maximally
-    mixed state.
+    With R and L the right and left eigenvalue-1 eigenvectors of S, sigma is
+    R (L^H R)^-1 L^H vec(I/d), the eigenvalue-1 component of I/d and the limit
+    of the Cesaro average of Phi^n(I/d), made Hermitian and divided by its
+    trace.  Rounding of S moves sigma by about 1e-16 / gap, which near
+    alpha = beta leaves small negative eigenvalues on a pure fixed point;
+    they are set to zero before the residual check, so the check judges the
+    state that is returned.  Raises ``FixedPointConvergenceError`` when S has
+    no eigenvalue 1 or unequal left and right multiplicities, when the linear
+    algebra fails, or when sigma fails the residual check.
     """
     config = config or SolverConfig()
     S = superoperator_matrix(U, rho_cr, layout)
     d = 2 ** len(layout.ctc_labels)
-    diagonal = slice(None, None, d + 1)   # the diagonal of a row-major vectorized matrix
-
-    def residual_of(vec: np.ndarray) -> tuple:
-        image = S @ vec
-        return image, trace_norm((image - vec).reshape(d, d))
-
-    sigma = (np.eye(d, dtype=complex) / d).reshape(-1)
-    running_sum = np.zeros(d * d, dtype=complex)
-    best = np.inf
-    solution = None
-    iterations = 0
-
-    for n in range(1, config.max_iterations + 1):
-        image, residual = residual_of(sigma)
-        best = min(best, residual)
-        if residual < config.tolerance:
-            solution, iterations = (sigma, residual), n
-            break
-        running_sum += sigma
-        cesaro = running_sum / running_sum[diagonal].sum().real
-        _, cesaro_residual = residual_of(cesaro)
-        best = min(best, cesaro_residual)
-        if cesaro_residual < config.tolerance:
-            solution, iterations = (cesaro, cesaro_residual), n
-            break
-        sigma = image / image[diagonal].sum().real
-
-    if solution is None:
-        raise FixedPointConvergenceError(best, config.max_iterations, config.tolerance)
-
-    fixed_vec, residual = solution
-    dim1 = _unit_eigenvalue_count(S, config.eigen_tolerance)
-    return FixedPointResult(
-        fixed_point=DensityOperator(fixed_vec.reshape(d, d)),
-        residual=residual,
-        iterations=iterations,
-        fp_space_dim=dim1,
-        unique=dim1 == 1,
-    )
+    residual = np.inf
+    try:
+        right = _unit_eigenvectors(S)
+        left = _unit_eigenvectors(S.conj().T)
+        if right.shape[1] == 0 or right.shape[1] != left.shape[1]:
+            raise np.linalg.LinAlgError(f"eigenvalue-1 multiplicities {right.shape[1]} "
+                                        f"(right) and {left.shape[1]} (left)")
+        mixed = (np.eye(d, dtype=complex) / d).reshape(-1)
+        vec = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)
+        weights, basis = np.linalg.eigh(vec.reshape(d, d) + vec.reshape(d, d).conj().T)
+        sigma = (basis * np.clip(weights, 0.0, None)) @ basis.conj().T
+        sigma = sigma / sigma.trace().real
+        residual = trace_norm((S @ sigma.reshape(-1)).reshape(d, d) - sigma)
+        fixed_point = DensityOperator(sigma)
+    except (np.linalg.LinAlgError, InvariantViolationError) as exc:
+        raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
+    if not residual < config.tolerance:
+        raise FixedPointConvergenceError(residual, config.tolerance)
+    return FixedPointResult(fixed_point, residual, right.shape[1], right.shape[1] == 1)
 
 
 def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayout,
@@ -175,8 +161,5 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
     """Run the full CTC interaction: solve for the self-consistent CTC state
     sigma*, then return the CR output Tr_CTC(U (rho_CR (x) sigma*) U^dag)
     together with the solver diagnostics."""
-    d_cr, d_ctc = _interaction_dims(U, rho_cr, layout)
     result = solve_fixed_point(U, rho_cr, layout, config)
-    big = U.matrix @ kron(rho_cr.matrix, result.fixed_point.matrix) @ U.matrix.conj().T
-    cr_out = np.einsum("atbt->ab", big.reshape(d_cr, d_ctc, d_cr, d_ctc))
-    return DensityOperator(cr_out), result
+    return _joint_output(U, rho_cr, result.fixed_point, layout, layout.cr_labels), result

@@ -15,13 +15,11 @@ class DegenerateAmplitudesError(DctcSimError, ValueError):
 
 
 class FixedPointConvergenceError(DctcSimError, RuntimeError):
-    """The fixed-point iteration did not reach the requested residual."""
+    """The solver found no fixed point that passes its checks."""
 
-    def __init__(self, best_residual: float, iterations: int, tolerance: float):
+    def __init__(self, best_residual: float, tolerance: float, detail: str = ""):
         self.best_residual = best_residual
-        self.iterations = iterations
         self.tolerance = tolerance
         super().__init__(
-            f"no fixed point within tolerance {tolerance:.3e} after "
-            f"{iterations} iterations (best residual {best_residual:.3e})"
-        )
+            f"no valid fixed point: residual {best_residual:.3e}, tolerance {tolerance:.3e}"
+            + (f"; {detail}" if detail else ""))

@@ -49,6 +49,7 @@ from .qmath import (
 )
 
 PHASE_ATOL = 1e-12
+READOUT_TIE_ATOL = 1e-9   # CR probabilities this close to the largest count as tied
 
 
 class BellLabel(enum.Enum):
@@ -112,6 +113,20 @@ def pauli_residual(bell: BellLabel) -> np.ndarray:
     """Operator E with Bob's post-correction qubit equal to E psi (up to a
     global phase) when the shared pair is ``bell``."""
     return _RESIDUAL[bell]
+
+
+def modal_readout(cr_out: DensityOperator) -> tuple:
+    """Read a two-qubit CR register in the computational basis.
+
+    Returns ``(distribution, b1b2, probability)``: the four outcome
+    probabilities, the most probable outcome and its probability.  Outcomes
+    within ``READOUT_TIE_ATOL`` of the largest tie, and a tie goes to the
+    lowest label, so rounding noise cannot pick the label.
+    """
+    distribution = tuple(float(p) for p in np.real(np.diag(cr_out.matrix)))
+    top = max(distribution)
+    modal = next(i for i, p in enumerate(distribution) if p >= top - READOUT_TIE_ATOL)
+    return distribution, (modal >> 1, modal & 1), distribution[modal]
 
 
 def _prepared_state(amps: AmplitudePair) -> np.ndarray:
@@ -197,8 +212,8 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
     Alice's outcome is drawn from seeded randomness unless ``alice_outcome``
     pins it.  ``circuit`` selects the CTC block set (see
     :mod:`dctcsim.circuits`).  The CR register is read out at its most
-    probable computational value; the probability of that value is
-    reported, not assumed.
+    probable computational value (:func:`modal_readout`); the probability
+    of that value is reported, not assumed.
     """
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
@@ -217,16 +232,14 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
     rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
     cr_out, fixed = apply_dctc(bhw_interaction(amps, circuit), rho_cr, bhw_layout(), config)
 
-    probabilities = np.real(np.diag(cr_out.matrix))
-    modal = int(np.argmax(probabilities))
-    b1b2 = (modal >> 1, modal & 1)
+    _, b1b2, probability = modal_readout(cr_out)
     return DiscriminationRecord(
         input_bell=bell,
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
         bob_state=bob,
         b1b2=b1b2,
         identified=BellLabel.from_b1b2(*b1b2),
-        outcome_probability=float(probabilities[modal]),
+        outcome_probability=probability,
         fixed_point=fixed,
     )
 
@@ -332,13 +345,12 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
 
     rho_cr = DensityOperator(kron(bob.matrix, np.outer(KET_0, KET_0)))
     cr_out, fixed = apply_dctc(bhw_interaction(amps, circuit), rho_cr, bhw_layout(), config)
-    distribution = tuple(float(p) for p in np.real(np.diag(cr_out.matrix)))
-    modal = int(np.argmax(distribution))
+    distribution, b1b2, probability = modal_readout(cr_out)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
         bob_state=bob,
         cr_distribution=distribution,
-        modal_b1b2=(modal >> 1, modal & 1),
-        modal_probability=distribution[modal],
+        modal_b1b2=b1b2,
+        modal_probability=probability,
         fixed_point=fixed,
     )

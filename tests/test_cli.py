@@ -155,6 +155,12 @@ class TestSmolinExperiment:
             assert abs(row[key] - 0.25) <= 1e-9
         assert "no correctness claim" in doc["diagnostics"]["note"]
 
+    def test_improper_mixture_tie_reads_lowest_label(self, capsys):
+        # the CR distribution is uniform, so the modal outcome is a tie
+        for alpha in ("0.3", "0.6"):
+            _, doc, _ = run_json(capsys, "smolin", "--improper-mixture", "--alpha", alpha)
+            assert doc["rows"][0]["modal_outcome"] == "00"
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -166,9 +172,11 @@ class TestExitCodes:
         assert info.value.code == 2
 
     def test_non_convergence_is_3(self, capsys):
-        code, _, err = run_cli(capsys, "fixed-point", "--max-iterations", "2")
+        code, _, err = run_cli(capsys, "fixed-point", "--tolerance", "1e-20")
         assert code == 3
         assert "converge" in err
+        code, _, _ = run_cli(capsys, "fixed-point", "--max-iterations", "20000")
+        assert code == 0
 
     def test_runtime_degeneracy_is_4(self, capsys):
         code, _, err = run_cli(capsys, "discriminate",

@@ -7,6 +7,7 @@ from dctcsim import (
     AmplitudePair,
     BellLabel,
     DegenerateAmplitudesError,
+    DensityOperator,
     SolverConfig,
     alice_outcome_distribution,
     discriminate_bell,
@@ -17,7 +18,7 @@ from dctcsim import (
     run_improper_mixture,
     teleport_and_correct,
 )
-from dctcsim.protocols import ALICE_OUTCOME_BITS
+from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
 from dctcsim.qmath import BELL_VECTORS, X, Z
 
 AMPS = AmplitudePair(0.6, 0.8)
@@ -126,9 +127,9 @@ class TestDiscriminateBell:
         assert record.fixed_point.residual < 1e-12
 
     def test_long_solve_keeps_unit_trace(self):
-        # Near alpha = beta a solve takes 1e4 iterations or more; rounding
+        # Near alpha = beta the spectral gap of the channel is small; rounding
         # must not drift the fixed point's trace past the DensityOperator
-        # check.  Unrenormalised iterates drift past 1e-12 at these alphas.
+        # check at these alphas.
         for alpha in (0.695, 0.698):
             record = discriminate_bell(BellLabel.PHI_PLUS, AmplitudePair.from_alpha(alpha),
                                        alice_outcome=BellLabel.PHI_PLUS)
@@ -200,3 +201,16 @@ class TestImproperMixture:
         for probability in record.cr_distribution:
             assert abs(probability - 0.25) <= 1e-9
         assert record.fixed_point.residual < 1e-12
+
+
+class TestModalReadout:
+    def test_near_tie_goes_to_lowest_label(self):
+        cr_out = DensityOperator(np.diag([0.25, 0.25 - 1e-12, 0.25 + 1e-12, 0.25]))
+        distribution, b1b2, probability = modal_readout(cr_out)
+        assert b1b2 == (0, 0)
+        assert probability == distribution[0] == 0.25
+
+    def test_clear_maximum_wins(self):
+        _, b1b2, probability = modal_readout(DensityOperator(np.diag([0.1, 0.2, 0.6, 0.1])))
+        assert b1b2 == (1, 0)
+        assert probability == 0.6
