@@ -9,7 +9,6 @@ diagnostics.
 
 from .circuits import (
     AmplitudePair,
-    UnitaryOperator,
     bell_projectors,
     bhw_interaction,
     bhw_layout,
@@ -58,6 +57,7 @@ from .protocols import (
 from .qmath import (
     DensityOperator,
     RegisterLayout,
+    UnitaryOperator,
     constants,
     hermitian_eigenvalues,
     ket,

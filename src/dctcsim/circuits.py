@@ -5,16 +5,14 @@ apart with two CTC qubits.  It first swaps the two-qubit CR register with
 the two-qubit CTC register, then applies one of four controlled blocks
 U_00..U_11 to the CTC register, selected by the computational value of the
 CR register.  Each block maps its designated candidate state (x) |0> to the
-matching basis state |xy>, up to a global phase.  The literal blocks are
+matching basis state |xy>, up to a global phase.
 
-    U_00 = [[a, b], [-b, a]] (x) I
-    U_01 = (X (x) X) . ([[b, a], [a, -b]] (x) I)
-    U_10 = (X (x) I) . ([[b, a], [-a, b]] (x) I)
-    U_11 = [[a, b], [b, -a]] (x) X
-
-with real amplitudes a, b and "." composing right to left (the rotation acts
-first, the Pauli layer second).  Real amplitudes are required; the blocks are
-not unitary otherwise.
+Each block is U_c = L_c . (R_c (x) I), "." composing right to left: a real
+rotation or reflection R_c of the first CTC qubit (table ``_ROTATIONS``),
+then a Pauli layer L_c on both CTC qubits.  A circuit is one table of
+layers (``_LAYERS``); the ``"literal"`` layers are I (x) I, X (x) X, X (x) I
+and I (x) X for c = 00, 01, 10, 11.  Real amplitudes are required; the
+blocks are not unitary otherwise.
 
 Escape labels.  With the CTC in basis label c, the CR register reads c after
 the swap, so U_c acts on Bob's qubit (x) |0> and leaves the CTC in label c
@@ -26,14 +24,14 @@ closed 2-cycles that both conserve the ancilla bit ctc2, so the chain has
 two stationary states and the fixed-point space is two-dimensional for
 every amplitude pair.
 
-The default ``"cycle"`` circuit ends U_10 and U_11 with a zero-controlled
-NOT on the CTC ancilla (flip ctc2 when ctc1 is 0).  It leaves |10> and |11>
-alone, so every block still maps its candidate to its own label, but the
-escapes become the single cycle 00 -> 10 -> 01 -> 11 -> 00.  The consistent
-label absorbs and every other label reaches it along the cycle; the stay
-probabilities of the others are (a^2 - b^2)^2, 4 a^2 b^2 and 0, all below 1
-for a != b, so the fixed point is unique and the CR readout deterministic.
-The literal blocks stay available as ``circuit="literal"``.
+The default ``"cycle"`` layer table is the literal one with a zero-controlled
+NOT on the CTC ancilla (flip ctc2 when ctc1 is 0) after the layers of U_10
+and U_11.  It leaves |10> and |11> alone, so every block still maps its
+candidate to its own label, but the escapes become the single cycle
+00 -> 10 -> 01 -> 11 -> 00.  The consistent label absorbs and every other
+label reaches it along the cycle; the stay probabilities of the others are
+(a^2 - b^2)^2, 4 a^2 b^2 and 0, all below 1 for a != b, so the fixed point
+is unique and the CR readout deterministic.
 """
 
 import numbers
@@ -48,23 +46,43 @@ from .qmath import (
     KET_0,
     KET_1,
     RegisterLayout,
+    UnitaryOperator,
     X,
-    _as_complex_matrix,
     _readonly,
-    _require_square,
     kron,
 )
 
-UNITARITY_ATOL = 1e-10
 NORMALIZATION_ATOL = 1e-12
 DEGENERACY_ATOL = 1e-6    # |alpha - beta| at or below this counts as degenerate
 
 BLOCK_CODES = ((0, 0), (0, 1), (1, 0), (1, 1))
-CIRCUITS = ("cycle", "literal")
+
+# R_c(a, b): the real orthogonal 2x2 each block applies first, to the first CTC qubit.
+_ROTATIONS = {
+    (0, 0): lambda a, b: [[a, b], [-b, a]],
+    (0, 1): lambda a, b: [[b, a], [a, -b]],
+    (1, 0): lambda a, b: [[b, a], [-a, b]],
+    (1, 1): lambda a, b: [[a, b], [b, -a]],
+}
 
 # Flip the CTC ancilla (second qubit) when the first CTC qubit is |0>.
 _ZERO_CONTROLLED_NOT = _readonly(
     kron(np.outer(KET_0, KET_0), X) + kron(np.outer(KET_1, KET_1), I2))
+
+# L_c: the Pauli layer each block applies after its rotation, one table per circuit.
+_LITERAL_LAYERS = {
+    code: _readonly(kron(*paulis))
+    for code, paulis in zip(BLOCK_CODES, ((I2, I2), (X, X), (X, I2), (I2, X)))
+}
+_LAYERS = {
+    "cycle": {
+        **_LITERAL_LAYERS,
+        (1, 0): _readonly(_ZERO_CONTROLLED_NOT @ _LITERAL_LAYERS[(1, 0)]),
+        (1, 1): _readonly(_ZERO_CONTROLLED_NOT @ _LITERAL_LAYERS[(1, 1)]),
+    },
+    "literal": _LITERAL_LAYERS,
+}
+CIRCUITS = tuple(_LAYERS)
 
 
 @dataclass(frozen=True)
@@ -112,65 +130,29 @@ class AmplitudePair:
         return abs(self.alpha - self.beta) <= DEGENERACY_ATOL
 
 
-class UnitaryOperator:
-    """Square complex matrix with U^dag U = I within 1e-10 (max elementwise)."""
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix):
-        a = _require_square(_as_complex_matrix(matrix, "unitary"), "unitary")
-        defect = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
-        if defect > UNITARITY_ATOL:
-            raise InvariantViolationError(
-                f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
-        self._matrix = _readonly(a.copy())
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    def __repr__(self):
-        return f"UnitaryOperator(dim={self.dim})"
-
-
 def _normalize_code(code) -> tuple:
-    if isinstance(code, str):
-        if len(code) == 2 and all(c in "01" for c in code):
-            return (int(code[0]), int(code[1]))
+    bits = tuple(map(int, code)) if isinstance(code, str) and set(code) <= {"0", "1"} else code
+    if tuple(bits) not in BLOCK_CODES:
         raise InvariantViolationError(f"invalid block code {code!r}")
-    code = tuple(code)
-    if code not in BLOCK_CODES:
-        raise InvariantViolationError(f"invalid block code {code!r}")
-    return code
+    return tuple(bits)
+
+
+def _block_matrix(code, amps: AmplitudePair, circuit: str) -> np.ndarray:
+    if circuit not in CIRCUITS:
+        raise InvariantViolationError(
+            f"unknown circuit {circuit!r}; expected one of {', '.join(CIRCUITS)}")
+    code = _normalize_code(code)
+    return _LAYERS[circuit][code] @ kron(_ROTATIONS[code](amps.alpha, amps.beta), I2)
 
 
 def block_unitary(code, amps: AmplitudePair, circuit: str = "cycle") -> UnitaryOperator:
     """One of the four 4x4 controlled blocks, selected by a two-bit code.
 
-    ``circuit`` picks the block set: ``"cycle"`` (unique fixed point, the
+    ``circuit`` picks the layer table: ``"cycle"`` (unique fixed point, the
     default) or ``"literal"`` (the bare formulas, two-dimensional fixed-point
     space); see the module docstring.
     """
-    if circuit not in CIRCUITS:
-        raise InvariantViolationError(
-            f"unknown circuit {circuit!r}; expected one of {', '.join(CIRCUITS)}")
-    a, b = amps.alpha, amps.beta
-    code = _normalize_code(code)
-    if code == (0, 0):
-        mat = kron([[a, b], [-b, a]], I2)
-    elif code == (0, 1):
-        mat = kron(X, X) @ kron([[b, a], [a, -b]], I2)
-    elif code == (1, 0):
-        mat = kron(X, I2) @ kron([[b, a], [-a, b]], I2)
-    else:
-        mat = kron([[a, b], [b, -a]], X)
-    if circuit == "cycle" and code[0] == 1:
-        mat = _ZERO_CONTROLLED_NOT @ mat
-    return UnitaryOperator(mat)
+    return UnitaryOperator(_block_matrix(code, amps, circuit))
 
 
 def candidate_states(amps: AmplitudePair) -> dict:
@@ -190,23 +172,21 @@ def register_swap(block_qubits: int) -> UnitaryOperator:
     if block_qubits < 1:
         raise InvariantViolationError("block_qubits must be >= 1")
     d = 2 ** block_qubits
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d * d):
-        hi, lo = divmod(i, d)
-        S[lo * d + hi, i] = 1.0
-    return UnitaryOperator(S)
+    swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    return UnitaryOperator(swap.reshape(d * d, d * d))
+
+
+_REGISTER_SWAP = register_swap(2).matrix
 
 
 def bhw_interaction(amps: AmplitudePair, circuit: str = "cycle") -> UnitaryOperator:
     """Full 16x16 interaction on (CR1, CR2, CTC1, CTC2): swap the registers,
     then dispatch U_xy of ``circuit`` on the CTC register controlled by the
-    CR value |xy>."""
+    CR value |xy>.  Its one unitarity check covers every block."""
     controlled = np.zeros((16, 16), dtype=complex)
     for idx, code in enumerate(BLOCK_CODES):
-        projector = np.zeros((4, 4), dtype=complex)
-        projector[idx, idx] = 1.0
-        controlled += kron(projector, block_unitary(code, amps, circuit).matrix)
-    return UnitaryOperator(controlled @ register_swap(2).matrix)
+        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _block_matrix(code, amps, circuit)
+    return UnitaryOperator(controlled @ _REGISTER_SWAP)
 
 
 def bhw_layout() -> RegisterLayout:

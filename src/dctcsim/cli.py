@@ -53,8 +53,6 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INVARIANT = 4
 
-EXPERIMENTS = ("fixed-point", "discriminate", "table1", "smolin", "measures")
-
 
 def _round15(value: float) -> float:
     return float(f"{value:.15g}")
@@ -278,31 +276,22 @@ def run_smolin(args, amps, config):
 
 
 def run_measures(args, amps, config):
+    smolin = (smolin_state(), smolin_layout())
+    subjects = [("smolin", *smolin, name, cut) for name, cut in smolin_cuts().items()]
+    subjects.append(("bell:phi+",
+                     DensityOperator.from_state_vector(BellLabel.PHI_PLUS.state_vector()),
+                     RegisterLayout(("A", "B")), "A:B", BipartiteCut(("A",), ("B",))))
     rows = []
-    rho = smolin_state()
-    layout = smolin_layout()
-    for name, cut in smolin_cuts().items():
+    for state_name, rho, layout, cut_name, cut in subjects:
         pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, layout, cut))
         rows.append({
-            "state": "smolin",
-            "cut": name,
+            "state": state_name,
+            "cut": cut_name,
             "log_negativity": log_negativity(rho, layout, cut),
             "distillable_upper_bound": distillable_upper_bound(rho, layout, cut),
             "ppt": is_ppt(rho, layout, cut),
             "min_pt_eigenvalue": float(pt_eigenvalues.min()),
         })
-    bell = DensityOperator.from_state_vector(BellLabel.PHI_PLUS.state_vector())
-    bell_layout = RegisterLayout(("A", "B"))
-    bell_cut = BipartiteCut(("A",), ("B",))
-    pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(bell, bell_layout, bell_cut))
-    rows.append({
-        "state": "bell:phi+",
-        "cut": "A:B",
-        "log_negativity": log_negativity(bell, bell_layout, bell_cut),
-        "distillable_upper_bound": distillable_upper_bound(bell, bell_layout, bell_cut),
-        "ppt": is_ppt(bell, bell_layout, bell_cut),
-        "min_pt_eigenvalue": float(pt_eigenvalues.min()),
-    })
     return rows, {}, []
 
 
@@ -358,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     try:
         amps = AmplitudePair.from_alpha(args.alpha, allow_degenerate=args.allow_degenerate)

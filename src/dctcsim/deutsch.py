@@ -23,9 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import DEGENERACY_ATOL, UnitaryOperator
+from .circuits import DEGENERACY_ATOL
 from .errors import FixedPointConvergenceError, InvariantViolationError
-from .qmath import DensityOperator, RegisterLayout, _partial_trace_matrix, kron, trace_norm
+from .qmath import (
+    DensityOperator,
+    RegisterLayout,
+    UnitaryOperator,
+    _partial_trace_matrix,
+    kron,
+    trace_norm,
+)
 
 # |lambda - 1| window that counts an eigenvalue of S as 1.  The discrimination
 # channel's second eigenvalue sits (alpha^2 - beta^2)^2 ~ 2 (alpha - beta)^2

@@ -38,7 +38,9 @@ from .qmath import (
     DensityOperator,
     I2,
     KET_0,
+    PSD_ATOL,
     RegisterLayout,
+    TRACE_ATOL,
     X,
     Y,
     Z,
@@ -50,6 +52,8 @@ from .qmath import (
 
 PHASE_ATOL = 1e-12
 READOUT_TIE_ATOL = 1e-9   # CR probabilities this close to the largest count as tied
+# Largest diagonal of a two-qubit DensityOperator: trace 1 + TRACE_ATOL, 3 eigenvalues -PSD_ATOL.
+MAX_READOUT_PROBABILITY = 1.0 + TRACE_ATOL + 3 * PSD_ATOL
 
 
 class BellLabel(enum.Enum):
@@ -155,11 +159,7 @@ def _bob_state(bell: BellLabel, amps: AmplitudePair, outcome: BellLabel) -> tupl
 
 def alice_outcome_distribution(bell: BellLabel, amps: AmplitudePair) -> dict:
     """Probability of each of Alice's four Bell outcomes (1/4 each)."""
-    full = kron(_prepared_state(amps), bell.state_vector())
-    return {
-        outcome: float(np.linalg.norm(outcome.state_vector().conj() @ full.reshape(4, 2)) ** 2)
-        for outcome in BellLabel
-    }
+    return {outcome: _bob_state(bell, amps, outcome)[1] for outcome in BellLabel}
 
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair,
@@ -196,7 +196,7 @@ class DiscriminationRecord:
     fixed_point: FixedPointResult
 
     def __post_init__(self):
-        if not 0.0 <= self.outcome_probability <= 1.0 + 1e-12:
+        if not 0.0 <= self.outcome_probability <= MAX_READOUT_PROBABILITY:
             raise InvariantViolationError(
                 f"outcome probability {self.outcome_probability} outside [0, 1]")
         if self.identified is not _BELL_FROM_BITS[self.b1b2]:

@@ -22,6 +22,7 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10          # lowest admissible eigenvalue of a density operator
 STATE_NORM_ATOL = 1e-12
+UNITARITY_ATOL = 1e-10
 
 
 def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -135,16 +136,47 @@ def constants() -> dict:
     return table
 
 
-# --- density operators and register layouts --------------------------------
+# --- validated operators and register layouts -----------------------------
 
-class DensityOperator:
+class _CheckedOperator:
+    """Read-only square matrix whose invariants the subclass checks once."""
+
+    __slots__ = ("_matrix",)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return self._matrix.shape[0]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class UnitaryOperator(_CheckedOperator):
+    """Square complex matrix with U^dag U = I within 1e-10 (max elementwise)."""
+
+    __slots__ = ()
+
+    def __init__(self, matrix):
+        a = _require_square(_as_complex_matrix(matrix, "unitary"), "unitary")
+        defect = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
+        if defect > UNITARITY_ATOL:
+            raise InvariantViolationError(
+                f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
+        self._matrix = _readonly(a.copy())
+
+
+class DensityOperator(_CheckedOperator):
     """Hermitian, positive-semidefinite, trace-one operator on n qubits.
 
     Invariants are checked at construction: Hermiticity within 1e-12 (max
     elementwise), trace within 1e-12 of 1, and lowest eigenvalue >= -1e-10.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ()
 
     def __init__(self, matrix):
         a = _require_square(_as_complex_matrix(matrix, "density matrix"), "density matrix")
@@ -175,19 +207,8 @@ class DensityOperator:
         return cls(np.eye(d, dtype=complex) / d)
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
-
-    def __repr__(self):
-        return f"DensityOperator(dim={self.dim})"
 
 
 CR = "CR"

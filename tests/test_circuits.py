@@ -20,7 +20,7 @@ from dctcsim import (
 from dctcsim.circuits import BLOCK_CODES, CIRCUITS
 from dctcsim.qmath import SWAP
 
-from oracles import discrimination_chain, four_blocks
+from oracles import discrimination_chain, four_blocks, qubit_swap
 
 AMPS = AmplitudePair(0.6, 0.8)
 
@@ -191,8 +191,14 @@ class TestRegisterSwap:
         np.testing.assert_array_equal(register_swap(1).matrix, SWAP)
 
     def test_involution(self):
-        s = register_swap(2).matrix
-        np.testing.assert_allclose(s @ s, np.eye(16), atol=1e-15)
+        # Exchanging the registers is the product of the qubit swaps k <-> k + n.
+        for n in (1, 2, 3):
+            s = register_swap(n).matrix
+            expected = np.eye(4 ** n)
+            for k in range(n):
+                expected = qubit_swap(2 * n, k, k + n) @ expected
+            np.testing.assert_array_equal(s, expected)
+            np.testing.assert_array_equal(s @ s, np.eye(4 ** n))
 
 
 class TestBellProjectors:

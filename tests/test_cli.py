@@ -171,6 +171,13 @@ class TestExitCodes:
             main(["table1", "--alpha", "1.5"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("experiment", ["discriminate", "table1", "smolin"])
+    def test_negative_seed_is_usage_error(self, experiment, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_non_convergence_is_3(self, capsys):
         code, _, err = run_cli(capsys, "fixed-point", "--tolerance", "1e-20")
         assert code == 3

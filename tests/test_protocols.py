@@ -1,5 +1,7 @@
 """Teleportation, discrimination, and the distillation experiment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dctcsim import (
     BellLabel,
     DegenerateAmplitudesError,
     DensityOperator,
+    InvariantViolationError,
     SolverConfig,
     alice_outcome_distribution,
     discriminate_bell,
@@ -134,6 +137,18 @@ class TestDiscriminateBell:
             record = discriminate_bell(BellLabel.PHI_PLUS, AmplitudePair.from_alpha(alpha),
                                        alice_outcome=BellLabel.PHI_PLUS)
             assert record.identified is BellLabel.PHI_PLUS
+
+    def test_probability_bound_matches_density_operator(self):
+        # A valid CR state may carry a diagonal of 1 + 1e-11: its trace is 1
+        # and its lowest eigenvalue -1e-11 is within the PSD tolerance.
+        cr_out = DensityOperator(np.diag([1 + 1e-11, -1e-11, 0, 0]))
+        _, b1b2, probability = modal_readout(cr_out)
+        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
+        accepted = dataclasses.replace(record, b1b2=b1b2, identified=BellLabel.PHI_PLUS,
+                                       outcome_probability=probability)
+        assert accepted.outcome_probability == 1 + 1e-11
+        with pytest.raises(InvariantViolationError):
+            dataclasses.replace(record, outcome_probability=1 + 1e-9)
 
     def test_seed_reproducibility(self):
         a = discriminate_bell(BellLabel.PSI_MINUS, AMPS, seed=42)
