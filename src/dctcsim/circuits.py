@@ -1,37 +1,32 @@
 """Construction of the interaction unitaries.
 
-The discrimination circuit tells four non-orthogonal single-qubit states
-apart with two CTC qubits.  It first swaps the two-qubit CR register with
-the two-qubit CTC register, then applies one of four controlled blocks
-U_00..U_11 to the CTC register, selected by the computational value of the
-CR register.  Each block maps its designated candidate state (x) |0> to the
-matching basis state |xy>, up to a global phase.
+The discrimination circuit, after Brun, Harrington & Wilde (PRL 102, 210402,
+2009), tells four non-orthogonal single-qubit states apart with two CTC
+qubits.  It swaps the two-qubit CR register with the two-qubit CTC register,
+then applies one of four blocks U_00..U_11 to the CTC register, selected by
+the computational value of the CR register.  Each block maps its candidate
+state (x) |0> to the basis state |xy>, up to a global phase.
 
-Each block is U_c = L_c . (R_c (x) I), "." composing right to left: a real
-rotation or reflection R_c of the first CTC qubit (table ``_ROTATIONS``),
-then a Pauli layer L_c on both CTC qubits.  A circuit is one table of
-layers (``_LAYERS``); the ``"literal"`` layers are I (x) I, X (x) X, X (x) I
-and I (x) X for c = 00, 01, 10, 11.  Real amplitudes are required; the
+Each block is U_c = L_c . (R_c (x) I), composed right to left: a real
+rotation or reflection R_c of the first CTC qubit (``_ROTATIONS``), then a
+layer L_c on both CTC qubits (``_LAYERS``), which for c = 1x ends with a
+zero-controlled NOT on the CTC ancilla ctc2.  Amplitudes must be real; the
 blocks are not unitary otherwise.
 
-Escape labels.  With the CTC in basis label c, the CR register reads c after
-the swap, so U_c acts on Bob's qubit (x) |0> and leaves the CTC in label c
-with the squared overlap of Bob's qubit and candidate c, and otherwise in
-one escape label: the image of the candidate's orthogonal complement.  The
-CTC fixed points are the stationary distributions of this four-label chain.
-The literal blocks escape 00 -> 10, 10 -> 00, 01 -> 11 and 11 -> 01: two
-closed 2-cycles that both conserve the ancilla bit ctc2, so the chain has
-two stationary states and the fixed-point space is two-dimensional for
-every amplitude pair.
+With the CTC in label c, the CR register reads c after the swap, so U_c keeps
+the CTC in label c with the squared overlap of Bob's qubit and candidate c,
+and otherwise sends it to one escape label.  The CTC fixed points are the
+stationary distributions of this four-label chain.  Its escapes form the
+single cycle 00 -> 10 -> 01 -> 11 -> 00, and the other labels stay with
+probabilities (a^2 - b^2)^2, 4 a^2 b^2 and 0, below 1 unless the pair is
+degenerate, so the consistent label is the only stationary state and the CR
+readout is deterministic.
 
-The default ``"cycle"`` layer table is the literal one with a zero-controlled
-NOT on the CTC ancilla (flip ctc2 when ctc1 is 0) after the layers of U_10
-and U_11.  It leaves |10> and |11> alone, so every block still maps its
-candidate to its own label, but the escapes become the single cycle
-00 -> 10 -> 01 -> 11 -> 00.  The consistent label absorbs and every other
-label reaches it along the cycle; the stay probabilities of the others are
-(a^2 - b^2)^2, 4 a^2 b^2 and 0, all below 1 for a != b, so the fixed point
-is unique and the CR readout deterministic.
+Without the zero-controlled NOT (the bare block formulas) every block acts on
+ctc2 as I or X: the escapes 00 -> 10 -> 00 and 01 -> 11 -> 01 form two closed
+cycles that conserve ctc2, the fixed-point space is two-dimensional for every
+amplitude pair, and the solve from I/4 reads the right label with probability
+0.5.  The NOT fixes |10> and |11>, so it changes the escapes only.
 """
 
 import numbers
@@ -53,7 +48,10 @@ from .qmath import (
 )
 
 NORMALIZATION_ATOL = 1e-12
-DEGENERACY_ATOL = 1e-6    # |alpha - beta| at or below this counts as degenerate
+# An eigenvalue of the CTC channel this close to 1 counts as 1.  A pair is
+# degenerate when the discrimination channel's second eigenvalue, which sits
+# min((a^2 - b^2)^2, 4 a^2 b^2) below 1, falls in this window (|a - b| <~ 1e-6).
+UNIT_EIGENVALUE_ATOL = 2e-12
 
 BLOCK_CODES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -69,20 +67,13 @@ _ROTATIONS = {
 _ZERO_CONTROLLED_NOT = _readonly(
     kron(np.outer(KET_0, KET_0), X) + kron(np.outer(KET_1, KET_1), I2))
 
-# L_c: the Pauli layer each block applies after its rotation, one table per circuit.
-_LITERAL_LAYERS = {
-    code: _readonly(kron(*paulis))
-    for code, paulis in zip(BLOCK_CODES, ((I2, I2), (X, X), (X, I2), (I2, X)))
-}
+# L_c: the layer each block applies after its rotation.
 _LAYERS = {
-    "cycle": {
-        **_LITERAL_LAYERS,
-        (1, 0): _readonly(_ZERO_CONTROLLED_NOT @ _LITERAL_LAYERS[(1, 0)]),
-        (1, 1): _readonly(_ZERO_CONTROLLED_NOT @ _LITERAL_LAYERS[(1, 1)]),
-    },
-    "literal": _LITERAL_LAYERS,
+    (0, 0): _readonly(kron(I2, I2)),
+    (0, 1): _readonly(kron(X, X)),
+    (1, 0): _readonly(_ZERO_CONTROLLED_NOT @ kron(X, I2)),
+    (1, 1): _readonly(_ZERO_CONTROLLED_NOT @ kron(I2, X)),
 }
-CIRCUITS = tuple(_LAYERS)
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,8 @@ class AmplitudePair:
     """Real amplitude pair (alpha, beta) with alpha^2 + beta^2 = 1.
 
     The discrimination protocol requires 0 < alpha != beta < 1; construction
-    rejects near-degenerate pairs unless ``allow_degenerate`` is set, which
-    is meant for fixed-point-space exploration only.
+    rejects near-degenerate pairs (alpha ~ beta or alpha, beta ~ 0) unless
+    ``allow_degenerate`` is set, which is meant for fixed-point exploration.
     """
 
     alpha: float
@@ -113,8 +104,9 @@ class AmplitudePair:
                 f"alpha^2 + beta^2 = {self.alpha ** 2 + self.beta ** 2!r} deviates from 1")
         if self.is_degenerate and not self.allow_degenerate:
             raise DegenerateAmplitudesError(
-                f"|alpha - beta| = {abs(self.alpha - self.beta):.3e} <= "
-                f"{DEGENERACY_ATOL}; the protocol needs alpha != beta")
+                f"({self.alpha}, {self.beta}): the CTC fixed point is not unique; the "
+                f"protocol needs |alpha - beta| > ~{np.sqrt(UNIT_EIGENVALUE_ATOL / 2):.0e} "
+                f"and alpha, beta > ~{np.sqrt(UNIT_EIGENVALUE_ATOL) / 2:.3g}")
 
     @classmethod
     def from_alpha(cls, alpha: float, allow_degenerate: bool = False) -> "AmplitudePair":
@@ -127,32 +119,25 @@ class AmplitudePair:
 
     @property
     def is_degenerate(self) -> bool:
-        return abs(self.alpha - self.beta) <= DEGENERACY_ATOL
+        a2, b2 = self.alpha ** 2, self.beta ** 2
+        return min((a2 - b2) ** 2, 4 * a2 * b2) <= UNIT_EIGENVALUE_ATOL
 
 
 def _normalize_code(code) -> tuple:
-    bits = tuple(map(int, code)) if isinstance(code, str) and set(code) <= {"0", "1"} else code
-    if tuple(bits) not in BLOCK_CODES:
+    if isinstance(code, str) and set(code) <= {"0", "1"}:
+        code = tuple(map(int, code))
+    if not isinstance(code, (tuple, list)) or tuple(code) not in BLOCK_CODES:
         raise InvariantViolationError(f"invalid block code {code!r}")
-    return tuple(bits)
+    return tuple(code)
 
 
-def _block_matrix(code, amps: AmplitudePair, circuit: str) -> np.ndarray:
-    if circuit not in CIRCUITS:
-        raise InvariantViolationError(
-            f"unknown circuit {circuit!r}; expected one of {', '.join(CIRCUITS)}")
-    code = _normalize_code(code)
-    return _LAYERS[circuit][code] @ kron(_ROTATIONS[code](amps.alpha, amps.beta), I2)
+def _block_matrix(code: tuple, amps: AmplitudePair) -> np.ndarray:
+    return _LAYERS[code] @ kron(_ROTATIONS[code](amps.alpha, amps.beta), I2)
 
 
-def block_unitary(code, amps: AmplitudePair, circuit: str = "cycle") -> UnitaryOperator:
-    """One of the four 4x4 controlled blocks, selected by a two-bit code.
-
-    ``circuit`` picks the layer table: ``"cycle"`` (unique fixed point, the
-    default) or ``"literal"`` (the bare formulas, two-dimensional fixed-point
-    space); see the module docstring.
-    """
-    return UnitaryOperator(_block_matrix(code, amps, circuit))
+def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
+    """One of the four 4x4 controlled blocks, selected by a two-bit code."""
+    return UnitaryOperator(_block_matrix(_normalize_code(code), amps))
 
 
 def candidate_states(amps: AmplitudePair) -> dict:
@@ -179,13 +164,13 @@ def register_swap(block_qubits: int) -> UnitaryOperator:
 _REGISTER_SWAP = register_swap(2).matrix
 
 
-def bhw_interaction(amps: AmplitudePair, circuit: str = "cycle") -> UnitaryOperator:
+def bhw_interaction(amps: AmplitudePair) -> UnitaryOperator:
     """Full 16x16 interaction on (CR1, CR2, CTC1, CTC2): swap the registers,
-    then dispatch U_xy of ``circuit`` on the CTC register controlled by the
-    CR value |xy>.  Its one unitarity check covers every block."""
+    then dispatch U_xy on the CTC register controlled by the CR value |xy>.
+    Its one unitarity check covers every block."""
     controlled = np.zeros((16, 16), dtype=complex)
     for idx, code in enumerate(BLOCK_CODES):
-        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _block_matrix(code, amps, circuit)
+        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _block_matrix(code, amps)
     return UnitaryOperator(controlled @ _REGISTER_SWAP)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CIRCUITS, AmplitudePair, bhw_interaction, bhw_layout, candidate_states
+from .circuits import AmplitudePair, bhw_interaction, bhw_layout, candidate_states
 from .deutsch import SolverConfig, apply_dctc
 from .entanglement import (
     BipartiteCut,
@@ -154,7 +154,6 @@ def _base_parameters(args, amps: AmplitudePair) -> dict:
         "tolerance": args.tolerance,
         "seed": args.seed,
         "allow_degenerate": args.allow_degenerate,
-        "circuit": args.circuit,
     }
 
 
@@ -175,7 +174,7 @@ def _discrimination_row(record) -> dict:
 
 
 def run_fixed_point(args, amps, config):
-    interaction = bhw_interaction(amps, args.circuit)
+    interaction = bhw_interaction(amps)
     layout = bhw_layout()
     rows = []
     for code, state in candidate_states(amps).items():
@@ -204,7 +203,7 @@ def run_discriminate(args, amps, config):
         bell = list(BellLabel)[rng.integers(4)]
     else:
         bell = BellLabel.from_string(args.bell)
-    record = discriminate_bell(bell, amps, config, seed=rng, circuit=args.circuit)
+    record = discriminate_bell(bell, amps, config, seed=rng)
     rows = [_discrimination_row(record)]
     violations = [] if record.identified is bell else [
         f"identified {record.identified.value}, referee prepared {bell.value}"]
@@ -216,7 +215,7 @@ def run_table1(args, amps, config):
     rows = []
     violations = []
     for bell in BellLabel:
-        record = discriminate_bell(bell, amps, config, seed=rng, circuit=args.circuit)
+        record = discriminate_bell(bell, amps, config, seed=rng)
         rows.append(_discrimination_row(record))
         if record.identified is not bell:
             violations.append(f"row {bell.value}: identified {record.identified.value}")
@@ -230,7 +229,7 @@ def run_table1(args, amps, config):
 
 def run_smolin(args, amps, config):
     if args.improper_mixture:
-        record = run_improper_mixture(amps, config, seed=args.seed, circuit=args.circuit)
+        record = run_improper_mixture(amps, config, seed=args.seed)
         rows = [{
             "alice_outcome": _bits_str(record.alice_outcome),
             "p00": record.cr_distribution[0],
@@ -249,7 +248,7 @@ def run_smolin(args, amps, config):
         }
         return rows, diagnostics, []
 
-    report = distill_smolin(amps, config, seed=args.seed, circuit=args.circuit)
+    report = distill_smolin(amps, config, seed=args.seed)
     rows = []
     violations = []
     for branch in report.branches:
@@ -317,10 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table")
     common.add_argument("--output", default=None, help="write to this path instead of stdout")
     common.add_argument("--allow-degenerate", action="store_true",
-                        help="permit alpha = beta (fixed-point exploration only)")
-    common.add_argument("--circuit", choices=CIRCUITS, default="cycle",
-                        help="CTC block set: cycle (unique fixed point) or literal "
-                             "(the bare block formulas, two-dimensional fixed-point space)")
+                        help="permit a degenerate pair (fixed-point exploration only)")
 
     parser = argparse.ArgumentParser(
         prog="dctc-sim",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import DEGENERACY_ATOL
+from .circuits import UNIT_EIGENVALUE_ATOL
 from .errors import FixedPointConvergenceError, InvariantViolationError
 from .qmath import (
     DensityOperator,
@@ -33,12 +33,6 @@ from .qmath import (
     kron,
     trace_norm,
 )
-
-# |lambda - 1| window that counts an eigenvalue of S as 1.  The discrimination
-# channel's second eigenvalue sits (alpha^2 - beta^2)^2 ~ 2 (alpha - beta)^2
-# below 1, so it falls inside the window exactly when the amplitude pair is
-# degenerate; eig puts the unit eigenvalue of a CPTP map within ~4e-15 of 1.
-UNIT_EIGENVALUE_ATOL = 2 * DEGENERACY_ATOL ** 2
 
 
 @dataclass(frozen=True)
@@ -59,13 +53,14 @@ class FixedPointResult:
     fixed_point: DensityOperator
     residual: float
     fp_space_dim: int
-    unique: bool
 
     def __post_init__(self):
         if self.residual < 0:
             raise InvariantViolationError("residual must be non-negative")
-        if self.unique != (self.fp_space_dim == 1):
-            raise InvariantViolationError("unique flag must mirror fp_space_dim == 1")
+
+    @property
+    def unique(self) -> bool:
+        return self.fp_space_dim == 1
 
 
 def _interaction_dims(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -114,6 +109,7 @@ def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
 
 
 def _unit_eigenvectors(M: np.ndarray) -> np.ndarray:
+    # eig puts the unit eigenvalue of a CPTP map within ~4e-15 of 1.
     values, vectors = np.linalg.eig(M)
     return vectors[:, np.abs(values - 1.0) <= UNIT_EIGENVALUE_ATOL]
 
@@ -134,10 +130,12 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
     of the Cesaro average of Phi^n(I/d), made Hermitian and divided by its
     trace.  Rounding of S moves sigma by about 1e-16 / gap, which near
     alpha = beta leaves small negative eigenvalues on a pure fixed point;
-    they are set to zero before the residual check, so the check judges the
-    state that is returned.  Raises ``FixedPointConvergenceError`` when S has
-    no eigenvalue 1 or unequal left and right multiplicities, when the linear
-    algebra fails, or when sigma fails the residual check.
+    they are set to zero, and since that moves sigma along fast modes of S,
+    sigma then takes one channel step (positive, residual not increased)
+    before the residual check judges the returned state.  Raises
+    ``FixedPointConvergenceError`` when S has no eigenvalue 1 or unequal
+    left and right multiplicities, when the linear algebra fails, or when
+    sigma fails the residual check.
     """
     config = config or SolverConfig()
     S = superoperator_matrix(U, rho_cr, layout)
@@ -153,6 +151,8 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
         vec = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)
         weights, basis = np.linalg.eigh(vec.reshape(d, d) + vec.reshape(d, d).conj().T)
         sigma = (basis * np.clip(weights, 0.0, None)) @ basis.conj().T
+        sigma = (S @ sigma.reshape(-1)).reshape(d, d)
+        sigma = sigma + sigma.conj().T
         sigma = sigma / sigma.trace().real
         residual = trace_norm((S @ sigma.reshape(-1)).reshape(d, d) - sigma)
         fixed_point = DensityOperator(sigma)
@@ -160,7 +160,7 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
         raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
     if not residual < config.tolerance:
         raise FixedPointConvergenceError(residual, config.tolerance)
-    return FixedPointResult(fixed_point, residual, right.shape[1], right.shape[1] == 1)
+    return FixedPointResult(fixed_point, residual, right.shape[1])
 
 
 def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayout,

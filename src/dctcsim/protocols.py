@@ -7,7 +7,9 @@ measurement outcome.  Bob applies the standard correction for that outcome,
 so his qubit ends up carrying the residual Pauli error that identifies the
 shared pair: psi, Z psi, X psi or XZ psi.  Feeding that qubit (with a fresh
 |0> ancilla) through the CTC interaction maps the four non-orthogonal
-possibilities onto the four computational CR outcomes b1 b2.
+possibilities onto the four computational CR outcomes b1 b2.  The CTC fixed
+point of the circuit (:mod:`dctcsim.circuits`) is unique for every
+non-degenerate amplitude pair, so that readout is deterministic.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -140,10 +142,9 @@ def _prepared_state(amps: AmplitudePair) -> np.ndarray:
 def _resolve_outcome(alice_outcome) -> BellLabel:
     if isinstance(alice_outcome, BellLabel):
         return alice_outcome
-    bits = tuple(alice_outcome)
-    if bits not in _OUTCOME_FROM_BITS:
-        raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
-    return _OUTCOME_FROM_BITS[bits]
+    if isinstance(alice_outcome, (tuple, list)) and tuple(alice_outcome) in _OUTCOME_FROM_BITS:
+        return _OUTCOME_FROM_BITS[tuple(alice_outcome)]
+    raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
 
 
 def _bob_state(bell: BellLabel, amps: AmplitudePair, outcome: BellLabel) -> tuple:
@@ -205,20 +206,18 @@ class DiscriminationRecord:
 
 def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
                       config: SolverConfig | None = None,
-                      seed=None, alice_outcome=None,
-                      circuit: str = "cycle") -> DiscriminationRecord:
+                      seed=None, alice_outcome=None) -> DiscriminationRecord:
     """Run the full discrimination protocol for one shared Bell pair.
 
     Alice's outcome is drawn from seeded randomness unless ``alice_outcome``
-    pins it.  ``circuit`` selects the CTC block set (see
-    :mod:`dctcsim.circuits`).  The CR register is read out at its most
-    probable computational value (:func:`modal_readout`); the probability
-    of that value is reported, not assumed.
+    pins it.  The CR register is read out at its most probable
+    computational value (:func:`modal_readout`); the probability of that
+    value is reported, not assumed.
     """
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
-            "discrimination requires alpha != beta; the four candidate states "
-            "coalesce pairwise at alpha = beta")
+            "discrimination requires alpha != beta and both clear of 0; the four "
+            "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
     if alice_outcome is None:
         rng = np.random.default_rng(seed)
         distribution = alice_outcome_distribution(bell, amps)
@@ -230,7 +229,7 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
 
     bob = teleport_and_correct(bell, amps, outcome)
     rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
-    cr_out, fixed = apply_dctc(bhw_interaction(amps, circuit), rho_cr, bhw_layout(), config)
+    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
 
     _, b1b2, probability = modal_readout(cr_out)
     return DiscriminationRecord(
@@ -265,7 +264,7 @@ class DistillationReport:
 
 
 def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
-                   seed=None, circuit: str = "cycle") -> DistillationReport:
+                   seed=None) -> DistillationReport:
     """Branch-wise Smolin distillation: in each equally likely branch the AB
     and CD pairs share the same Bell identity, Alice and Bob discriminate
     theirs through the CTC circuit and broadcast the label, leaving Charlie
@@ -278,7 +277,7 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
 
     branches = []
     for branch in BellLabel:
-        record = discriminate_bell(branch, amps, config, seed=rng, circuit=circuit)
+        record = discriminate_bell(branch, amps, config, seed=rng)
         cd_state = branch.state_vector()
         message = record.identified
         branches.append(BranchOutcome(
@@ -323,9 +322,9 @@ class ImproperMixtureRecord:
 
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
-                         seed=None, circuit: str = "cycle") -> ImproperMixtureRecord:
+                         seed=None) -> ImproperMixtureRecord:
     if amps.is_degenerate:
-        raise DegenerateAmplitudesError("improper-mixture run still requires alpha != beta")
+        raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rng = np.random.default_rng(seed)
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
 
@@ -344,7 +343,7 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     bob = DensityOperator(correction @ bob @ correction.conj().T)
 
     rho_cr = DensityOperator(kron(bob.matrix, np.outer(KET_0, KET_0)))
-    cr_out, fixed = apply_dctc(bhw_interaction(amps, circuit), rho_cr, bhw_layout(), config)
+    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
     distribution, b1b2, probability = modal_readout(cr_out)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],

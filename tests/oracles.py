@@ -137,8 +137,9 @@ def eigen_fixed_point(u_mat: np.ndarray, rho_cr: np.ndarray, d_cr: int, d_ctc: i
 def four_blocks(alpha: float, beta: float, circuit: str = "cycle"):
     """The four controlled blocks, straight from their matrix formulas.
 
-    ``"literal"`` gives the bare formulas; ``"cycle"`` follows U_10 and U_11
-    with a NOT on the second CTC qubit controlled by the first being |0>.
+    ``"cycle"`` is the library's circuit: U_10 and U_11 end with a NOT on the
+    second CTC qubit controlled by the first being |0>.  ``"literal"`` gives
+    the bare formulas, whose two-dimensional fixed-point space the tests pin.
     """
     r00 = np.array([[alpha, beta], [-beta, alpha]], dtype=complex)
     r01 = np.array([[beta, alpha], [alpha, -beta]], dtype=complex)
@@ -161,6 +162,15 @@ def four_blocks(alpha: float, beta: float, circuit: str = "cycle"):
     for code in ((1, 0), (1, 1)):
         blocks[code] = zero_controlled_not @ blocks[code]
     return blocks
+
+
+def interaction(alpha: float, beta: float, circuit: str = "cycle") -> np.ndarray:
+    """16x16 interaction on (CR1, CR2, CTC1, CTC2) from the block formulas:
+    swap the registers, then apply block c when the CR register reads c."""
+    blocks = four_blocks(alpha, beta, circuit)
+    controlled = sum(np.kron(np.diag(np.eye(4)[c]), blocks[code])
+                     for c, code in enumerate(sorted(blocks)))
+    return controlled @ qubit_swap(4, 0, 2) @ qubit_swap(4, 1, 3)
 
 
 def discrimination_chain(alpha: float, beta: float, cr_qubit: np.ndarray) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 Criteria 1 and 2 assert strict uniqueness/determinism of the CTC fixed point
 (single eigenvalue-1 eigenvector, readout probability >= 1 - 1e-9).  They
-hold for the default ``cycle`` circuit: its blocks send every
-non-consistent CTC label along the single escape cycle 00 -> 10 -> 01 ->
-11 -> 00, so the consistent label is the only stationary state of the label
-chain.  The ``literal`` blocks conserve the CTC ancilla bit, split the chain
-into two closed halves and give a two-dimensional fixed-point space; the
-unit tests of that variant pin it, this suite runs the default.
+hold for the library's circuit: its blocks send every non-consistent CTC
+label along the single escape cycle 00 -> 10 -> 01 -> 11 -> 00, so the
+consistent label is the only stationary state of the label chain.  The bare
+block formulas conserve the CTC ancilla bit, split the chain into two closed
+halves and give a two-dimensional fixed-point space; the unit tests pin that
+on a unitary built from ``oracles.interaction(a, b, "literal")``.
 """
 
 import json

@@ -17,10 +17,10 @@ from dctcsim import (
     kron,
     register_swap,
 )
-from dctcsim.circuits import BLOCK_CODES, CIRCUITS
+from dctcsim.circuits import BLOCK_CODES
 from dctcsim.qmath import SWAP
 
-from oracles import discrimination_chain, four_blocks, qubit_swap
+from oracles import discrimination_chain, four_blocks, interaction, qubit_swap
 
 AMPS = AmplitudePair(0.6, 0.8)
 
@@ -62,6 +62,13 @@ class TestAmplitudePair:
     def test_near_degenerate_counts(self):
         with pytest.raises(DegenerateAmplitudesError):
             AmplitudePair.from_alpha(0.70710678)  # |alpha - beta| ~ 1e-9
+        # alpha -> 0 or beta -> 0: the candidates coalesce pairwise there too
+        for small in (1e-7, 6e-7):
+            with pytest.raises(DegenerateAmplitudesError):
+                AmplitudePair.from_alpha(small)
+            with pytest.raises(DegenerateAmplitudesError):
+                AmplitudePair(float(np.sqrt(1 - small * small)), small)
+        assert not AmplitudePair.from_alpha(7.2e-7).is_degenerate
 
 
 class TestBlockUnitaries:
@@ -107,22 +114,17 @@ class TestBlockUnitaries:
                 assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-10
 
     def test_matches_formula_oracle(self):
-        for circuit in CIRCUITS:
-            blocks = four_blocks(0.6, 0.8, circuit)
-            for code in BLOCK_CODES:
-                np.testing.assert_allclose(
-                    block_unitary(code, AMPS, circuit).matrix, blocks[code], atol=1e-15)
+        blocks = four_blocks(0.6, 0.8)
+        for code in BLOCK_CODES:
+            np.testing.assert_allclose(
+                block_unitary(code, AMPS).matrix, blocks[code], atol=1e-15)
+        np.testing.assert_allclose(bhw_interaction(AMPS).matrix, interaction(0.6, 0.8),
+                                   atol=1e-15)
 
     def test_invalid_code_rejected(self):
-        for bad in ((2, 0), "012", "ab", (0,)):
+        for bad in ((2, 0), "012", "ab", (0,), 5, None):
             with pytest.raises(InvariantViolationError):
                 block_unitary(bad, AMPS)
-
-    def test_unknown_circuit_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            block_unitary((0, 0), AMPS, circuit="mixing")
-        with pytest.raises(InvariantViolationError):
-            bhw_interaction(AMPS, circuit="")
 
 
 class TestInteraction:
@@ -134,9 +136,10 @@ class TestInteraction:
         # CR |00>, CTC |10>: the swap moves |00> into the CTC, the CR now
         # reads |10> and so U_10 acts on |00>.
         vin = kron(ket("00"), ket("10"))
-        vout = bhw_interaction(AMPS, circuit="literal").matrix @ vin
-        # CTC comes out as (0.8|1> - 0.6|0>) (x) |0>
-        expected = kron(ket("10"), np.array([-0.6, 0.0, 0.8, 0.0]))
+        vout = bhw_interaction(AMPS).matrix @ vin
+        # (X (x) I)(R_10 (x) I)|00> = -0.6|00> + 0.8|10>, then the
+        # zero-controlled NOT flips the ancilla of the |0x> term.
+        expected = kron(ket("10"), np.array([0.0, -0.6, 0.8, 0.0]))
         np.testing.assert_allclose(vout, expected, atol=1e-12)
 
     def test_worked_instance_consistency(self):

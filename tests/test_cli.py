@@ -32,12 +32,12 @@ class TestTable1:
             assert row["identified"] == row["input_bell"]
         assert doc["diagnostics"]["all_correct"] is True
 
-    def test_reports_degenerate_fixed_space(self, capsys):
-        _, doc, _ = run_json(capsys, "table1", "--circuit", "literal")
+    def test_reports_unique_fixed_space(self, capsys):
+        _, doc, _ = run_json(capsys, "table1")
         for row in doc["rows"]:
-            assert row["fp_space_dim"] == 2
-            assert row["fp_unique"] is False
-            assert abs(row["outcome_probability"] - 0.5) <= 1e-9
+            assert row["fp_space_dim"] == 1
+            assert row["fp_unique"] is True
+            assert row["outcome_probability"] >= 1 - 1e-9
 
     def test_csv_has_header_and_four_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--output-format", "csv")
@@ -107,15 +107,15 @@ class TestMeasures:
 
 class TestFixedPointExperiment:
     def test_four_candidate_rows(self, capsys):
-        code, doc, _ = run_json(capsys, "fixed-point", "--alpha", "0.6",
-                                "--circuit", "literal")
+        code, doc, _ = run_json(capsys, "fixed-point", "--alpha", "0.6")
         assert code == 0
         rows = doc["rows"]
         assert [r["code"] for r in rows] == ["00", "01", "10", "11"]
         for row in rows:
             assert row["modal_outcome"] == row["code"]
             assert row["residual"] <= 1e-12
-            assert row["fp_space_dim"] == 2
+            assert row["fp_space_dim"] == 1
+            assert row["unique"] is True
 
     def test_degenerate_rejected_in_strict_mode(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -169,6 +169,9 @@ class TestExitCodes:
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
             main(["table1", "--alpha", "1.5"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["table1", "--circuit", "literal"])
         assert info.value.code == 2
 
     @pytest.mark.parametrize("experiment", ["discriminate", "table1", "smolin"])

@@ -16,7 +16,6 @@ from dctcsim import (
     apply_dctc,
     bhw_interaction,
     bhw_layout,
-    block_unitary,
     candidate_states,
     ctc_map,
     fixed_point_space_dim,
@@ -34,7 +33,9 @@ from dctcsim.qmath import KET_0, SWAP
 from oracles import (
     eigen_fixed_point,
     expected_blend,
+    four_blocks,
     haar_unitary,
+    interaction,
     random_density,
     random_pure,
 )
@@ -44,11 +45,18 @@ LAYOUT_1_1 = RegisterLayout(("c", "t"), ctc=("t",))
 LAYOUT_2_1 = RegisterLayout(("c0", "c1", "t"), ctc=("t",))
 
 
-def worked_instance(circuit="cycle"):
-    """CR input (0.6|1> + 0.8|0>) (x) |0> for the 16-dim interaction."""
+def literal(alpha=0.6, beta=0.8):
+    """The bare block formulas, without the zero-controlled NOT on the CTC
+    ancilla: the construction whose fixed point is not unique."""
+    return UnitaryOperator(interaction(alpha, beta, "literal"))
+
+
+def worked_instance(u=None):
+    """CR input (0.6|1> + 0.8|0>) (x) |0> for a 16-dim interaction, by
+    default the library's."""
     vec = kron(np.array([0.8, 0.6], dtype=complex), KET_0)
-    return (bhw_interaction(AMPS, circuit), DensityOperator.from_state_vector(vec),
-            bhw_layout())
+    return (bhw_interaction(AMPS) if u is None else u,
+            DensityOperator.from_state_vector(vec), bhw_layout())
 
 
 class TestCtcMap:
@@ -171,8 +179,8 @@ class TestSolveFixedPoint:
         # Each block acts on the CTC ancilla as plain I or X, so the ancilla
         # bit of the label is conserved and each half of the label space
         # keeps its own stationary state: the claimed uniqueness does not
-        # hold for this circuit.
-        u, rho_cr, layout = worked_instance("literal")
+        # hold for these blocks.
+        u, rho_cr, layout = worked_instance(literal())
         result = solve_fixed_point(u, rho_cr, layout)
         assert result.fp_space_dim == 2
         assert not result.unique
@@ -197,11 +205,12 @@ class TestSolveFixedPoint:
         # Executable witness that the fixed-point family really is
         # two-dimensional: the stationary mixture of the U_01 and U_11 images
         # is a fixed point disjoint from the consistent label |10>.
-        u, rho_cr, layout = worked_instance("literal")
+        u, rho_cr, layout = worked_instance(literal())
         alpha, beta = 0.6, 0.8
         vin = kron(np.array([beta, alpha], dtype=complex), KET_0)
-        tau_01 = block_unitary((0, 1), AMPS, circuit="literal").matrix @ vin
-        tau_11 = block_unitary((1, 1), AMPS, circuit="literal").matrix @ vin
+        blocks = four_blocks(alpha, beta, "literal")
+        tau_01 = blocks[(0, 1)] @ vin
+        tau_11 = blocks[(1, 1)] @ vin
         k = 4 * alpha ** 2 * beta ** 2
         blend = (k * np.outer(tau_01, tau_01.conj())
                  + np.outer(tau_11, tau_11.conj())) / (1 + k)
@@ -213,7 +222,7 @@ class TestSolveFixedPoint:
 
     def test_degenerate_amplitudes_converge_with_larger_fixed_space(self):
         amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
-        u, layout = bhw_interaction(amps, circuit="literal"), bhw_layout()
+        u, layout = literal(amps.alpha, amps.beta), bhw_layout()
         vec = kron(np.array([amps.beta, amps.alpha], dtype=complex), KET_0)
         rho_cr = DensityOperator.from_state_vector(vec)
         result = solve_fixed_point(u, rho_cr, layout)
@@ -273,6 +282,13 @@ def _pair_at_distance(delta):
     return AmplitudePair((root + delta) / 2, (root - delta) / 2, allow_degenerate=True)
 
 
+def _pair_with_small(small, small_alpha):
+    """Real amplitude pair whose alpha (or else beta) equals ``small``."""
+    big = np.sqrt(1.0 - small * small)
+    pair = (small, big) if small_alpha else (big, small)
+    return AmplitudePair(*pair, allow_degenerate=True)
+
+
 def _discrimination_inputs(amps):
     """The CR input of every (Bell pair, Alice outcome) discrimination run."""
     for bell in BellLabel:
@@ -284,14 +300,19 @@ def _discrimination_inputs(amps):
 class TestNearDegeneracy:
     @pytest.mark.parametrize("scale", [0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
     def test_unit_eigenvalue_window_matches_degeneracy_threshold(self, scale):
-        # The second eigenvalue sits (alpha^2 - beta^2)^2 ~ 2 (alpha - beta)^2
-        # below 1, so the fixed-point space is larger than one dimension
-        # exactly when AmplitudePair counts the pair as degenerate.
-        amps = _pair_at_distance(scale * 1e-6)
-        u, layout = bhw_interaction(amps), bhw_layout()
-        for _, _, rho_cr in _discrimination_inputs(amps):
-            dim = fixed_point_space_dim(u, rho_cr, layout)
-            assert (dim >= 2) == amps.is_degenerate
+        # The second eigenvalue sits min((alpha^2 - beta^2)^2, 4 alpha^2 beta^2)
+        # below 1: ~2 (alpha - beta)^2 near alpha = beta, ~4 alpha^2 as alpha
+        # -> 0.  The fixed-point space is larger than one dimension exactly
+        # when AmplitudePair counts the pair as degenerate.
+        pairs = (_pair_at_distance(scale * 1e-6),
+                 _pair_with_small(scale * 7.07e-7, small_alpha=True),
+                 _pair_with_small(scale * 7.07e-7, small_alpha=False))
+        for amps in pairs:
+            assert amps.is_degenerate == (scale < 1)
+            u, layout = bhw_interaction(amps), bhw_layout()
+            for _, _, rho_cr in _discrimination_inputs(amps):
+                dim = fixed_point_space_dim(u, rho_cr, layout)
+                assert (dim >= 2) == amps.is_degenerate
 
     def test_every_input_identified_at_alpha_0_7071(self):
         amps = AmplitudePair.from_alpha(0.7071)
@@ -302,16 +323,24 @@ class TestNearDegeneracy:
             assert record.identified is bell
             assert record.fixed_point.unique
 
+    @pytest.mark.parametrize("delta", [2e-6, -2e-6, 1e-5, -1e-5, 2e-5, -2e-5,
+                                       1.87e-4, -1.87e-4])
+    def test_every_input_identified_near_degeneracy(self, delta):
+        # Pairs on both sides of 1/sqrt(2): the zeroing of negative
+        # eigenvalues moves sigma along fast modes of S, and the solver's
+        # final channel step must bring the residual back under 1e-12.
+        amps = _pair_at_distance(delta)
+        for bell, outcome, _ in _discrimination_inputs(amps):
+            record = discriminate_bell(bell, amps, alice_outcome=outcome)
+            assert record.identified is bell
+            assert record.fixed_point.unique
+
     def test_closer_runs_identify_or_raise_typed_error(self):
         # At |alpha - beta| = 1.6e-6 the fixed point moves by about 1e-16 / gap
-        # under rounding; a solve that cannot certify it must say so with the
-        # solver's own error, never with another one.
+        # under rounding; the solve must still certify it.
         amps = AmplitudePair.from_alpha(0.707106)
         for bell, outcome, _ in _discrimination_inputs(amps):
-            try:
-                record = discriminate_bell(bell, amps, alice_outcome=outcome)
-            except FixedPointConvergenceError:
-                continue
+            record = discriminate_bell(bell, amps, alice_outcome=outcome)
             assert record.identified is bell
 
 
@@ -333,7 +362,7 @@ class TestApplyDctc:
         # With the degenerate fixed-point family, the maximally-mixed seed
         # puts exactly half its weight on the consistent label |10>; the
         # other half stays stuck in the opposite-ancilla block.
-        u, rho_cr, layout = worked_instance("literal")
+        u, rho_cr, layout = worked_instance(literal())
         out, _ = apply_dctc(u, rho_cr, layout)
         probabilities = np.real(np.diag(out.matrix))
         assert np.argmax(probabilities) == 2  # |10>
@@ -341,7 +370,7 @@ class TestApplyDctc:
         assert probabilities[0] <= 1e-9
 
     def test_all_candidates_label_correctly(self):
-        u = bhw_interaction(AMPS, circuit="literal")
+        u = literal()
         layout = bhw_layout()
         for code, state in candidate_states(AMPS).items():
             rho_cr = DensityOperator.from_state_vector(kron(state, KET_0))
@@ -361,8 +390,6 @@ class TestConfigAndResult:
     def test_result_validation(self):
         rho = DensityOperator.maximally_mixed(1)
         with pytest.raises(InvariantViolationError):
-            FixedPointResult(rho, residual=0.0,
-                             fp_space_dim=2, unique=True)
-        with pytest.raises(InvariantViolationError):
-            FixedPointResult(rho, residual=-1.0,
-                             fp_space_dim=1, unique=True)
+            FixedPointResult(rho, residual=-1.0, fp_space_dim=1)
+        assert FixedPointResult(rho, residual=0.0, fp_space_dim=1).unique
+        assert not FixedPointResult(rho, residual=0.0, fp_space_dim=2).unique

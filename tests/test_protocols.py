@@ -12,7 +12,10 @@ from dctcsim import (
     DensityOperator,
     InvariantViolationError,
     SolverConfig,
+    UnitaryOperator,
     alice_outcome_distribution,
+    apply_dctc,
+    bhw_layout,
     discriminate_bell,
     distill_smolin,
     kron,
@@ -22,7 +25,9 @@ from dctcsim import (
     teleport_and_correct,
 )
 from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
-from dctcsim.qmath import BELL_VECTORS, X, Z
+from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
+
+from oracles import interaction
 
 AMPS = AmplitudePair(0.6, 0.8)
 PSI = np.array([0.6, 0.8], dtype=complex)
@@ -116,18 +121,26 @@ class TestDiscriminateBell:
                 assert record.alice_outcome == ALICE_OUTCOME_BITS[outcome]
 
     def test_modal_probability_is_exactly_half(self):
-        # Half of the maximally-mixed seed lives in the conserved
+        # With the bare block formulas (no zero-controlled NOT on the CTC
+        # ancilla), half of the maximally-mixed seed lives in the conserved
         # opposite-ancilla half of the label space, so the consistent label
         # carries weight exactly 0.5 in the converged CTC state.
+        u = UnitaryOperator(interaction(0.6, 0.8, "literal"))
         for bell in BellLabel:
-            record = discriminate_bell(bell, AMPS, seed=1, circuit="literal")
-            assert abs(record.outcome_probability - 0.5) <= 1e-9
+            bob = teleport_and_correct(bell, AMPS)
+            rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
+            cr_out, fixed = apply_dctc(u, rho_cr, bhw_layout())
+            _, b1b2, probability = modal_readout(cr_out)
+            assert b1b2 == bell.b1b2
+            assert abs(probability - 0.5) <= 1e-9
+            assert fixed.fp_space_dim == 2
 
     def test_fixed_point_diagnostics(self):
-        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=2, circuit="literal")
-        assert record.fixed_point.fp_space_dim == 2
-        assert not record.fixed_point.unique
+        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=2)
+        assert record.fixed_point.fp_space_dim == 1
+        assert record.fixed_point.unique
         assert record.fixed_point.residual < 1e-12
+        assert record.outcome_probability >= 1 - 1e-9
 
     def test_long_solve_keeps_unit_trace(self):
         # Near alpha = beta the spectral gap of the channel is small; rounding
@@ -149,6 +162,13 @@ class TestDiscriminateBell:
         assert accepted.outcome_probability == 1 + 1e-11
         with pytest.raises(InvariantViolationError):
             dataclasses.replace(record, outcome_probability=1 + 1e-9)
+
+    def test_invalid_alice_outcome_rejected(self):
+        for bad in (3, (0, 2), "00"):
+            with pytest.raises(InvariantViolationError):
+                discriminate_bell(BellLabel.PHI_PLUS, AMPS, alice_outcome=bad)
+            with pytest.raises(InvariantViolationError):
+                teleport_and_correct(BellLabel.PHI_PLUS, AMPS, bad)
 
     def test_seed_reproducibility(self):
         a = discriminate_bell(BellLabel.PSI_MINUS, AMPS, seed=42)
