@@ -48,6 +48,7 @@ from .protocols import (
     DistillationReport,
     ImproperMixtureRecord,
     alice_outcome_distribution,
+    ctc_readout,
     discriminate_bell,
     distill_smolin,
     pauli_residual,
@@ -58,9 +59,6 @@ from .qmath import (
     DensityOperator,
     RegisterLayout,
     UnitaryOperator,
-    constants,
-    hermitian_eigenvalues,
-    ket,
     kron,
     partial_trace,
     pure_fidelity,
@@ -93,15 +91,13 @@ __all__ = [
     "bhw_layout",
     "block_unitary",
     "candidate_states",
-    "constants",
     "ctc_map",
+    "ctc_readout",
     "discriminate_bell",
     "distill_smolin",
     "distillable_upper_bound",
     "fixed_point_space_dim",
-    "hermitian_eigenvalues",
     "is_ppt",
-    "ket",
     "kron",
     "log_negativity",
     "partial_trace",

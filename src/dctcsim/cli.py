@@ -6,8 +6,9 @@ seed) produce byte-identical JSON.  Floating-point values are quantized to
 15 significant digits when the document is built, so serialization
 round-trips exactly.
 
-The CTC fixed point comes from one spectral solve (see
-:mod:`dctcsim.deutsch`); there is no iteration budget.
+Every experiment that runs the CTC stage goes through
+:func:`dctcsim.protocols.ctc_readout`; its fixed point comes from one
+spectral solve (see :mod:`dctcsim.deutsch`), with no iteration budget.
 
 Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
 check, 4 invariant violation during the run.
@@ -18,12 +19,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AmplitudePair, bhw_interaction, bhw_layout, candidate_states
-from .deutsch import SolverConfig, apply_dctc
+from .circuits import AmplitudePair, candidate_states
+from .deutsch import SolverConfig
 from .entanglement import (
     BipartiteCut,
     distillable_upper_bound,
@@ -41,12 +41,12 @@ from .errors import (
 )
 from .protocols import (
     BellLabel,
+    ctc_readout,
     discriminate_bell,
     distill_smolin,
-    modal_readout,
     run_improper_mixture,
 )
-from .qmath import DensityOperator, KET_0, RegisterLayout, kron
+from .qmath import DensityOperator, RegisterLayout
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,25 +75,13 @@ def _clean(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class ResultDocument:
-    experiment: str
-    parameters: dict
-    rows: list
-    diagnostics: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "diagnostics": self.diagnostics,
-        }
-
-
-def make_document(experiment: str, parameters: dict, rows: list,
-                  diagnostics: dict) -> ResultDocument:
-    return ResultDocument(experiment, _clean(parameters), _clean(rows), _clean(diagnostics))
+def make_document(experiment: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
+    return {
+        "experiment": experiment,
+        "parameters": _clean(parameters),
+        "rows": _clean(rows),
+        "diagnostics": _clean(diagnostics),
+    }
 
 
 def _cell(value) -> str:
@@ -104,29 +92,30 @@ def _cell(value) -> str:
     return str(value)
 
 
-def serialize(doc: ResultDocument, output_format: str) -> str:
+def serialize(doc: dict, output_format: str) -> str:
+    rows = doc["rows"]
     if output_format == "json":
-        return json.dumps(doc.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        if doc.rows:
-            header = list(doc.rows[0].keys())
+        if rows:
+            header = list(rows[0].keys())
             writer.writerow(header)
-            for row in doc.rows:
+            for row in rows:
                 writer.writerow([_cell(row[key]) for key in header])
         return buffer.getvalue()
     if output_format == "table":
-        lines = [f"experiment: {doc.experiment}"]
-        lines.append("  ".join(f"{k}={_cell(v)}" for k, v in doc.parameters.items()))
-        if doc.rows:
-            header = list(doc.rows[0].keys())
-            cells = [[_cell(row[key]) for key in header] for row in doc.rows]
+        lines = [f"experiment: {doc['experiment']}"]
+        lines.append("  ".join(f"{k}={_cell(v)}" for k, v in doc["parameters"].items()))
+        if rows:
+            header = list(rows[0].keys())
+            cells = [[_cell(row[key]) for key in header] for row in rows]
             widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
             lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
             for row_cells in cells:
                 lines.append("  ".join(c.ljust(w) for c, w in zip(row_cells, widths)))
-        for key, value in doc.diagnostics.items():
+        for key, value in doc["diagnostics"].items():
             lines.append(f"{key} = {_cell(value) if not isinstance(value, dict) else value}")
         return "\n".join(lines) + "\n"
     raise InvariantViolationError(f"unknown output format {output_format!r}")
@@ -174,13 +163,9 @@ def _discrimination_row(record) -> dict:
 
 
 def run_fixed_point(args, amps, config):
-    interaction = bhw_interaction(amps)
-    layout = bhw_layout()
     rows = []
     for code, state in candidate_states(amps).items():
-        rho_cr = DensityOperator.from_state_vector(kron(state, KET_0))
-        cr_out, result = apply_dctc(interaction, rho_cr, layout, config)
-        _, b1b2, probability = modal_readout(cr_out)
+        _, b1b2, probability, result = ctc_readout(amps, np.outer(state, state.conj()), config)
         rows.append({
             "code": _bits_str(code),
             "input_state": _state_str(state),

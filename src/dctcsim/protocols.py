@@ -11,6 +11,11 @@ possibilities onto the four computational CR outcomes b1 b2.  The CTC fixed
 point of the circuit (:mod:`dctcsim.circuits`) is unique for every
 non-degenerate amplitude pair, so that readout is deterministic.
 
+:func:`ctc_readout` is that CTC stage, the one place it is assembled: Bob's
+qubit and a |0> ancilla form the CR input, the Deutsch fixed point of the
+interaction is solved, and the CR register is read out.  The discrimination,
+the improper-mixture run and the CLI ``fixed-point`` experiment all call it.
+
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
 solver; each pure branch is solved on its own.  An improper-mixture run
@@ -52,7 +57,6 @@ from .qmath import (
     pure_fidelity,
 )
 
-PHASE_ATOL = 1e-12
 READOUT_TIE_ATOL = 1e-9   # CR probabilities this close to the largest count as tied
 # Largest diagonal of a two-qubit DensityOperator: trace 1 + TRACE_ATOL, 3 eigenvalues -PSD_ATOL.
 MAX_READOUT_PROBABILITY = 1.0 + TRACE_ATOL + 3 * PSD_ATOL
@@ -75,12 +79,9 @@ class BellLabel(enum.Enum):
 
     @classmethod
     def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
+        if (b1, b2) not in _BELL_FROM_BITS:
+            raise InvariantViolationError(f"invalid CR outcome {(b1, b2)!r}")
         return _BELL_FROM_BITS[(b1, b2)]
-
-    @property
-    def b1b2(self) -> tuple:
-        """The CR measurement outcome that identifies this shared pair."""
-        return _BITS_FROM_BELL[self]
 
     def state_vector(self) -> np.ndarray:
         return BELL_VECTORS[self.value]
@@ -93,7 +94,6 @@ _BELL_FROM_BITS = {
     (1, 0): BellLabel.PSI_PLUS,
     (1, 1): BellLabel.PSI_MINUS,
 }
-_BITS_FROM_BELL = {label: bits for bits, label in _BELL_FROM_BITS.items()}
 
 # Residual Pauli error Bob's corrected qubit carries for each shared pair.
 _RESIDUAL = {
@@ -163,25 +163,28 @@ def alice_outcome_distribution(bell: BellLabel, amps: AmplitudePair) -> dict:
     return {outcome: _bob_state(bell, amps, outcome)[1] for outcome in BellLabel}
 
 
-def teleport_and_correct(bell: BellLabel, amps: AmplitudePair,
-                         alice_outcome="exhaustive") -> np.ndarray:
-    """Bob's qubit after teleportation of psi and his conditional correction.
-
-    ``alice_outcome`` may be a specific outcome (a :class:`BellLabel` or a
-    two-bit tuple) or ``"exhaustive"``, which verifies that all four outcomes
-    give the same physical state (up to a global phase) and returns the
-    outcome-(0,0) representative.
-    """
-    if alice_outcome == "exhaustive":
-        states = [_bob_state(bell, amps, outcome)[0] for outcome in BellLabel]
-        reference = states[0]
-        for state in states[1:]:
-            if abs(abs(np.vdot(reference, state)) - 1.0) > PHASE_ATOL:
-                raise InvariantViolationError(
-                    "teleportation outcomes disagree beyond a global phase")
-        return as_state_vector(reference)
+def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
+    """Bob's qubit after teleportation of psi and his correction for Alice's
+    outcome, given as a :class:`BellLabel` or a two-bit tuple."""
     outcome = _resolve_outcome(alice_outcome)
     return as_state_vector(_bob_state(bell, amps, outcome)[0])
+
+
+def ctc_readout(amps: AmplitudePair, rho_bob: np.ndarray,
+                config: SolverConfig | None = None) -> tuple:
+    """Run Bob's qubit, a 2x2 density matrix, through the CTC stage and read
+    the CR register.
+
+    The CR input is ``rho_bob`` (x) |0><0|, validated as a
+    :class:`DensityOperator`, which validates ``rho_bob`` too.  Returns
+    ``(distribution, b1b2, probability, fixed_point)``: the
+    :func:`modal_readout` triple of the CR output and the
+    :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
+    callers that need a unique fixed point check the pair.
+    """
+    rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
+    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
+    return (*modal_readout(cr_out), fixed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +203,7 @@ class DiscriminationRecord:
         if not 0.0 <= self.outcome_probability <= MAX_READOUT_PROBABILITY:
             raise InvariantViolationError(
                 f"outcome probability {self.outcome_probability} outside [0, 1]")
-        if self.identified is not _BELL_FROM_BITS[self.b1b2]:
+        if self.identified is not BellLabel.from_b1b2(*self.b1b2):
             raise InvariantViolationError("identified label inconsistent with b1 b2")
 
 
@@ -228,10 +231,7 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
         outcome = _resolve_outcome(alice_outcome)
 
     bob = teleport_and_correct(bell, amps, outcome)
-    rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
-    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
-
-    _, b1b2, probability = modal_readout(cr_out)
+    _, b1b2, probability, fixed = ctc_readout(amps, np.outer(bob, bob.conj()), config)
     return DiscriminationRecord(
         input_bell=bell,
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
@@ -342,9 +342,7 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
     bob = DensityOperator(correction @ bob @ correction.conj().T)
 
-    rho_cr = DensityOperator(kron(bob.matrix, np.outer(KET_0, KET_0)))
-    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
-    distribution, b1b2, probability = modal_readout(cr_out)
+    distribution, b1b2, probability, fixed = ctc_readout(amps, bob.matrix, config)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
         bob_state=bob,

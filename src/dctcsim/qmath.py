@@ -11,7 +11,7 @@ read-only and every function is pure.
 """
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +55,6 @@ def kron(*matrices) -> np.ndarray:
     return out
 
 
-def ket(bits: str) -> np.ndarray:
-    """Computational basis vector for a bit string, e.g. ``ket("10")``."""
-    if not bits or any(b not in "01" for b in bits):
-        raise InvariantViolationError(f"invalid bit string {bits!r}")
-    v = np.zeros(2 ** len(bits), dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
 def as_state_vector(v) -> np.ndarray:
     """Validate and return a normalized state vector (copy, read-only)."""
     a = np.asarray(v, dtype=complex).reshape(-1).copy()
@@ -81,18 +72,6 @@ def pure_fidelity(u, v) -> float:
     return float(abs(np.vdot(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))) ** 2)
 
 
-def hermitian_eigenvalues(m, hermiticity_atol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, in descending order.
-
-    Raises if the input deviates from Hermiticity by more than
-    ``hermiticity_atol`` (max elementwise).
-    """
-    a = _require_square(_as_complex_matrix(m))
-    if np.abs(a - a.conj().T).max() > hermiticity_atol:
-        raise InvariantViolationError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(a)[::-1].copy()
-
-
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
     a = _require_square(_as_complex_matrix(m))
@@ -105,11 +84,6 @@ I2 = _readonly(np.eye(2, dtype=complex))
 X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
 Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
-SWAP = _readonly(np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex))
 
 _S2 = 1.0 / np.sqrt(2.0)
 PHI_PLUS = _readonly(np.array([_S2, 0, 0, _S2], dtype=complex))
@@ -126,14 +100,6 @@ BELL_VECTORS: Mapping[str, np.ndarray] = {
 
 KET_0 = _readonly(np.array([1, 0], dtype=complex))
 KET_1 = _readonly(np.array([0, 1], dtype=complex))
-
-
-def constants() -> dict:
-    """Named gate/state table: Paulis, SWAP, Bell vectors, basis kets."""
-    table = {"I": I2, "X": X, "Y": Y, "Z": Z, "SWAP": SWAP,
-             "ket0": KET_0, "ket1": KET_1}
-    table.update(BELL_VECTORS)
-    return table
 
 
 # --- validated operators and register layouts -----------------------------
@@ -201,19 +167,6 @@ class DensityOperator(_CheckedOperator):
         a = as_state_vector(v)
         return cls(np.outer(a, a.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityOperator":
-        d = 2 ** n_qubits
-        return cls(np.eye(d, dtype=complex) / d)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-
-CR = "CR"
-CTC = "CTC"
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -221,7 +174,7 @@ class RegisterLayout:
     or CTC part of the register."""
 
     labels: tuple
-    ctc: frozenset = field(default_factory=frozenset)
+    ctc: frozenset
 
     def __init__(self, labels: Iterable[str], ctc: Iterable[str] = ()):
         labels = tuple(labels)
@@ -235,10 +188,6 @@ class RegisterLayout:
             raise InvariantViolationError(f"CTC labels {sorted(unknown)} not in layout")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ctc", ctc)
-
-    @property
-    def partition(self) -> dict:
-        return {lbl: (CTC if lbl in self.ctc else CR) for lbl in self.labels}
 
     @property
     def cr_labels(self) -> tuple:
@@ -279,24 +228,16 @@ def _partial_trace_matrix(mat: np.ndarray, n_qubits: int, keep_positions) -> np.
 
 
 def partial_trace(rho: DensityOperator, layout: RegisterLayout, keep) -> DensityOperator:
-    """Trace out all qubits not selected by ``keep``.
+    """Trace out all qubits not named in ``keep``.
 
-    ``keep`` may be an iterable of qubit labels, or one of the strings
-    ``"CR"`` / ``"CTC"`` to keep a whole partition.  The kept qubits stay in
-    layout order.  Tracing out everything returns the 1x1 operator ``[[1]]``.
+    ``keep`` is an iterable of qubit labels; a bare string is one label.  The
+    kept qubits stay in layout order.  Tracing out everything returns the 1x1
+    operator ``[[1]]``.
     """
     if layout.dim != rho.dim:
         raise InvariantViolationError(
             f"layout dimension {layout.dim} does not match operator dimension {rho.dim}")
-    if isinstance(keep, str):
-        if keep == CR:
-            keep_labels = layout.cr_labels
-        elif keep == CTC:
-            keep_labels = layout.ctc_labels
-        else:
-            keep_labels = (keep,)
-    else:
-        keep_labels = tuple(keep)
+    keep_labels = (keep,) if isinstance(keep, str) else tuple(keep)
     positions = layout.positions(keep_labels)
     if len(set(positions)) != len(positions):
         raise InvariantViolationError(f"repeated labels in selector {keep_labels}")

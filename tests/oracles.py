@@ -15,6 +15,11 @@ PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def ket(bits: str) -> np.ndarray:
+    """Computational basis vector of a bit string, e.g. ``ket("10")``."""
+    return np.eye(2 ** len(bits), dtype=complex)[int(bits, 2)]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -13,14 +13,12 @@ from dctcsim import (
     bhw_layout,
     block_unitary,
     candidate_states,
-    ket,
     kron,
     register_swap,
 )
 from dctcsim.circuits import BLOCK_CODES
-from dctcsim.qmath import SWAP
 
-from oracles import discrimination_chain, four_blocks, interaction, qubit_swap
+from oracles import discrimination_chain, four_blocks, interaction, ket, qubit_swap
 
 AMPS = AmplitudePair(0.6, 0.8)
 
@@ -191,7 +189,7 @@ class TestCandidateStates:
 
 class TestRegisterSwap:
     def test_single_qubit_block_is_swap_gate(self):
-        np.testing.assert_array_equal(register_swap(1).matrix, SWAP)
+        np.testing.assert_array_equal(register_swap(1).matrix, qubit_swap(2, 0, 1))
 
     def test_involution(self):
         # Exchanging the registers is the product of the qubit swaps k <-> k + n.

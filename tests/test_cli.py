@@ -71,11 +71,11 @@ class TestDeterminism:
         doc = make_document("demo", {"alpha": 0.6}, [{"x": 1 / 3, "ok": True}],
                             {"note": "n"})
         parsed = json.loads(serialize(doc, "json"))
-        assert parsed == doc.as_dict()
+        assert parsed == doc
 
     def test_floats_quantized_to_15_digits(self):
         doc = make_document("demo", {}, [{"value": 0.1234567890123456789}], {})
-        value = doc.rows[0]["value"]
+        value = doc["rows"][0]["value"]
         assert value == float(f"{value:.15g}")
 
     def test_non_finite_rejected(self):

@@ -19,7 +19,6 @@ from dctcsim import (
     candidate_states,
     ctc_map,
     fixed_point_space_dim,
-    ket,
     kron,
     solve_fixed_point,
     superoperator_matrix,
@@ -28,7 +27,7 @@ from dctcsim import (
 )
 from dctcsim.deutsch import FixedPointResult
 from dctcsim.protocols import discriminate_bell
-from dctcsim.qmath import KET_0, SWAP
+from dctcsim.qmath import KET_0
 
 from oracles import (
     eigen_fixed_point,
@@ -36,6 +35,8 @@ from oracles import (
     four_blocks,
     haar_unitary,
     interaction,
+    ket,
+    qubit_swap,
     random_density,
     random_pure,
 )
@@ -43,6 +44,7 @@ from oracles import (
 AMPS = AmplitudePair(0.6, 0.8)
 LAYOUT_1_1 = RegisterLayout(("c", "t"), ctc=("t",))
 LAYOUT_2_1 = RegisterLayout(("c0", "c1", "t"), ctc=("t",))
+SWAP = qubit_swap(2, 0, 1)
 
 
 def literal(alpha=0.6, beta=0.8):
@@ -86,16 +88,16 @@ class TestCtcMap:
 
     def test_dimension_mismatch_rejected(self):
         u = UnitaryOperator(np.eye(4))
-        rho = DensityOperator.maximally_mixed(1)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(InvariantViolationError):
-            ctc_map(u, rho, DensityOperator.maximally_mixed(2), LAYOUT_1_1)
+            ctc_map(u, rho, DensityOperator(np.eye(4) / 4), LAYOUT_1_1)
         with pytest.raises(InvariantViolationError):
             ctc_map(UnitaryOperator(np.eye(8)), rho, rho, LAYOUT_1_1)
 
     def test_cr_labels_must_come_first(self):
         layout = RegisterLayout(("t", "c"), ctc=("t",))
         u = UnitaryOperator(np.eye(4))
-        rho = DensityOperator.maximally_mixed(1)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(InvariantViolationError):
             ctc_map(u, rho, rho, layout)
 
@@ -138,7 +140,7 @@ class TestSuperoperator:
 
     def test_identity_interaction_has_full_fixed_space(self):
         u = UnitaryOperator(np.eye(4))
-        rho = DensityOperator.maximally_mixed(1)
+        rho = DensityOperator(np.eye(2) / 2)
         assert fixed_point_space_dim(u, rho, LAYOUT_1_1) == 4
 
     def test_matches_kraus_oracle_spectrum(self):
@@ -163,7 +165,7 @@ class TestSolveFixedPoint:
         assert result.residual < 1e-12
 
     def test_identity_returns_maximally_mixed_with_degenerate_space(self):
-        rho_cr = DensityOperator.maximally_mixed(1)
+        rho_cr = DensityOperator(np.eye(2) / 2)
         result = solve_fixed_point(UnitaryOperator(np.eye(4)), rho_cr, LAYOUT_1_1)
         np.testing.assert_allclose(result.fixed_point.matrix, np.eye(2) / 2, atol=1e-14)
         assert not result.unique
@@ -171,7 +173,7 @@ class TestSolveFixedPoint:
 
     def test_identity_two_qubit_loop(self):
         layout = RegisterLayout(("c", "t0", "t1"), ctc=("t0", "t1"))
-        rho_cr = DensityOperator.maximally_mixed(1)
+        rho_cr = DensityOperator(np.eye(2) / 2)
         result = solve_fixed_point(UnitaryOperator(np.eye(8)), rho_cr, layout)
         assert result.fp_space_dim == 16
 
@@ -388,7 +390,7 @@ class TestConfigAndResult:
             SolverConfig(tolerance=0.0)
 
     def test_result_validation(self):
-        rho = DensityOperator.maximally_mixed(1)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(InvariantViolationError):
             FixedPointResult(rho, residual=-1.0, fp_space_dim=1)
         assert FixedPointResult(rho, residual=0.0, fp_space_dim=1).unique

@@ -37,7 +37,7 @@ class TestBipartiteCut:
             BipartiteCut((), ("A",))
 
     def test_must_cover_register(self):
-        rho = DensityOperator.maximally_mixed(3)
+        rho = DensityOperator(np.eye(8) / 8)
         layout = RegisterLayout(("A", "B", "C"))
         with pytest.raises(InvariantViolationError):
             partial_transpose(rho, layout, BipartiteCut(("A",), ("B",)))

@@ -16,6 +16,8 @@ from dctcsim import (
     alice_outcome_distribution,
     apply_dctc,
     bhw_layout,
+    candidate_states,
+    ctc_readout,
     discriminate_bell,
     distill_smolin,
     kron,
@@ -27,7 +29,7 @@ from dctcsim import (
 from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
 from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
 
-from oracles import interaction
+from oracles import interaction, random_density
 
 AMPS = AmplitudePair(0.6, 0.8)
 PSI = np.array([0.6, 0.8], dtype=complex)
@@ -47,17 +49,20 @@ class TestTeleportAndCorrect:
             assert abs(abs(np.vdot(PSI, bob)) - 1) <= 1e-12
 
     def test_phi_minus_leaves_phase_flip(self):
-        bob = teleport_and_correct(BellLabel.PHI_MINUS, AMPS)
-        assert abs(abs(np.vdot(Z @ PSI, bob)) - 1) <= 1e-12
+        for outcome in BellLabel:
+            bob = teleport_and_correct(BellLabel.PHI_MINUS, AMPS, outcome)
+            assert abs(abs(np.vdot(Z @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_plus_leaves_bit_flip(self):
-        bob = teleport_and_correct(BellLabel.PSI_PLUS, AMPS)
-        assert abs(abs(np.vdot(X @ PSI, bob)) - 1) <= 1e-12
+        for outcome in BellLabel:
+            bob = teleport_and_correct(BellLabel.PSI_PLUS, AMPS, outcome)
+            assert abs(abs(np.vdot(X @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_minus_leaves_both_flips(self):
-        bob = teleport_and_correct(BellLabel.PSI_MINUS, AMPS)
         target = (X @ Z) @ PSI  # 0.6|1> - 0.8|0>
-        assert abs(abs(np.vdot(target, bob)) - 1) <= 1e-12
+        for outcome in BellLabel:
+            bob = teleport_and_correct(BellLabel.PSI_MINUS, AMPS, outcome)
+            assert abs(abs(np.vdot(target, bob)) - 1) <= 1e-12
 
     def test_outcome_independence(self):
         rng = np.random.default_rng(139)
@@ -69,11 +74,12 @@ class TestTeleportAndCorrect:
                 for state in states[1:]:
                     assert abs(abs(np.vdot(states[0], state)) - 1) <= 1e-12
 
-    def test_exhaustive_mode_returns_residual_state(self):
+    def test_every_outcome_returns_residual_state(self):
         for bell in BellLabel:
-            bob = teleport_and_correct(bell, AMPS)
             expected = pauli_residual(bell) @ PSI
-            assert abs(abs(np.vdot(expected, bob)) - 1) <= 1e-12
+            for outcome in BellLabel:
+                bob = teleport_and_correct(bell, AMPS, outcome)
+                assert abs(abs(np.vdot(expected, bob)) - 1) <= 1e-12
 
     def test_outcomes_equally_likely(self):
         rng = np.random.default_rng(149)
@@ -127,11 +133,11 @@ class TestDiscriminateBell:
         # carries weight exactly 0.5 in the converged CTC state.
         u = UnitaryOperator(interaction(0.6, 0.8, "literal"))
         for bell in BellLabel:
-            bob = teleport_and_correct(bell, AMPS)
+            bob = teleport_and_correct(bell, AMPS, BellLabel.PHI_PLUS)
             rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
             cr_out, fixed = apply_dctc(u, rho_cr, bhw_layout())
             _, b1b2, probability = modal_readout(cr_out)
-            assert b1b2 == bell.b1b2
+            assert BellLabel.from_b1b2(*b1b2) is bell
             assert abs(probability - 0.5) <= 1e-9
             assert fixed.fp_space_dim == 2
 
@@ -163,8 +169,15 @@ class TestDiscriminateBell:
         with pytest.raises(InvariantViolationError):
             dataclasses.replace(record, outcome_probability=1 + 1e-9)
 
+    def test_out_of_range_b1b2_rejected(self):
+        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
+        with pytest.raises(InvariantViolationError):
+            dataclasses.replace(record, b1b2=(2, 0))
+        with pytest.raises(InvariantViolationError):
+            BellLabel.from_b1b2(2, 0)
+
     def test_invalid_alice_outcome_rejected(self):
-        for bad in (3, (0, 2), "00"):
+        for bad in (3, (0, 2), "00", np.array([0, 1])):
             with pytest.raises(InvariantViolationError):
                 discriminate_bell(BellLabel.PHI_PLUS, AMPS, alice_outcome=bad)
             with pytest.raises(InvariantViolationError):
@@ -236,6 +249,43 @@ class TestImproperMixture:
         for probability in record.cr_distribution:
             assert abs(probability - 0.25) <= 1e-9
         assert record.fixed_point.residual < 1e-12
+
+
+class TestCtcReadout:
+    def test_each_candidate_reads_its_own_label(self):
+        for code, state in candidate_states(AMPS).items():
+            distribution, b1b2, probability, fixed = ctc_readout(
+                AMPS, np.outer(state, state.conj()))
+            assert b1b2 == code
+            assert probability == max(distribution) >= 1 - 1e-9
+            assert fixed.unique and fixed.residual < 1e-12
+
+    def test_matches_the_hand_built_stage(self):
+        rng = np.random.default_rng(163)
+        u = UnitaryOperator(interaction(0.6, 0.8))
+        for _ in range(5):
+            rho_bob = random_density(2, rng)
+            rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
+            cr_out, expected = apply_dctc(u, rho_cr, bhw_layout())
+            distribution, b1b2, probability, fixed = ctc_readout(AMPS, rho_bob)
+            want_distribution, want_b1b2, want_probability = modal_readout(cr_out)
+            np.testing.assert_allclose(distribution, want_distribution, atol=1e-12)
+            assert b1b2 == want_b1b2
+            assert abs(probability - want_probability) <= 1e-12
+            assert fixed.fp_space_dim == expected.fp_space_dim
+
+    def test_invalid_bob_state_rejected(self):
+        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5])):
+            with pytest.raises(InvariantViolationError):
+                ctc_readout(AMPS, bad)
+
+    def test_degenerate_pair_is_solved_not_rejected(self):
+        # The degeneracy check belongs to the callers; the stage itself
+        # reports the larger fixed-point space.
+        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
+        state = candidate_states(amps)[(0, 0)]
+        _, _, _, fixed = ctc_readout(amps, np.outer(state, state.conj()))
+        assert fixed.fp_space_dim >= 2
 
 
 class TestModalReadout:

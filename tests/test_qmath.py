@@ -1,4 +1,4 @@
-"""Math core: Kronecker products, partial trace, eigenvalues, constants."""
+"""Math core: Kronecker products, partial trace, trace norm, constants."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from dctcsim import (
     DensityOperator,
     InvariantViolationError,
     RegisterLayout,
-    constants,
-    hermitian_eigenvalues,
-    ket,
     kron,
     partial_trace,
     trace_norm,
@@ -19,13 +16,11 @@ from dctcsim.qmath import (
     I2,
     PHI_PLUS,
     PSI_MINUS,
-    SWAP,
     X,
-    Z,
     as_state_vector,
 )
 
-from oracles import haar_unitary, ptrace_brute, random_density
+from oracles import haar_unitary, ket, ptrace_brute, random_density
 
 
 class TestKron:
@@ -71,14 +66,14 @@ class TestPartialTrace:
         scalar = partial_trace(rho, layout, ())
         np.testing.assert_allclose(scalar.matrix, [[1.0]], atol=1e-14)
 
-    def test_group_selectors(self):
-        rng = np.random.default_rng(11)
-        layout = RegisterLayout(("q0", "q1", "t0"), ctc=("t0",))
-        rho = DensityOperator(random_density(8, rng))
-        cr_part = partial_trace(rho, layout, "CR")
-        assert cr_part.dim == 4
-        ctc_part = partial_trace(rho, layout, "CTC")
-        assert ctc_part.dim == 2
+    def test_bare_string_is_one_label(self):
+        # A qubit may be labelled "CTC"; a bare string keeps that qubit only.
+        layout = RegisterLayout(("CTC", "x"), ctc=("x",))
+        rho = DensityOperator(np.diag([0.7, 0.2, 0.05, 0.05]))
+        np.testing.assert_allclose(partial_trace(rho, layout, "CTC").matrix,
+                                   np.diag([0.9, 0.1]), atol=1e-15)
+        np.testing.assert_allclose(partial_trace(rho, layout, "x").matrix,
+                                   np.diag([0.75, 0.25]), atol=1e-15)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
@@ -104,44 +99,10 @@ class TestPartialTrace:
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_unknown_label_rejected(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = DensityOperator(np.eye(4) / 4)
         layout = RegisterLayout(("a", "b"))
         with pytest.raises(InvariantViolationError):
             partial_trace(rho, layout, ("nope",))
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_eigenvalues(np.eye(4)), [1, 1, 1, 1])
-
-    def test_pauli_z(self):
-        np.testing.assert_allclose(hermitian_eigenvalues(Z), [1, -1])
-
-    def test_partial_transpose_of_bell(self):
-        # reshuffle |phi+><phi+| by hand: swap row/column bits of qubit A
-        rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        pt = rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-        np.testing.assert_allclose(
-            hermitian_eigenvalues(pt), [0.5, 0.5, 0.5, -0.5], atol=1e-12)
-
-    def test_descending_and_sum_equals_trace(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            m = random_density(8, rng) * rng.uniform(0.5, 4.0)
-            vals = hermitian_eigenvalues(m)
-            assert np.all(np.diff(vals) <= 1e-15)
-            assert abs(vals.sum() - np.trace(m).real) <= 1e-10
-
-    def test_density_spectrum_invariants(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            vals = hermitian_eigenvalues(random_density(4, rng))
-            assert abs(vals.sum() - 1.0) <= 1e-10
-            assert vals.min() >= -1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestTraceNorm:
@@ -177,15 +138,6 @@ class TestConstants:
         s2 = 1 / np.sqrt(2)
         np.testing.assert_allclose(PSI_MINUS, [0, s2, -s2, 0], atol=1e-15)
 
-    def test_swap_on_basis(self):
-        np.testing.assert_allclose(SWAP @ ket("01"), ket("10"), atol=1e-15)
-
-    def test_table_complete(self):
-        table = constants()
-        for key in ("I", "X", "Y", "Z", "SWAP", "phi+", "phi-", "psi+", "psi-",
-                    "ket0", "ket1"):
-            assert key in table
-
     def test_bell_orthonormality(self):
         vectors = list(BELL_VECTORS.values())
         for i, u in enumerate(vectors):
@@ -197,11 +149,8 @@ class TestConstants:
 class TestDensityOperator:
     def test_from_state_vector(self):
         rho = DensityOperator.from_state_vector(PHI_PLUS)
-        assert rho.dim == 4 and rho.n_qubits == 2
-
-    def test_maximally_mixed(self):
-        rho = DensityOperator.maximally_mixed(2)
-        np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)
+        assert rho.dim == 4
+        np.testing.assert_allclose(rho.matrix, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-15)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolationError):
@@ -216,7 +165,7 @@ class TestDensityOperator:
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
     def test_matrix_is_readonly(self):
-        rho = DensityOperator.maximally_mixed(1)
+        rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
@@ -224,7 +173,6 @@ class TestDensityOperator:
 class TestRegisterLayout:
     def test_partition(self):
         layout = RegisterLayout(("a", "b", "t"), ctc=("t",))
-        assert layout.partition == {"a": "CR", "b": "CR", "t": "CTC"}
         assert layout.cr_labels == ("a", "b")
         assert layout.ctc_labels == ("t",)
         assert layout.dim == 8
