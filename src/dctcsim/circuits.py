@@ -75,6 +75,9 @@ _LAYERS = {
     (1, 1): _readonly(_ZERO_CONTROLLED_NOT @ kron(I2, X)),
 }
 
+# Columns of each layer on a |0> CTC ancilla: L_c (x (x) |0>) = _LAYERS_ON_ANCILLA_0[c] @ x.
+_LAYERS_ON_ANCILLA_0 = _readonly(np.stack([_LAYERS[code][:, ::2].real for code in BLOCK_CODES]))
+
 
 @dataclass(frozen=True)
 class AmplitudePair:
@@ -138,6 +141,15 @@ def _block_matrix(code: tuple, amps: AmplitudePair) -> np.ndarray:
 def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
     """One of the four 4x4 controlled blocks, selected by a two-bit code."""
     return UnitaryOperator(_block_matrix(_normalize_code(code), amps))
+
+
+def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
+    """Every block applied to every column of ``kets`` (2 x k) with a |0>
+    ancilla: ``out[c, :, j] = U_c (kets[:, j] (x) |0>)`` for c in
+    ``BLOCK_CODES`` order.  Each rotation acts on the qubit and each layer
+    contributes only its ancilla-|0> columns, so no 4x4 block is formed."""
+    rotations = np.array([_ROTATIONS[code](amps.alpha, amps.beta) for code in BLOCK_CODES])
+    return _LAYERS_ON_ANCILLA_0 @ (rotations @ kets)
 
 
 def candidate_states(amps: AmplitudePair) -> dict:

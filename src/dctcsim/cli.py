@@ -7,8 +7,9 @@ seed) produce byte-identical JSON.  Floating-point values are quantized to
 round-trips exactly.
 
 Every experiment that runs the CTC stage goes through
-:func:`dctcsim.protocols.ctc_readout`; its fixed point comes from one
-spectral solve (see :mod:`dctcsim.deutsch`), with no iteration budget.
+:func:`dctcsim.protocols.ctc_readout`; its fixed point comes from one solve
+of the circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no
+iteration budget.
 
 Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
 check, 4 invariant violation during the run.
@@ -165,7 +166,7 @@ def _discrimination_row(record) -> dict:
 def run_fixed_point(args, amps, config):
     rows = []
     for code, state in candidate_states(amps).items():
-        _, b1b2, probability, result = ctc_readout(amps, np.outer(state, state.conj()), config)
+        _, b1b2, probability, result = ctc_readout(amps, state, config)
         rows.append({
             "code": _bits_str(code),
             "input_state": _state_str(state),

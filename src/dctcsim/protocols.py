@@ -12,9 +12,11 @@ point of the circuit (:mod:`dctcsim.circuits`) is unique for every
 non-degenerate amplitude pair, so that readout is deterministic.
 
 :func:`ctc_readout` is that CTC stage, the one place it is assembled: Bob's
-qubit and a |0> ancilla form the CR input, the Deutsch fixed point of the
-interaction is solved, and the CR register is read out.  The discrimination,
-the improper-mixture run and the CLI ``fixed-point`` experiment all call it.
+qubit and a |0> ancilla form the CR input, the Deutsch fixed point is
+solved through the circuit's four-label chain (no 16x16 interaction is
+built), and the CR register is read out.  The discrimination, the
+improper-mixture run and the CLI ``fixed-point`` experiment all call it;
+the improper-mixture run hands it Bob's density matrix, the others his ket.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AmplitudePair, bell_projectors, bhw_interaction, bhw_layout
-from .deutsch import FixedPointResult, SolverConfig, apply_dctc
+from .circuits import AmplitudePair, bell_projectors, block_outputs
+from .deutsch import FixedPointResult, SolverConfig, apply_label_chain
 from .entanglement import (
     BipartiteCut,
     is_ppt,
@@ -44,7 +46,6 @@ from .qmath import (
     BELL_VECTORS,
     DensityOperator,
     I2,
-    KET_0,
     PSD_ATOL,
     RegisterLayout,
     TRACE_ATOL,
@@ -170,20 +171,35 @@ def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) ->
     return as_state_vector(_bob_state(bell, amps, outcome)[0])
 
 
-def ctc_readout(amps: AmplitudePair, rho_bob: np.ndarray,
+def ctc_readout(amps: AmplitudePair, bob: np.ndarray,
                 config: SolverConfig | None = None) -> tuple:
-    """Run Bob's qubit, a 2x2 density matrix, through the CTC stage and read
-    the CR register.
+    """Run Bob's qubit through the CTC stage and read the CR register.
 
-    The CR input is ``rho_bob`` (x) |0><0|, validated as a
-    :class:`DensityOperator`, which validates ``rho_bob`` too.  Returns
-    ``(distribution, b1b2, probability, fixed_point)``: the
+    ``bob`` is Bob's qubit as a ket (shape (2,)) or as a 2x2 density matrix.
+    The CR input, Bob's qubit (x) |0><0|, is validated as a
+    :class:`DensityOperator`.  The circuit's CTC is a classical label, so the
+    stage is solved through its label chain (:func:`apply_label_chain`) from
+    the four block outputs of Bob's vectors: the ket itself, or the
+    eigenvectors of a density matrix.  A ket keeps the exact zeros of the
+    amplitude products that decomposing its density matrix would round away.
+    Returns ``(distribution, b1b2, probability, fixed_point)``: the
     :func:`modal_readout` triple of the CR output and the
     :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
     callers that need a unique fixed point check the pair.
     """
-    rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
-    cr_out, fixed = apply_dctc(bhw_interaction(amps), rho_cr, bhw_layout(), config)
+    bob = np.asarray(bob, dtype=complex)
+    if bob.shape not in ((2,), (2, 2)):
+        raise InvariantViolationError(
+            f"Bob's qubit must be a 2-vector or a 2x2 matrix, got shape {bob.shape}")
+    rho_cr = np.zeros((4, 4), dtype=complex)
+    rho_cr[::2, ::2] = np.outer(bob, bob.conj()) if bob.ndim == 1 else bob   # ancilla bit 0
+    rho_bob = DensityOperator(rho_cr).matrix[::2, ::2]
+    if bob.ndim == 1:
+        weights, kets = np.ones(1), bob[:, None]
+    else:
+        weights, kets = np.linalg.eigh(rho_bob)
+        weights = np.clip(weights, 0.0, None)
+    cr_out, fixed = apply_label_chain(block_outputs(amps, kets), weights, config)
     return (*modal_readout(cr_out), fixed)
 
 
@@ -231,7 +247,7 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
         outcome = _resolve_outcome(alice_outcome)
 
     bob = teleport_and_correct(bell, amps, outcome)
-    _, b1b2, probability, fixed = ctc_readout(amps, np.outer(bob, bob.conj()), config)
+    _, b1b2, probability, fixed = ctc_readout(amps, bob, config)
     return DiscriminationRecord(
         input_bell=bell,
         alice_outcome=ALICE_OUTCOME_BITS[outcome],

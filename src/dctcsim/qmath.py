@@ -29,7 +29,7 @@ def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise InvariantViolationError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvariantViolationError(f"{name} contains non-finite entries")
     return a
 

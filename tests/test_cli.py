@@ -182,7 +182,10 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
 
     def test_non_convergence_is_3(self, capsys):
-        code, _, err = run_cli(capsys, "fixed-point", "--tolerance", "1e-20")
+        # The chain solve of a pure candidate at alpha = 0.6 is exact (residual
+        # 0.0), so no tolerance fails it; the improper mixture's solve, from
+        # the eigenvectors of Bob's mixed state, keeps a rounding residual.
+        code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--tolerance", "1e-20")
         assert code == 3
         assert "converge" in err
         code, _, _ = run_cli(capsys, "fixed-point", "--max-iterations", "20000")

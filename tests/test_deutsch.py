@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import dctcsim.circuits as circuits
 import dctcsim.deutsch as deutsch
+import dctcsim.protocols as protocols
 from dctcsim import (
     AmplitudePair,
     BellLabel,
@@ -18,6 +20,7 @@ from dctcsim import (
     bhw_layout,
     candidate_states,
     ctc_map,
+    ctc_readout,
     fixed_point_space_dim,
     kron,
     solve_fixed_point,
@@ -142,6 +145,19 @@ class TestSuperoperator:
         u = UnitaryOperator(np.eye(4))
         rho = DensityOperator(np.eye(2) / 2)
         assert fixed_point_space_dim(u, rho, LAYOUT_1_1) == 4
+
+    def test_fixed_contraction_matches_einsum(self):
+        # The two matrix products give the same S as the three-operand einsum.
+        rng = np.random.default_rng(69)
+        layout = bhw_layout()
+        for _ in range(50):
+            u = UnitaryOperator(haar_unitary(16, rng))
+            rho_cr = DensityOperator(random_density(4, rng))
+            t = u.matrix.reshape(4, 4, 4, 4)
+            expected = np.einsum("atbs,bc,aucv->tusv", t, rho_cr.matrix, t.conj(),
+                                 optimize=True).reshape(16, 16)
+            S = superoperator_matrix(u, rho_cr, layout)
+            assert np.abs(S - expected).max() <= 1e-15
 
     def test_matches_kraus_oracle_spectrum(self):
         from oracles import kraus_superoperator
@@ -328,22 +344,132 @@ class TestNearDegeneracy:
     @pytest.mark.parametrize("delta", [2e-6, -2e-6, 1e-5, -1e-5, 2e-5, -2e-5,
                                        1.87e-4, -1.87e-4])
     def test_every_input_identified_near_degeneracy(self, delta):
-        # Pairs on both sides of 1/sqrt(2): the zeroing of negative
-        # eigenvalues moves sigma along fast modes of S, and the solver's
-        # final channel step must bring the residual back under 1e-12.
+        # Pairs on both sides of 1/sqrt(2), where the chain's gap is small:
+        # the label, uniqueness and readout must not depend on it.
         amps = _pair_at_distance(delta)
         for bell, outcome, _ in _discrimination_inputs(amps):
             record = discriminate_bell(bell, amps, alice_outcome=outcome)
             assert record.identified is bell
             assert record.fixed_point.unique
+            assert record.outcome_probability >= 1 - 1e-12
 
     def test_closer_runs_identify_or_raise_typed_error(self):
-        # At |alpha - beta| = 1.6e-6 the fixed point moves by about 1e-16 / gap
-        # under rounding; the solve must still certify it.
+        # At |alpha - beta| = 1.6e-6 the chain's gap is about 5e-12; the solve
+        # must still certify the fixed point and read it deterministically.
         amps = AmplitudePair.from_alpha(0.707106)
         for bell, outcome, _ in _discrimination_inputs(amps):
             record = discriminate_bell(bell, amps, alice_outcome=outcome)
             assert record.identified is bell
+            assert record.outcome_probability >= 1 - 1e-12
+
+
+def _chain_inputs(blocks, ket):
+    """Block outputs U_c (ket (x) |0>) of 4x4 blocks keyed by code, with weight 1."""
+    vin = np.kron(np.asarray(ket, dtype=complex), KET_0)
+    outputs = np.array([blocks[code] @ vin for code in sorted(blocks)])
+    return outputs[:, :, None], np.ones(1)
+
+
+class TestLabelChain:
+    def test_chain_state_is_fixed_point_of_full_channel(self):
+        # The chain state solves the 16x16 channel it never builds: every
+        # acceptance-grid input, and mixed Bob states through their eigenvectors.
+        layout = bhw_layout()
+        for alpha in (0.3, 0.45, 0.6, 0.75):
+            amps = AmplitudePair.from_alpha(alpha)
+            u = bhw_interaction(amps)
+            for bell, outcome, rho_cr in _discrimination_inputs(amps):
+                bob = teleport_and_correct(bell, amps, outcome)
+                fixed = ctc_readout(amps, bob)[3]
+                image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
+                assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
+        rng = np.random.default_rng(101)
+        u = bhw_interaction(AMPS)
+        for _ in range(5):
+            rho_bob = random_density(2, rng)
+            rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
+            fixed = ctc_readout(AMPS, rho_bob)[3]
+            image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
+            assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.5, 0.99, 1.01, 2.0])
+    def test_closed_classes_match_degeneracy_window(self, scale):
+        # An escape of probability <= UNIT_EIGENVALUE_ATOL counts as absent, so
+        # the chain has two closed classes exactly when the pair is degenerate;
+        # the state itself is solved on every escape and passes its residual check.
+        pairs = (_pair_at_distance(scale * 1e-6),
+                 _pair_with_small(scale * 7.07e-7, small_alpha=True),
+                 _pair_with_small(scale * 7.07e-7, small_alpha=False))
+        for amps in pairs:
+            assert amps.is_degenerate == (scale < 1)
+            for bell in BellLabel:
+                for outcome in BellLabel:
+                    bob = teleport_and_correct(bell, amps, outcome)
+                    fixed = ctc_readout(amps, bob)[3]
+                    assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
+                    assert fixed.method == "chain"
+
+    def test_readout_is_deterministic_next_to_the_window(self):
+        # The spectral solve fell short of 1 by 1e-5 here; GTH never subtracts.
+        pairs = [_pair_at_distance(delta)
+                 for delta in (1.01e-6, -1.01e-6, 2e-6, -2e-6, 1e-5, 1.87e-4)]
+        pairs += [_pair_with_small(small, small_alpha)
+                  for small in (7.1e-7, 1e-6, 1e-5) for small_alpha in (True, False)]
+        for amps in pairs:
+            assert not amps.is_degenerate
+            worst = min(discriminate_bell(bell, amps, alice_outcome=outcome).outcome_probability
+                        for bell in BellLabel for outcome in BellLabel)
+            assert worst >= 1 - 1e-12
+
+    def test_stage_builds_neither_interaction_nor_superoperator(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("the chain solve must not call this")
+        for module in (circuits, deutsch, protocols):
+            for name in ("bhw_interaction", "superoperator_matrix", "solve_fixed_point",
+                         "apply_dctc"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        record = discriminate_bell(BellLabel.PSI_PLUS, AMPS, alice_outcome=BellLabel.PHI_MINUS)
+        assert record.identified is BellLabel.PSI_PLUS
+        assert record.fixed_point.method == "chain"
+
+    def test_spectral_solve_reports_its_method(self):
+        assert solve_fixed_point(*worked_instance()).method == "spectral"
+
+    def test_bare_blocks_read_half(self):
+        # Two closed classes (the ancilla bit is conserved): the Cesaro limit
+        # from the uniform distribution matches the spectral solve.
+        u, rho_cr, layout = worked_instance(literal())
+        spectral_out, spectral = apply_dctc(u, rho_cr, layout)
+        outputs, weights = _chain_inputs(four_blocks(0.6, 0.8, "literal"), [0.8, 0.6])
+        cr_out, fixed = deutsch.apply_label_chain(outputs, weights)
+        assert fixed.fp_space_dim == spectral.fp_space_dim == 2
+        assert trace_norm(fixed.fixed_point.matrix - spectral.fixed_point.matrix) <= 1e-12
+        assert abs(cr_out.matrix[2, 2].real - 0.5) <= 1e-12
+        np.testing.assert_allclose(cr_out.matrix, spectral_out.matrix, atol=1e-12)
+
+    def test_gth_keeps_relative_accuracy_at_tiny_gaps(self):
+        # Two states that swap with probabilities 1e-30 and 3e-30: the
+        # stationary distribution is (3/4, 1/4) whatever the gap.
+        P = [[1.0, 1e-30], [3e-30, 1.0]]
+        np.testing.assert_allclose(deutsch._cesaro_limit(P), [0.75, 0.25], rtol=1e-15)
+
+    def test_cesaro_limit_absorbs_transient_mass(self):
+        # 0 and 3 absorb; 1 splits 1:3 between 0 and 2; 2 goes to 3.
+        P = [[1.0, 0.0, 0.0, 0.0],
+             [0.25, 0.0, 0.75, 0.0],
+             [0.0, 0.0, 0.0, 1.0],
+             [0.0, 0.0, 0.0, 1.0]]
+        np.testing.assert_allclose(deutsch._cesaro_limit(P),
+                                   [0.25 + 0.0625, 0.0, 0.0, 0.5 + 0.1875], rtol=1e-15)
+
+    def test_malformed_inputs_rejected(self):
+        outputs, weights = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
+        with pytest.raises(InvariantViolationError):
+            deutsch.apply_label_chain(outputs[:, :2], weights)
+        with pytest.raises(InvariantViolationError):
+            deutsch.apply_label_chain(outputs, -weights)
 
 
 class TestApplyDctc:
@@ -393,5 +519,7 @@ class TestConfigAndResult:
         rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(InvariantViolationError):
             FixedPointResult(rho, residual=-1.0, fp_space_dim=1)
+        with pytest.raises(InvariantViolationError):
+            FixedPointResult(rho, residual=0.0, fp_space_dim=1, method="iterative")
         assert FixedPointResult(rho, residual=0.0, fp_space_dim=1).unique
         assert not FixedPointResult(rho, residual=0.0, fp_space_dim=2).unique

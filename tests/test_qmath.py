@@ -7,6 +7,7 @@ from dctcsim import (
     DensityOperator,
     InvariantViolationError,
     RegisterLayout,
+    UnitaryOperator,
     kron,
     partial_trace,
     trace_norm,
@@ -127,6 +128,17 @@ class TestTraceNorm:
     def test_non_square_rejected(self):
         with pytest.raises(InvariantViolationError):
             trace_norm(np.zeros((2, 3)))
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [complex(0.5, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_part_rejected(self, bad):
+        # NaN only in the imaginary part, inf only in the real part.
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = bad
+        for check in (DensityOperator, UnitaryOperator, trace_norm):
+            with pytest.raises(InvariantViolationError, match="non-finite"):
+                check(m)
 
 
 class TestConstants:
