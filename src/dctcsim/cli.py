@@ -11,12 +11,18 @@ Every experiment that runs the CTC stage goes through
 of the circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no
 iteration budget.
 
+:func:`main` may be called any number of times in one process (a test
+suite, a benchmark or a scripted sweep does so).  The argument parser is
+built on the first call and reused by every later one; parsing never
+changes it.
+
 Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
 check, 4 invariant violation during the run.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -289,7 +295,14 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dctc-sim`` parser, built once per process and shared.
+
+    ``parse_args`` and ``error`` leave a parser unchanged, so every call of
+    :func:`main` can reuse it; no caller may add arguments, set defaults or
+    otherwise change the returned object.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=0.6,
                         help="amplitude of |0> in Alice's prepared state (beta is derived)")

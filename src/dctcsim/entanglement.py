@@ -8,6 +8,7 @@ Log-negativity upper-bounds distillable entanglement, which is why a value of
 LOCC.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,14 @@ def distillable_upper_bound(rho: DensityOperator, layout: RegisterLayout,
     return max(0.0, log_negativity(rho, layout, cut))
 
 
+@functools.cache
 def smolin_state() -> DensityOperator:
     """Equal mixture of the four matched Bell-pair products on qubits
     (A, B, C, D): 1/4 sum_B |B><B|_AB (x) |B><B|_CD.
 
     The state is permutation invariant, PPT across the cuts AB:CD, AC:BD and
-    AD:BC, yet one shared Bell pair can be unlocked from it.
+    AD:BC, yet one shared Bell pair can be unlocked from it.  It is built
+    once per process; the operator and its matrix are read-only.
     """
     mat = np.zeros((16, 16), dtype=complex)
     for vec in BELL_VECTORS.values():

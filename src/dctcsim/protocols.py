@@ -115,6 +115,11 @@ ALICE_OUTCOME_BITS = {
 _OUTCOME_FROM_BITS = {bits: label for label, bits in ALICE_OUTCOME_BITS.items()}
 CORRECTIONS = {(0, 0): I2, (0, 1): X, (1, 0): Z, (1, 1): Y}
 
+# Alice's Bell measurement on qubits (psi, her half of the pair): row k is
+# the conjugated Bell vector of outcome k, in BellLabel order.
+_OUTCOMES = tuple(BellLabel)
+_BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
+
 
 def pauli_residual(bell: BellLabel) -> np.ndarray:
     """Operator E with Bob's post-correction qubit equal to E psi (up to a
@@ -140,6 +145,14 @@ def _prepared_state(amps: AmplitudePair) -> np.ndarray:
     return np.array([amps.alpha, amps.beta], dtype=complex)
 
 
+def _generator(seed) -> "np.random.Generator":
+    """``np.random.default_rng(seed)``, with a bad seed as a typed error."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolationError(f"invalid seed {seed!r}: {exc}") from exc
+
+
 def _resolve_outcome(alice_outcome) -> BellLabel:
     if isinstance(alice_outcome, BellLabel):
         return alice_outcome
@@ -148,27 +161,31 @@ def _resolve_outcome(alice_outcome) -> BellLabel:
     raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
 
 
-def _bob_state(bell: BellLabel, amps: AmplitudePair, outcome: BellLabel) -> tuple:
-    """Project Alice's Bell measurement outcome out of psi (x) |bell> and
-    return (Bob's corrected qubit, outcome probability)."""
-    full = kron(_prepared_state(amps), bell.state_vector())
-    bob = outcome.state_vector().conj() @ full.reshape(4, 2)
-    probability = float(np.linalg.norm(bob) ** 2)
-    bob = bob / np.linalg.norm(bob)
-    corrected = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]] @ bob
-    return corrected, probability
+def _alice_branches(bell: BellLabel, amps: AmplitudePair) -> tuple:
+    """Project all four of Alice's Bell outcomes out of psi (x) |bell> at once.
+
+    Returns ``(branches, probabilities)``: row k of the 4x2 ``branches`` is
+    Bob's unnormalised, uncorrected qubit for outcome k (``BellLabel`` order)
+    and ``probabilities[k]`` is its squared norm.
+    """
+    full = np.outer(_prepared_state(amps), bell.state_vector()).reshape(4, 2)
+    branches = _BELL_BRAS @ full
+    return branches, np.linalg.norm(branches, axis=1) ** 2
 
 
 def alice_outcome_distribution(bell: BellLabel, amps: AmplitudePair) -> dict:
-    """Probability of each of Alice's four Bell outcomes (1/4 each)."""
-    return {outcome: _bob_state(bell, amps, outcome)[1] for outcome in BellLabel}
+    """Probability of each of Alice's four Bell outcomes (1/4 each), taken
+    from the projected state."""
+    return dict(zip(_OUTCOMES, _alice_branches(bell, amps)[1].tolist()))
 
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
     """Bob's qubit after teleportation of psi and his correction for Alice's
     outcome, given as a :class:`BellLabel` or a two-bit tuple."""
     outcome = _resolve_outcome(alice_outcome)
-    return as_state_vector(_bob_state(bell, amps, outcome)[0])
+    bob = _alice_branches(bell, amps)[0][_OUTCOMES.index(outcome)]
+    correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
+    return as_state_vector(correction @ (bob / np.linalg.norm(bob)))
 
 
 def ctc_readout(amps: AmplitudePair, bob: np.ndarray,
@@ -238,11 +255,9 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
     if alice_outcome is None:
-        rng = np.random.default_rng(seed)
-        distribution = alice_outcome_distribution(bell, amps)
-        outcomes = list(BellLabel)
-        weights = np.array([distribution[o] for o in outcomes])
-        outcome = outcomes[rng.choice(len(outcomes), p=weights / weights.sum())]
+        rng = _generator(seed)
+        weights = _alice_branches(bell, amps)[1]
+        outcome = _OUTCOMES[rng.choice(4, p=weights / weights.sum())]
     else:
         outcome = _resolve_outcome(alice_outcome)
 
@@ -287,7 +302,7 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
     balanced cuts of the Smolin state."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     cd_layout = RegisterLayout(("C", "D"))
     cd_cut = BipartiteCut(("C",), ("D",))
 
@@ -341,15 +356,14 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
                          seed=None) -> ImproperMixtureRecord:
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
 
     psi = _prepared_state(amps)
     rho3 = kron(np.outer(psi, psi.conj()), rho_ab)
     projectors = bell_projectors()
-    labels = list(BellLabel)
-    weights = np.array([np.trace(projectors[o.value] @ rho3).real for o in labels])
-    outcome = labels[rng.choice(len(labels), p=weights / weights.sum())]
+    weights = np.array([np.trace(projectors[o.value] @ rho3).real for o in _OUTCOMES])
+    outcome = _OUTCOMES[rng.choice(4, p=weights / weights.sum())]
 
     P = projectors[outcome.value]
     conditioned = P @ rho3 @ P

@@ -15,6 +15,27 @@ PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+# Bell vectors in the order phi+, phi-, psi+, psi-, and Bob's correction for
+# each of Alice's outcomes: phi+ -> I, psi+ -> X, phi- -> Z, psi- -> Y.
+BELL = {
+    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
+    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
+    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
+    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
+}
+BOB_CORRECTION = {"phi+": I2, "phi-": PZ, "psi+": PX, "psi-": PY}
+
+
+def teleported_branch(psi: np.ndarray, shared: str, outcome: str) -> tuple:
+    """Bob's corrected qubit and the probability of Alice's Bell ``outcome``
+    on psi (x) |shared>, one kron and one projection per outcome.  Returns
+    ``(qubit, probability)``."""
+    full = np.kron(psi, BELL[shared])
+    bob = BELL[outcome].conj() @ full.reshape(4, 2)
+    norm = np.linalg.norm(bob)
+    return BOB_CORRECTION[outcome] @ (bob / norm), float(norm ** 2)
+
+
 def ket(bits: str) -> np.ndarray:
     """Computational basis vector of a bit string, e.g. ``ket("10")``."""
     return np.eye(2 ** len(bits), dtype=complex)[int(bits, 2)]

@@ -218,6 +218,15 @@ class TestBellProjectors:
         weight = np.vdot(vec, bell_projectors()["psi-"] @ vec).real
         assert abs(weight - 0.25) <= 1e-12
 
+    def test_new_dict_over_shared_read_only_arrays(self):
+        first, second = bell_projectors(), bell_projectors()
+        assert first is not second
+        first.clear()
+        assert len(bell_projectors()) == 4
+        for name, projector in second.items():
+            assert projector is bell_projectors()[name]
+            assert not projector.flags.writeable
+
     def test_orthogonality(self):
         projectors = list(bell_projectors().values())
         for i, p in enumerate(projectors):

@@ -5,13 +5,29 @@ import json
 import numpy as np
 import pytest
 
-from dctcsim.cli import main, make_document, serialize
+from dctcsim.cli import build_parser, main, make_document, serialize
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one run; an argparse exit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_alone(capsys, argv):
+    """``run_any`` on a newly built parser, as in a fresh process."""
+    build_parser.cache_clear()
+    return run_any(capsys, argv)
 
 
 def run_json(capsys, *argv):
@@ -223,3 +239,30 @@ class TestDiscriminate:
         assert row["input_bell"] == "phi-"
         assert row["identified"] == "phi-"
         assert (row["b1"], row["b2"]) == (0, 1)
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first,second,codes", [
+        (["smolin", "--improper-mixture"], ["smolin"], [0, 0]),
+        (["fixed-point", "--allow-degenerate", "--alpha", "0.70710678"],
+         ["discriminate", "--alpha", "0.70710678"], [0, 2]),
+    ])
+    def test_earlier_run_leaves_later_run_unchanged(self, capsys, first, second, codes):
+        expected = [run_alone(capsys, argv + ["--output-format", "json"])
+                    for argv in (first, second)]
+        assert [code for code, _, _ in expected] == codes
+        build_parser.cache_clear()
+        runs = [run_any(capsys, argv + ["--output-format", "json"])
+                for argv in (first, second)]
+        assert runs == expected
+
+    def test_output_path_does_not_carry_over(self, tmp_path, capsys):
+        target = tmp_path / "doc.json"
+        to_stdout = ["table1", "--seed", "5", "--output-format", "json"]
+        expected = run_alone(capsys, to_stdout)
+        assert run_alone(capsys, to_stdout + ["--output", str(target)]) == (0, "", "")
+        assert run_any(capsys, to_stdout) == expected
+        assert target.read_text() == expected[1]

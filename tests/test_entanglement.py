@@ -148,6 +148,11 @@ class TestDistillableUpperBound:
 
 
 class TestSmolinState:
+    def test_built_once_and_read_only(self):
+        rho = smolin_state()
+        assert rho is smolin_state()
+        assert not rho.matrix.flags.writeable
+
     def test_purity_quarter(self):
         rho = smolin_state()
         purity = np.trace(rho.matrix @ rho.matrix).real

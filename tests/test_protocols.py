@@ -30,7 +30,7 @@ from dctcsim import (
 from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
 from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
 
-from oracles import interaction, random_density
+from oracles import BELL, interaction, random_density, teleported_branch
 
 AMPS = AmplitudePair(0.6, 0.8)
 PSI = np.array([0.6, 0.8], dtype=complex)
@@ -90,6 +90,35 @@ class TestTeleportAndCorrect:
                 distribution = alice_outcome_distribution(bell, amps)
                 for probability in distribution.values():
                     assert abs(probability - 0.25) <= 1e-12
+
+
+class TestAliceMeasurement:
+    """The one-product Bell measurement against a kron-and-project loop."""
+
+    def test_branches_match_loop_reference(self):
+        rng = np.random.default_rng(163)
+        for _ in range(25):
+            amps = random_amps(rng)
+            psi = np.array([amps.alpha, amps.beta], dtype=complex)
+            for bell in BellLabel:
+                distribution = alice_outcome_distribution(bell, amps)
+                for outcome in BellLabel:
+                    qubit, probability = teleported_branch(psi, bell.value, outcome.value)
+                    bob = teleport_and_correct(bell, amps, outcome)
+                    assert np.abs(bob - qubit).max() <= 1e-14
+                    assert abs(distribution[outcome] - probability) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
+    def test_seeded_draw_follows_reference_weights(self, alpha):
+        amps = AmplitudePair.from_alpha(alpha)
+        psi = np.array([amps.alpha, amps.beta], dtype=complex)
+        outcomes = list(BELL)
+        for bell in BellLabel:
+            weights = np.array([teleported_branch(psi, bell.value, o)[1] for o in outcomes])
+            for seed in range(200):
+                drawn = np.random.default_rng(seed).choice(4, p=weights / weights.sum())
+                expected = ALICE_OUTCOME_BITS[BellLabel.from_string(outcomes[drawn])]
+                assert discriminate_bell(bell, amps, seed=seed).alice_outcome == expected
 
 
 class TestDecompositionIdentities:
@@ -195,6 +224,16 @@ class TestDiscriminateBell:
         seen = {discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=s).alice_outcome
                 for s in range(32)}
         assert len(seen) == 4
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("run", [
+        lambda seed: discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=seed),
+        lambda seed: distill_smolin(AMPS, seed=seed),
+        lambda seed: run_improper_mixture(AMPS, seed=seed),
+    ], ids=["discriminate_bell", "distill_smolin", "run_improper_mixture"])
+    def test_bad_seed_is_typed_error(self, run, seed):
+        with pytest.raises(InvariantViolationError, match="seed"):
+            run(seed)
 
     def test_degenerate_amplitudes_rejected(self):
         amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
