@@ -26,11 +26,16 @@ the CTC register when the CR register reads c.  Phi then reads only the
 diagonal of sigma, Phi(sigma) = sum_c sigma_cc tau_c with
 tau_c = U_c rho_CR U_c^dag, so the fixed points are sigma = sum_c p_c tau_c
 for the stationary distributions p of the label chain
-M[c', c] = <c'|tau_c|c'>.  The chain is solved by Grassmann-Taksar-Heyman
-elimination (Oper. Res. 33, 1107, 1985), which never subtracts, so p stays
-accurate however small the chain's gap is.
+M[c', c] = <c'|tau_c|c'>.  Each label c must stay or escape to one other
+label, with probability e_c.  The discrimination circuit meets this for any
+CR input, since each block's ancilla-|0> columns are two columns of a
+permutation layer.  Following the escapes, every label reaches one cycle,
+and on a cycle the flow p_c e_c into the next label is the same for every c,
+so p_c is proportional to 1/e_c.  Nothing is subtracted, so p stays accurate
+however small the chain's gap is.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,77 +197,42 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
 
 # --- classically controlled CTCs: the label chain ----------------------------
 
-def _closed_classes(rates: list, floor: float) -> list:
-    """Closed communicating classes of a chain, each as a sorted tuple of
-    states, in order of lowest state.  ``rates[i][j]`` is the probability of
-    i -> j; an off-diagonal one counts as an edge when it exceeds ``floor``."""
-    n = len(rates)
-    successors = [[j for j in range(n) if j != i and rates[i][j] > floor] for i in range(n)]
-    reach = []
-    for i in range(n):
-        seen, stack = {i}, [i]
-        while stack:
-            for j in successors[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        reach.append(seen)
-    return [tuple(sorted(reach[i])) for i in range(n)
-            if min(reach[i]) == i and all(i in reach[j] for j in reach[i])]
-
-
-def _gth_stationary(rates: list) -> list:
-    """Stationary distribution of an irreducible chain from its off-diagonal
-    transition probabilities ``rates[i][j]`` (i -> j), by GTH elimination:
-    each state is censored in turn, with its exit probability taken as the
-    sum of its remaining off-diagonal rates rather than 1 minus its stay."""
-    r = [row[:] for row in rates]
-    m = len(r)
-    for k in range(m - 1, 0, -1):
-        out = sum(r[k][:k])
-        for i in range(k):
-            share = r[i][k] / out
-            if share:
-                for j in range(k):
-                    if j != i:
-                        r[i][j] += share * r[k][j]
-    pi = [1.0]
-    for k in range(1, m):
-        pi.append(sum(pi[i] * r[i][k] for i in range(k)) / sum(r[k][:k]))
-    total = sum(pi)
-    return [x / total for x in pi]
+def _escape_cycles(P: list, floor: float = 0.0) -> tuple:
+    """Follow each label's escape, a probability above ``floor`` of leaving
+    for another label in the row-stochastic ``P[i][j]`` (i -> j), to the
+    cycle it reaches.  Returns the escapes as ``{label: (successor,
+    probability)}`` and, per label, the sorted tuple of its cycle; a label
+    that never escapes is a cycle of one.  Raises ``InvariantViolationError``
+    for a label with two escapes."""
+    escapes = {}
+    for i, row in enumerate(P):
+        out = [(j, rate) for j, rate in enumerate(row) if j != i and rate > floor]
+        if len(out) > 1:
+            raise InvariantViolationError(
+                f"label {i} escapes to labels {[j for j, _ in out]}, not to one")
+        if out:
+            escapes[i] = out[0]
+    cycles = []
+    for label in range(len(P)):
+        path = []
+        while label not in path:
+            path.append(label)
+            label = escapes.get(label, (label,))[0]
+        cycles.append(tuple(sorted(path[path.index(label):])))
+    return escapes, cycles
 
 
 def _cesaro_limit(P: list) -> np.ndarray:
-    """Limit of the Cesaro average of the uniform distribution under the
-    row-stochastic ``P[i][j]`` (i -> j).  Transient states are censored one
-    at a time: their mass and every path through them pass on to their
-    successors in proportion to their exit rates.  Each closed class then
-    keeps the mass absorbed into it, spread by its GTH stationary
-    distribution."""
-    n = len(P)
-    rates = [[0.0 if i == j else P[i][j] for j in range(n)] for i in range(n)]
-    classes = _closed_classes(rates, 0.0)
-    recurrent = {state for members in classes for state in members}
-    mass = [1.0 / n] * n
-    for t in range(n):
-        if t in recurrent:
-            continue
-        out = sum(rates[t])
-        for j in range(n):
-            share = rates[t][j] / out
-            if not share:
-                continue
-            mass[j] += mass[t] * share
-            for i in range(n):
-                if rates[i][t] and i != j:
-                    rates[i][j] += rates[i][t] * share
-        for i in range(n):
-            rates[i][t] = rates[t][i] = 0.0
-    p = np.zeros(n)
-    for members in classes:
-        pi = _gth_stationary([[rates[i][j] for j in members] for i in members])
-        p[list(members)] = sum(mass[i] for i in members) * np.array(pi)
+    """Limit of the Cesaro average of the uniform distribution under ``P``.
+    Each label's mass goes to the cycle it reaches, spread there in
+    proportion to 1/e_c: ratios to the cycle's smallest escape, which
+    cannot overflow."""
+    escapes, cycles = _escape_cycles(P)
+    p = np.zeros(len(P))
+    for cycle, count in Counter(cycles).items():
+        rates = [escapes[c][1] for c in cycle] if len(cycle) > 1 else [1.0]
+        shares = np.array([min(rates) / rate for rate in rates])
+        p[list(cycle)] = count / len(P) * (shares / shares.sum())
     return p
 
 
@@ -276,17 +246,19 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     tau_c = U_c rho_CR U_c^dag and the label chain
     M[c', c] = sum_j weights[j] |outputs[c, c', j]|^2, the CTC state is
     sigma* = sum_c p_c tau_c, where p is the Cesaro limit of M^n applied to the
-    uniform distribution (the stationary distribution when M has one closed
-    class), and the CR output is sigma* times the Gram matrix of the blocks,
-    entrywise: sigma*_cc' Tr(U_c rho_CR U_c'^dag).
+    uniform distribution, and the CR output is sigma* times the Gram matrix
+    of the blocks, entrywise: sigma*_cc' Tr(U_c rho_CR U_c'^dag).  Each
+    label must stay or escape to one other label, and p_c goes as 1/e_c on
+    each cycle of escapes (see the module docstring).
 
-    ``fp_space_dim`` counts the closed classes of M, with an off-diagonal
-    transition of probability at most ``UNIT_EIGENVALUE_ATOL`` counted as
-    absent: the window the spectral solve applies to eigenvalues.  p itself
-    is solved on every transition, so it stays an exact fixed point inside
-    that window.  Returns ``(cr_out, FixedPointResult)`` like
-    :func:`apply_dctc`.  Raises ``FixedPointConvergenceError`` when sigma* is
-    not a density operator or fails the residual check.
+    ``fp_space_dim`` counts the cycles, with an escape of probability at most
+    ``UNIT_EIGENVALUE_ATOL`` counted as absent: the window the spectral solve
+    applies to eigenvalues.  p itself is solved on every escape, so it stays
+    an exact fixed point inside that window.  Returns
+    ``(cr_out, FixedPointResult)`` like :func:`apply_dctc`.  Raises
+    ``InvariantViolationError`` for a label with two escapes, and
+    ``FixedPointConvergenceError`` when sigma* is not a density operator or
+    fails the residual check.
     """
     config = config or SolverConfig()
     outputs = np.asarray(outputs, dtype=complex)
@@ -302,16 +274,17 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     taus = (scaled @ scaled.conj().transpose(0, 2, 1)).reshape(d, d * d)
     flat = scaled.reshape(d, -1)
     gram = flat @ flat.conj().T
+    p = _cesaro_limit(P)
     residual = np.inf
     try:
-        sigma = (_cesaro_limit(P) @ taus).reshape(d, d)
+        sigma = (p @ taus).reshape(d, d)
         sigma = sigma / sigma.trace().real
         residual = trace_norm((sigma.diagonal().real @ taus).reshape(d, d) - sigma)
         fixed_point = DensityOperator(sigma)
-    except (ZeroDivisionError, InvariantViolationError) as exc:
+    except InvariantViolationError as exc:
         raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
     if not residual < config.tolerance:
         raise FixedPointConvergenceError(residual, config.tolerance)
-    dim = len(_closed_classes(P, UNIT_EIGENVALUE_ATOL))
+    dim = len(set(_escape_cycles(P, UNIT_EIGENVALUE_ATOL)[1]))
     result = FixedPointResult(fixed_point, residual, dim, method="chain")
     return DensityOperator(sigma * gram), result

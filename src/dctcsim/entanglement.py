@@ -72,11 +72,10 @@ def log_negativity(rho: DensityOperator, layout: RegisterLayout,
     return float(np.log2(trace_norm(partial_transpose(rho, layout, cut))))
 
 
-def is_ppt(rho: DensityOperator, layout: RegisterLayout, cut: BipartiteCut,
-           tol: float = PPT_ATOL) -> bool:
-    """True when the partial transpose has no eigenvalue below ``-tol``."""
+def is_ppt(rho: DensityOperator, layout: RegisterLayout, cut: BipartiteCut) -> bool:
+    """True when the partial transpose has no eigenvalue below ``-PPT_ATOL``."""
     eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, layout, cut))
-    return bool(eigenvalues.min() >= -tol)
+    return bool(eigenvalues.min() >= -PPT_ATOL)
 
 
 def distillable_upper_bound(rho: DensityOperator, layout: RegisterLayout,

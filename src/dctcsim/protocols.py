@@ -193,12 +193,13 @@ def ctc_readout(amps: AmplitudePair, bob: np.ndarray,
     """Run Bob's qubit through the CTC stage and read the CR register.
 
     ``bob`` is Bob's qubit as a ket (shape (2,)) or as a 2x2 density matrix.
-    The CR input, Bob's qubit (x) |0><0|, is validated as a
-    :class:`DensityOperator`.  The circuit's CTC is a classical label, so the
-    stage is solved through its label chain (:func:`apply_label_chain`) from
-    the four block outputs of Bob's vectors: the ket itself, or the
-    eigenvectors of a density matrix.  A ket keeps the exact zeros of the
-    amplitude products that decomposing its density matrix would round away.
+    Its 2x2 density matrix is validated as a :class:`DensityOperator`, so the
+    CR input, Bob's qubit (x) |0><0|, is one too.  The circuit's CTC is a
+    classical label, so the stage is solved through its label chain
+    (:func:`apply_label_chain`) from the four block outputs of Bob's vectors:
+    the ket itself, or the eigenvectors of a density matrix.  A ket keeps the
+    exact zeros of the amplitude products that decomposing its density
+    matrix would round away.
     Returns ``(distribution, b1b2, probability, fixed_point)``: the
     :func:`modal_readout` triple of the CR output and the
     :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
@@ -208,9 +209,7 @@ def ctc_readout(amps: AmplitudePair, bob: np.ndarray,
     if bob.shape not in ((2,), (2, 2)):
         raise InvariantViolationError(
             f"Bob's qubit must be a 2-vector or a 2x2 matrix, got shape {bob.shape}")
-    rho_cr = np.zeros((4, 4), dtype=complex)
-    rho_cr[::2, ::2] = np.outer(bob, bob.conj()) if bob.ndim == 1 else bob   # ancilla bit 0
-    rho_bob = DensityOperator(rho_cr).matrix[::2, ::2]
+    rho_bob = DensityOperator(np.outer(bob, bob.conj()) if bob.ndim == 1 else bob).matrix
     if bob.ndim == 1:
         weights, kets = np.ones(1), bob[:, None]
     else:

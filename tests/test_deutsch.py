@@ -410,7 +410,7 @@ class TestLabelChain:
                     assert fixed.method == "chain"
 
     def test_readout_is_deterministic_next_to_the_window(self):
-        # The spectral solve fell short of 1 by 1e-5 here; GTH never subtracts.
+        # The spectral solve fell short of 1 by 1e-5 here; the cycle solve never subtracts.
         pairs = [_pair_at_distance(delta)
                  for delta in (1.01e-6, -1.01e-6, 2e-6, -2e-6, 1e-5, 1.87e-4)]
         pairs += [_pair_with_small(small, small_alpha)
@@ -456,13 +456,55 @@ class TestLabelChain:
         np.testing.assert_allclose(deutsch._cesaro_limit(P), [0.75, 0.25], rtol=1e-15)
 
     def test_cesaro_limit_absorbs_transient_mass(self):
-        # 0 and 3 absorb; 1 splits 1:3 between 0 and 2; 2 goes to 3.
+        # 0 and 3 absorb; 1 goes to 2 and 2 goes to 3, so 3 collects three labels' mass.
         P = [[1.0, 0.0, 0.0, 0.0],
-             [0.25, 0.0, 0.75, 0.0],
+             [0.0, 0.0, 1.0, 0.0],
              [0.0, 0.0, 0.0, 1.0],
              [0.0, 0.0, 0.0, 1.0]]
-        np.testing.assert_allclose(deutsch._cesaro_limit(P),
-                                   [0.25 + 0.0625, 0.0, 0.0, 0.5 + 0.1875], rtol=1e-15)
+        np.testing.assert_allclose(deutsch._cesaro_limit(P), [0.25, 0.0, 0.0, 0.75],
+                                   rtol=1e-15)
+
+    def test_label_with_two_escapes_rejected(self):
+        P = [[1.0, 0.0, 0.0], [0.25, 0.0, 0.75], [0.0, 0.0, 1.0]]
+        with pytest.raises(InvariantViolationError):
+            deutsch._cesaro_limit(P)
+        outputs = np.eye(4, dtype=complex)[:, :, None]     # every label stays ...
+        outputs[1, :, 0] = [0.6, 0.0, 0.8, 0.0]             # ... but 1 leaves for 0 and 2
+        with pytest.raises(InvariantViolationError):
+            deutsch.apply_label_chain(outputs, np.ones(1))
+
+    def test_cycle_mass_goes_as_inverse_escape(self):
+        # p_c e_c is the same on every label of a cycle: p is (1/e) / sum(1/e).
+        escape = [1e-30, 2e-30, 3e-30, 4e-30]
+        P = [[1.0 if j == i else escape[i] if j == (i + 1) % 4 else 0.0 for j in range(4)]
+             for i in range(4)]
+        np.testing.assert_allclose(deutsch._cesaro_limit(P), np.array([12, 6, 4, 3]) / 25,
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("P, expected", [
+        ([[1.0, 5e-324], [1e-300, 1.0]], [1.0, 5e-324 / 1e-300]),
+        ([[1.0, 5e-324], [4e-323, 1.0]], [8 / 9, 1 / 9]),
+    ])
+    def test_subnormal_escapes_do_not_overflow(self, P, expected):
+        # 1 / 5e-324 overflows to inf; ratios to the smallest escape do not.
+        np.testing.assert_allclose(deutsch._cesaro_limit(P), expected, rtol=1e-15)
+
+    def test_cycle_solve_matches_cesaro_average_of_matrix_powers(self):
+        # Far out, P^k repeats with the period of some cycle of at most 6 labels,
+        # so its average over 60 = lcm(1..6) consecutive steps is the Cesaro limit.
+        rng = np.random.default_rng(113)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            P = np.eye(n)
+            for i in range(n):
+                j = int(rng.integers(n))
+                if j != i and rng.random() < 0.8:
+                    escape = rng.uniform(0.05, 1.0)
+                    P[i, i], P[i, j] = 1.0 - escape, escape
+            far = np.linalg.matrix_power(P, 2 ** 20)
+            average = sum(np.linalg.matrix_power(P, k) for k in range(60)) / 60
+            expected = np.full(n, 1.0 / n) @ far @ average
+            np.testing.assert_allclose(deutsch._cesaro_limit(P.tolist()), expected, atol=1e-12)
 
     def test_malformed_inputs_rejected(self):
         outputs, weights = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
