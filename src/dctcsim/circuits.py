@@ -29,7 +29,6 @@ amplitude pair, and the solve from I/4 reads the right label with probability
 0.5.  The NOT fixes |10> and |11>, so it changes the escapes only.
 """
 
-import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -194,14 +193,7 @@ def bhw_layout() -> RegisterLayout:
 
 def bell_projectors() -> dict:
     """Rank-2 projectors |B><B| (x) I onto each Bell state of qubits 1,2 of a
-    three-qubit register; the four projectors sum to the identity.  Each
-    call returns a new dict over the same read-only arrays."""
-    return dict(_bell_projectors())
-
-
-@functools.cache
-def _bell_projectors() -> dict:
-    return {
-        name: _readonly(kron(np.outer(vec, vec.conj()), I2))
-        for name, vec in BELL_VECTORS.items()
-    }
+    three-qubit register, as read-only arrays; the four projectors sum to
+    the identity."""
+    return {name: _readonly(kron(np.outer(vec, vec.conj()), I2))
+            for name, vec in BELL_VECTORS.items()}

@@ -35,6 +35,7 @@ so p_c is proportional to 1/e_c.  Nothing is subtracted, so p stays accurate
 however small the chain's gap is.
 """
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class SolverConfig:
     tolerance: float = 1e-12          # trace-norm residual ||Phi(s) - s||_1
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvariantViolationError("tolerance must be positive")
+        if not isinstance(self.tolerance, numbers.Real) or not 0 < self.tolerance < np.inf:
+            raise InvariantViolationError("tolerance must be a finite positive real number")
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,8 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     applies to eigenvalues.  p itself is solved on every escape, so it stays
     an exact fixed point inside that window.  Returns
     ``(cr_out, FixedPointResult)`` like :func:`apply_dctc`.  Raises
-    ``InvariantViolationError`` for a label with two escapes, and
+    ``InvariantViolationError`` for non-finite outputs or weights, negative
+    or all-zero weights, or a label with two escapes, and
     ``FixedPointConvergenceError`` when sigma* is not a density operator or
     fails the residual check.
     """
@@ -266,8 +268,12 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1]:
         raise InvariantViolationError(
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
-    if weights.shape != outputs.shape[2:] or (weights < 0).any():
-        raise InvariantViolationError("weights must be one non-negative number per vector")
+    if not np.isfinite(outputs).all():
+        raise InvariantViolationError("block outputs must be finite")
+    if (weights.shape != outputs.shape[2:] or not any(weights.tolist())
+            or not all(0 <= w < np.inf for w in weights.tolist())):
+        raise InvariantViolationError(
+            "weights must be finite, non-negative and not all zero, one per vector")
     d = outputs.shape[0]
     scaled = outputs * np.sqrt(weights)
     P = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=2).tolist()      # P[c][c'] = M[c', c]

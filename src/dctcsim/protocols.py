@@ -23,7 +23,9 @@ nonlinear in the CR input, so convex mixtures cannot be pushed through the
 solver; each pure branch is solved on its own.  An improper-mixture run
 (tracing out the distant parties first) is available as an experimental
 variant with no correctness claim; it illustrates how the nonlinearity
-breaks when the branch identity is discarded.
+breaks when the branch identity is discarded.  Both apply the same Alice
+measurement, :func:`_alice_branches`: to the shared Bell pair, or to each
+eigenvector of the AB marginal.
 """
 
 import enum
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AmplitudePair, bell_projectors, block_outputs
+from .circuits import AmplitudePair, block_outputs
 from .deutsch import FixedPointResult, SolverConfig, apply_label_chain
 from .entanglement import (
     BipartiteCut,
@@ -54,7 +56,6 @@ from .qmath import (
     Z,
     _partial_trace_matrix,
     as_state_vector,
-    kron,
     pure_fidelity,
 )
 
@@ -141,10 +142,6 @@ def modal_readout(cr_out: DensityOperator) -> tuple:
     return distribution, (modal >> 1, modal & 1), distribution[modal]
 
 
-def _prepared_state(amps: AmplitudePair) -> np.ndarray:
-    return np.array([amps.alpha, amps.beta], dtype=complex)
-
-
 def _generator(seed) -> "np.random.Generator":
     """``np.random.default_rng(seed)``, with a bad seed as a typed error."""
     try:
@@ -161,29 +158,31 @@ def _resolve_outcome(alice_outcome) -> BellLabel:
     raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
 
 
-def _alice_branches(bell: BellLabel, amps: AmplitudePair) -> tuple:
-    """Project all four of Alice's Bell outcomes out of psi (x) |bell> at once.
+def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
+    """Project Alice's four Bell outcomes out of psi (x) |pair> at once, for a
+    two-qubit ket ``pair`` (Alice's half first) or a stack of them, one per row.
 
     Returns ``(branches, probabilities)``: row k of the 4x2 ``branches`` is
     Bob's unnormalised, uncorrected qubit for outcome k (``BellLabel`` order)
-    and ``probabilities[k]`` is its squared norm.
+    and ``probabilities[k]`` is its squared norm; a stack adds a leading axis.
     """
-    full = np.outer(_prepared_state(amps), bell.state_vector()).reshape(4, 2)
+    psi = np.array([amps.alpha, amps.beta], dtype=complex)
+    full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
     branches = _BELL_BRAS @ full
-    return branches, np.linalg.norm(branches, axis=1) ** 2
+    return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
 def alice_outcome_distribution(bell: BellLabel, amps: AmplitudePair) -> dict:
     """Probability of each of Alice's four Bell outcomes (1/4 each), taken
     from the projected state."""
-    return dict(zip(_OUTCOMES, _alice_branches(bell, amps)[1].tolist()))
+    return dict(zip(_OUTCOMES, _alice_branches(bell.state_vector(), amps)[1].tolist()))
 
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
     """Bob's qubit after teleportation of psi and his correction for Alice's
     outcome, given as a :class:`BellLabel` or a two-bit tuple."""
     outcome = _resolve_outcome(alice_outcome)
-    bob = _alice_branches(bell, amps)[0][_OUTCOMES.index(outcome)]
+    bob = _alice_branches(bell.state_vector(), amps)[0][_OUTCOMES.index(outcome)]
     correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
     return as_state_vector(correction @ (bob / np.linalg.norm(bob)))
 
@@ -255,7 +254,7 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
     if alice_outcome is None:
         rng = _generator(seed)
-        weights = _alice_branches(bell, amps)[1]
+        weights = _alice_branches(bell.state_vector(), amps)[1]
         outcome = _OUTCOMES[rng.choice(4, p=weights / weights.sum())]
     else:
         outcome = _resolve_outcome(alice_outcome)
@@ -353,23 +352,25 @@ class ImproperMixtureRecord:
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
                          seed=None) -> ImproperMixtureRecord:
+    """Alice measures psi (x) each eigenvector v_j of the Smolin AB marginal
+    sum_j w_j v_j v_j^dag with :func:`_alice_branches`, giving Bob's b_jk;
+    outcome k has probability p_k = sum_j w_j |b_jk|^2, and Bob's corrected
+    qubit is sum_j w_j b_jk b_jk^dag / p_k, handed to :func:`ctc_readout`."""
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rng = _generator(seed)
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
+    pair_weights, pairs = np.linalg.eigh(rho_ab)
 
-    psi = _prepared_state(amps)
-    rho3 = kron(np.outer(psi, psi.conj()), rho_ab)
-    projectors = bell_projectors()
-    weights = np.array([np.trace(projectors[o.value] @ rho3).real for o in _OUTCOMES])
-    outcome = _OUTCOMES[rng.choice(4, p=weights / weights.sum())]
+    branches, probabilities = _alice_branches(pairs.T, amps)
+    weights = pair_weights @ probabilities
+    k = rng.choice(4, p=weights / weights.sum())
+    outcome = _OUTCOMES[k]
 
-    P = projectors[outcome.value]
-    conditioned = P @ rho3 @ P
-    conditioned /= np.trace(conditioned).real
-    bob = _partial_trace_matrix(conditioned, 3, (2,))
+    bob = branches[:, k]
+    bob = (bob.T * pair_weights) @ bob.conj()
     correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
-    bob = DensityOperator(correction @ bob @ correction.conj().T)
+    bob = DensityOperator(correction @ bob @ correction.conj().T / bob.trace().real)
 
     distribution, b1b2, probability, fixed = ctc_readout(amps, bob.matrix, config)
     return ImproperMixtureRecord(

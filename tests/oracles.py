@@ -36,6 +36,22 @@ def teleported_branch(psi: np.ndarray, shared: str, outcome: str) -> tuple:
     return BOB_CORRECTION[outcome] @ (bob / norm), float(norm ** 2)
 
 
+def improper_mixture_branches(psi: np.ndarray, rho_ab: np.ndarray) -> dict:
+    """Alice's Bell measurement on psi (x) rho_AB as a three-qubit density
+    matrix: for each outcome, the trace against |B><B| (x) I, the projected
+    state renormalised and traced down to Bob, and his correction.  Returns
+    ``{outcome: (Bob's corrected density matrix, probability)}``."""
+    rho3 = np.kron(np.outer(psi, psi.conj()), rho_ab)
+    branches = {}
+    for outcome, vec in BELL.items():
+        projector = np.kron(np.outer(vec, vec.conj()), I2)
+        probability = float(np.trace(projector @ rho3).real)
+        bob = ptrace_brute(projector @ rho3 @ projector / probability, 3, (2,))
+        correction = BOB_CORRECTION[outcome]
+        branches[outcome] = (correction @ bob @ correction.conj().T, probability)
+    return branches
+
+
 def ket(bits: str) -> np.ndarray:
     """Computational basis vector of a bit string, e.g. ``ket("10")``."""
     return np.eye(2 ** len(bits), dtype=complex)[int(bits, 2)]

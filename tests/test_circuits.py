@@ -223,8 +223,7 @@ class TestBellProjectors:
         assert first is not second
         first.clear()
         assert len(bell_projectors()) == 4
-        for name, projector in second.items():
-            assert projector is bell_projectors()[name]
+        for projector in second.values():
             assert not projector.flags.writeable
 
     def test_orthogonality(self):

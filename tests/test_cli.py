@@ -197,6 +197,13 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["inf", "1e400", "nan", "0"])
+    def test_bad_tolerance_is_usage_error(self, tolerance, capsys):
+        code, out, err = run_any(capsys, ["table1", "--tolerance", tolerance])
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be a finite positive real number" in err
+
     def test_non_convergence_is_3(self, capsys):
         # The chain solve of a pure candidate at alpha = 0.6 is exact (residual
         # 0.0), so no tolerance fails it; the improper mixture's solve, from

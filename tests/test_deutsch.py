@@ -512,6 +512,12 @@ class TestLabelChain:
             deutsch.apply_label_chain(outputs[:, :2], weights)
         with pytest.raises(InvariantViolationError):
             deutsch.apply_label_chain(outputs, -weights)
+        # Each of these would otherwise reach a 0/0 or an inf * 0 in the solve.
+        for bad in (np.full(1, np.nan), np.full(1, np.inf), np.zeros(1)):
+            with pytest.raises(InvariantViolationError, match="weights"):
+                deutsch.apply_label_chain(outputs, bad)
+        with pytest.raises(InvariantViolationError, match="finite"):
+            deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs), weights)
 
 
 class TestApplyDctc:
@@ -554,8 +560,10 @@ class TestApplyDctc:
 
 class TestConfigAndResult:
     def test_config_validation(self):
-        with pytest.raises(InvariantViolationError):
-            SolverConfig(tolerance=0.0)
+        for bad in (0.0, -1e-12, float("nan"), float("inf"), float("1e400"), "1e-12", 1e-12j, None):
+            with pytest.raises(InvariantViolationError):
+                SolverConfig(tolerance=bad)
+        assert SolverConfig(tolerance=np.float64(1e-9)).tolerance == 1e-9
 
     def test_result_validation(self):
         rho = DensityOperator(np.eye(2) / 2)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dctcsim.protocols as protocols
 from dctcsim import (
     AmplitudePair,
     BellLabel,
@@ -30,7 +31,15 @@ from dctcsim import (
 from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
 from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
 
-from oracles import BELL, interaction, random_density, teleported_branch
+from oracles import (
+    BELL,
+    improper_mixture_branches,
+    interaction,
+    ptrace_brute,
+    random_density,
+    smolin_pauli_form,
+    teleported_branch,
+)
 
 AMPS = AmplitudePair(0.6, 0.8)
 PSI = np.array([0.6, 0.8], dtype=complex)
@@ -289,6 +298,34 @@ class TestImproperMixture:
         for probability in record.cr_distribution:
             assert abs(probability - 0.25) <= 1e-9
         assert record.fixed_point.residual < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
+    def test_matches_three_qubit_projector_reference(self, alpha):
+        rho_ab = ptrace_brute(smolin_pauli_form(), 4, (0, 1))
+        _assert_improper_runs_match_reference(AmplitudePair.from_alpha(alpha), rho_ab, range(200))
+
+    def test_generic_marginal_matches_reference(self, monkeypatch):
+        # The Smolin marginal is I/4, which leaves Bob at I/2 on every outcome;
+        # a random four-qubit state checks the branch mixture itself.
+        rng = np.random.default_rng(167)
+        for _ in range(20):
+            rho = random_density(16, rng)
+            monkeypatch.setattr(protocols, "smolin_state", lambda: DensityOperator(rho))
+            _assert_improper_runs_match_reference(AMPS, ptrace_brute(rho, 4, (0, 1)), range(10))
+
+
+def _assert_improper_runs_match_reference(amps, rho_ab, seeds):
+    """Each seeded run draws the outcome the reference weights give, and
+    hands the CTC stage the reference's corrected Bob state."""
+    psi = np.array([amps.alpha, amps.beta], dtype=complex)
+    reference = improper_mixture_branches(psi, rho_ab)
+    outcomes = list(BELL)
+    weights = np.array([reference[o][1] for o in outcomes])
+    for seed in seeds:
+        drawn = outcomes[np.random.default_rng(seed).choice(4, p=weights / weights.sum())]
+        record = run_improper_mixture(amps, seed=seed)
+        assert record.alice_outcome == ALICE_OUTCOME_BITS[BellLabel.from_string(drawn)]
+        assert np.abs(record.bob_state.matrix - reference[drawn][0]).max() <= 1e-14
 
 
 class TestCtcReadout:
