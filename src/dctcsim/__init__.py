@@ -47,7 +47,6 @@ from .protocols import (
     DiscriminationRecord,
     DistillationReport,
     ImproperMixtureRecord,
-    alice_outcome_distribution,
     ctc_readout,
     discriminate_bell,
     distill_smolin,
@@ -84,7 +83,6 @@ __all__ = [
     "RegisterLayout",
     "SolverConfig",
     "UnitaryOperator",
-    "alice_outcome_distribution",
     "apply_dctc",
     "bell_projectors",
     "bhw_interaction",

@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -172,7 +173,7 @@ def _discrimination_row(record) -> dict:
 def run_fixed_point(args, amps, config):
     rows = []
     for code, state in candidate_states(amps).items():
-        _, b1b2, probability, result = ctc_readout(amps, state, config)
+        _, b1b2, probability, result = ctc_readout(amps, state[:, None], np.ones(1), config)
         rows.append({
             "code": _bits_str(code),
             "input_state": _state_str(state),
@@ -339,6 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_replacing(path: str, text: str) -> None:
+    """Write ``text`` to a new sibling file (mode as ``open(path, "w")`` gives)
+    and rename it over ``path``; on failure remove it and leave ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -368,8 +383,7 @@ def main(argv=None) -> int:
 
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_replacing(args.output, text)
         except OSError as exc:
             print(f"cannot write output: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -46,6 +46,7 @@ from .errors import FixedPointConvergenceError, InvariantViolationError
 from .qmath import (
     DensityOperator,
     RegisterLayout,
+    TRACE_ATOL,
     UnitaryOperator,
     _partial_trace_matrix,
     kron,
@@ -258,7 +259,8 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     an exact fixed point inside that window.  Returns
     ``(cr_out, FixedPointResult)`` like :func:`apply_dctc`.  Raises
     ``InvariantViolationError`` for non-finite outputs or weights, negative
-    or all-zero weights, or a label with two escapes, and
+    weights, a CR input whose trace (the sum of every row of the chain) is
+    not 1 within ``TRACE_ATOL``, or a label with two escapes, and
     ``FixedPointConvergenceError`` when sigma* is not a density operator or
     fails the residual check.
     """
@@ -270,13 +272,15 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
     if not np.isfinite(outputs).all():
         raise InvariantViolationError("block outputs must be finite")
-    if (weights.shape != outputs.shape[2:] or not any(weights.tolist())
-            or not all(0 <= w < np.inf for w in weights.tolist())):
-        raise InvariantViolationError(
-            "weights must be finite, non-negative and not all zero, one per vector")
+    if weights.shape != outputs.shape[2:] or not all(0 <= w < np.inf for w in weights.tolist()):
+        raise InvariantViolationError("weights must be finite and non-negative, one per vector")
     d = outputs.shape[0]
     scaled = outputs * np.sqrt(weights)
-    P = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=2).tolist()      # P[c][c'] = M[c', c]
+    P = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=2)               # P[c, c'] = M[c', c]
+    traces = P.sum(axis=1)              # row c: sum_j weights[j] |U_c v_j|^2 = Tr(rho_CR)
+    if not (abs(traces - 1.0) <= TRACE_ATOL).all():
+        raise InvariantViolationError(f"weights give a CR input of trace {traces.tolist()}, not 1")
+    P = P.tolist()
     taus = (scaled @ scaled.conj().transpose(0, 2, 1)).reshape(d, d * d)
     flat = scaled.reshape(d, -1)
     gram = flat @ flat.conj().T

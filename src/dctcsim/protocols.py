@@ -12,20 +12,21 @@ point of the circuit (:mod:`dctcsim.circuits`) is unique for every
 non-degenerate amplitude pair, so that readout is deterministic.
 
 :func:`ctc_readout` is that CTC stage, the one place it is assembled: Bob's
-qubit and a |0> ancilla form the CR input, the Deutsch fixed point is
-solved through the circuit's four-label chain (no 16x16 interaction is
-built), and the CR register is read out.  The discrimination, the
-improper-mixture run and the CLI ``fixed-point`` experiment all call it;
-the improper-mixture run hands it Bob's density matrix, the others his ket.
+qubit, given as an ensemble of unit kets and weights, and a |0> ancilla form
+the CR input, the Deutsch fixed point is solved through the circuit's
+four-label chain (no 16x16 interaction is built), and the CR register is
+read out.  The discrimination, the improper-mixture run and the CLI
+``fixed-point`` experiment all call it.  The experiments get Bob's ensemble
+from one path, :func:`_bob_ensemble`: Alice's Bell measurement on psi (x)
+the shared Bell vector, or on each eigenvector of the AB marginal, then
+Bob's correction.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
 solver; each pure branch is solved on its own.  An improper-mixture run
 (tracing out the distant parties first) is available as an experimental
 variant with no correctness claim; it illustrates how the nonlinearity
-breaks when the branch identity is discarded.  Both apply the same Alice
-measurement, :func:`_alice_branches`: to the shared Bell pair, or to each
-eigenvector of the AB marginal.
+breaks when the branch identity is discarded.
 """
 
 import enum
@@ -150,14 +151,6 @@ def _generator(seed) -> "np.random.Generator":
         raise InvariantViolationError(f"invalid seed {seed!r}: {exc}") from exc
 
 
-def _resolve_outcome(alice_outcome) -> BellLabel:
-    if isinstance(alice_outcome, BellLabel):
-        return alice_outcome
-    if isinstance(alice_outcome, (tuple, list)) and tuple(alice_outcome) in _OUTCOME_FROM_BITS:
-        return _OUTCOME_FROM_BITS[tuple(alice_outcome)]
-    raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
-
-
 def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     """Project Alice's four Bell outcomes out of psi (x) |pair> at once, for a
     two-qubit ket ``pair`` (Alice's half first) or a stack of them, one per row.
@@ -172,48 +165,54 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
-def alice_outcome_distribution(bell: BellLabel, amps: AmplitudePair) -> dict:
-    """Probability of each of Alice's four Bell outcomes (1/4 each), taken
-    from the projected state."""
-    return dict(zip(_OUTCOMES, _alice_branches(bell.state_vector(), amps)[1].tolist()))
+def _bob_ensemble(pairs: np.ndarray, pair_weights: np.ndarray, amps: AmplitudePair,
+                  seed=None, alice_outcome=None) -> tuple:
+    """Alice measures psi (x) each pair ket (rows of ``pairs``) with weights
+    w_j; outcome k, unless ``alice_outcome`` pins it, is drawn with probability
+    p_k = sum_j w_j |b_jk|^2.  Returns ``(outcome, kets, weights)``: Bob's
+    corrected b_jk / |b_jk| as the columns of ``kets``, weighted w_j |b_jk|^2 / p_k."""
+    branches, probabilities = _alice_branches(pairs, amps)
+    weights = pair_weights @ probabilities
+    if alice_outcome is None:
+        outcome = _OUTCOMES[_generator(seed).choice(4, p=weights / weights.sum())]
+    elif isinstance(alice_outcome, BellLabel):
+        outcome = alice_outcome
+    elif isinstance(alice_outcome, (tuple, list)) and tuple(alice_outcome) in _OUTCOME_FROM_BITS:
+        outcome = _OUTCOME_FROM_BITS[tuple(alice_outcome)]
+    else:
+        raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
+    k = _OUTCOMES.index(outcome)
+    bob = branches[:, k]
+    correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
+    kets = correction @ (bob / np.linalg.norm(bob, axis=-1)[:, None]).T
+    return outcome, kets, pair_weights * probabilities[:, k] / weights[k]
 
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
     """Bob's qubit after teleportation of psi and his correction for Alice's
     outcome, given as a :class:`BellLabel` or a two-bit tuple."""
-    outcome = _resolve_outcome(alice_outcome)
-    bob = _alice_branches(bell.state_vector(), amps)[0][_OUTCOMES.index(outcome)]
-    correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
-    return as_state_vector(correction @ (bob / np.linalg.norm(bob)))
+    _, kets, _ = _bob_ensemble(bell.state_vector()[None], np.ones(1), amps,
+                               alice_outcome=alice_outcome)
+    return as_state_vector(kets[:, 0])
 
 
-def ctc_readout(amps: AmplitudePair, bob: np.ndarray,
+def ctc_readout(amps: AmplitudePair, kets: np.ndarray, weights: np.ndarray,
                 config: SolverConfig | None = None) -> tuple:
     """Run Bob's qubit through the CTC stage and read the CR register.
 
-    ``bob`` is Bob's qubit as a ket (shape (2,)) or as a 2x2 density matrix.
-    Its 2x2 density matrix is validated as a :class:`DensityOperator`, so the
-    CR input, Bob's qubit (x) |0><0|, is one too.  The circuit's CTC is a
-    classical label, so the stage is solved through its label chain
-    (:func:`apply_label_chain`) from the four block outputs of Bob's vectors:
-    the ket itself, or the eigenvectors of a density matrix.  A ket keeps the
-    exact zeros of the amplitude products that decomposing its density
-    matrix would round away.
+    Bob's qubit is sum_j weights[j] v_j v_j^dag over the columns v_j of
+    ``kets`` (2 x k); a ket is one column with weight 1.  The circuit's CTC
+    is a classical label, so the stage is solved through its label chain
+    (:func:`apply_label_chain`) from the block outputs of those columns; that
+    solve checks the weights and the unit trace of the CR input.
     Returns ``(distribution, b1b2, probability, fixed_point)``: the
     :func:`modal_readout` triple of the CR output and the
     :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
     callers that need a unique fixed point check the pair.
     """
-    bob = np.asarray(bob, dtype=complex)
-    if bob.shape not in ((2,), (2, 2)):
-        raise InvariantViolationError(
-            f"Bob's qubit must be a 2-vector or a 2x2 matrix, got shape {bob.shape}")
-    rho_bob = DensityOperator(np.outer(bob, bob.conj()) if bob.ndim == 1 else bob).matrix
-    if bob.ndim == 1:
-        weights, kets = np.ones(1), bob[:, None]
-    else:
-        weights, kets = np.linalg.eigh(rho_bob)
-        weights = np.clip(weights, 0.0, None)
+    kets = np.asarray(kets, dtype=complex)
+    if kets.ndim != 2 or kets.shape[0] != 2:
+        raise InvariantViolationError(f"Bob's kets must be a 2 x k array, got shape {kets.shape}")
     cr_out, fixed = apply_label_chain(block_outputs(amps, kets), weights, config)
     return (*modal_readout(cr_out), fixed)
 
@@ -252,19 +251,13 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    if alice_outcome is None:
-        rng = _generator(seed)
-        weights = _alice_branches(bell.state_vector(), amps)[1]
-        outcome = _OUTCOMES[rng.choice(4, p=weights / weights.sum())]
-    else:
-        outcome = _resolve_outcome(alice_outcome)
-
-    bob = teleport_and_correct(bell, amps, outcome)
-    _, b1b2, probability, fixed = ctc_readout(amps, bob, config)
+    outcome, kets, weights = _bob_ensemble(bell.state_vector()[None], np.ones(1), amps,
+                                           seed, alice_outcome)
+    _, b1b2, probability, fixed = ctc_readout(amps, kets, weights, config)
     return DiscriminationRecord(
         input_bell=bell,
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=bob,
+        bob_state=as_state_vector(kets[:, 0]),
         b1b2=b1b2,
         identified=BellLabel.from_b1b2(*b1b2),
         outcome_probability=probability,
@@ -352,30 +345,18 @@ class ImproperMixtureRecord:
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
                          seed=None) -> ImproperMixtureRecord:
-    """Alice measures psi (x) each eigenvector v_j of the Smolin AB marginal
-    sum_j w_j v_j v_j^dag with :func:`_alice_branches`, giving Bob's b_jk;
-    outcome k has probability p_k = sum_j w_j |b_jk|^2, and Bob's corrected
-    qubit is sum_j w_j b_jk b_jk^dag / p_k, handed to :func:`ctc_readout`."""
+    """Alice measures psi (x) each eigenvector of the Smolin AB marginal,
+    weighted by its eigenvalue, and Bob's ensemble for her drawn outcome
+    (:func:`_bob_ensemble`) goes through :func:`ctc_readout`."""
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    rng = _generator(seed)
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
     pair_weights, pairs = np.linalg.eigh(rho_ab)
-
-    branches, probabilities = _alice_branches(pairs.T, amps)
-    weights = pair_weights @ probabilities
-    k = rng.choice(4, p=weights / weights.sum())
-    outcome = _OUTCOMES[k]
-
-    bob = branches[:, k]
-    bob = (bob.T * pair_weights) @ bob.conj()
-    correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
-    bob = DensityOperator(correction @ bob @ correction.conj().T / bob.trace().real)
-
-    distribution, b1b2, probability, fixed = ctc_readout(amps, bob.matrix, config)
+    outcome, kets, weights = _bob_ensemble(pairs.T, np.clip(pair_weights, 0.0, None), amps, seed)
+    distribution, b1b2, probability, fixed = ctc_readout(amps, kets, weights, config)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=bob,
+        bob_state=DensityOperator((kets * weights) @ kets.conj().T),
         cr_distribution=distribution,
         modal_b1b2=b1b2,
         modal_probability=probability,

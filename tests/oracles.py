@@ -52,6 +52,13 @@ def improper_mixture_branches(psi: np.ndarray, rho_ab: np.ndarray) -> dict:
     return branches
 
 
+def ensemble(rho: np.ndarray) -> tuple:
+    """A density matrix as the ``(kets, weights)`` the CTC stage takes: its
+    eigenvectors as columns and its eigenvalues, clipped at 0."""
+    weights, kets = np.linalg.eigh(rho)
+    return kets, np.clip(weights, 0.0, None)
+
+
 def ket(bits: str) -> np.ndarray:
     """Computational basis vector of a bit string, e.g. ``ket("10")``."""
     return np.eye(2 ** len(bits), dtype=complex)[int(bits, 2)]

@@ -1,6 +1,7 @@
 """Experiment runner: documents, serialization, determinism, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ class TestExitCodes:
     def test_non_convergence_is_3(self, capsys):
         # The chain solve of a pure candidate at alpha = 0.6 is exact (residual
         # 0.0), so no tolerance fails it; the improper mixture's solve, from
-        # the eigenvectors of Bob's mixed state, keeps a rounding residual.
+        # Bob's four-ket ensemble for Alice's outcome, keeps a rounding residual.
         code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--tolerance", "1e-20")
         assert code == 3
         assert "converge" in err
@@ -236,6 +237,30 @@ class TestOutputFile:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["experiment"] == "measures"
+
+    def test_replaces_longer_file_with_new_document_only(self, tmp_path, capsys):
+        target, fresh = tmp_path / "doc.json", tmp_path / "fresh.json"
+        target.write_text("x" * 100_000)
+        os.link(target, tmp_path / "old.json")      # a second name for the replaced file
+        code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        assert target.read_text() == expected
+        # The old file was replaced, not truncated and rewritten in place.
+        assert (tmp_path / "old.json").read_text() == "x" * 100_000
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.json", "old.json"]
+        # The document gets the mode open(path, "w") gives a new file.
+        fresh.write_text("")
+        assert target.stat().st_mode == fresh.stat().st_mode
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run_cli(capsys, "measures", "--output", str(target))
+        assert code == 2
+        assert "cannot write" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
 
 class TestDiscriminate:

@@ -34,6 +34,7 @@ from dctcsim.qmath import KET_0
 
 from oracles import (
     eigen_fixed_point,
+    ensemble,
     expected_blend,
     four_blocks,
     haar_unitary,
@@ -264,6 +265,20 @@ class TestSolveFixedPoint:
             sigma, _ = eigen_fixed_point(u.matrix, rho_cr.matrix, 4, 2)
             assert trace_norm(result.fixed_point.matrix - sigma) <= 1e-8
 
+    @pytest.mark.parametrize("n_cr, n_ctc", [(2, 3), (1, 4)])
+    def test_matches_eigen_oracle_at_three_and_four_ctc_qubits(self, n_cr, n_ctc):
+        # The declared envelope: up to 4 CTC qubits, where S is 256 x 256.
+        rng = np.random.default_rng(80 + n_ctc)
+        d_cr, d_ctc = 2 ** n_cr, 2 ** n_ctc
+        labels = tuple(f"q{i}" for i in range(n_cr + n_ctc))
+        layout = RegisterLayout(labels, ctc=labels[n_cr:])
+        u = UnitaryOperator(haar_unitary(d_cr * d_ctc, rng))
+        rho_cr = DensityOperator(random_density(d_cr, rng))
+        result = solve_fixed_point(u, rho_cr, layout)
+        sigma, multiplicity = eigen_fixed_point(u.matrix, rho_cr.matrix, d_cr, d_ctc)
+        assert result.fp_space_dim == multiplicity == 1
+        assert trace_norm(result.fixed_point.matrix - sigma) <= 1e-12
+
     def test_fixed_point_always_exists(self):
         rng = np.random.default_rng(83)
         for _ in range(25):
@@ -380,7 +395,7 @@ class TestLabelChain:
             u = bhw_interaction(amps)
             for bell, outcome, rho_cr in _discrimination_inputs(amps):
                 bob = teleport_and_correct(bell, amps, outcome)
-                fixed = ctc_readout(amps, bob)[3]
+                fixed = ctc_readout(amps, bob[:, None], np.ones(1))[3]
                 image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
                 assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
         rng = np.random.default_rng(101)
@@ -388,7 +403,7 @@ class TestLabelChain:
         for _ in range(5):
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
-            fixed = ctc_readout(AMPS, rho_bob)[3]
+            fixed = ctc_readout(AMPS, *ensemble(rho_bob))[3]
             image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
             assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
 
@@ -405,7 +420,7 @@ class TestLabelChain:
             for bell in BellLabel:
                 for outcome in BellLabel:
                     bob = teleport_and_correct(bell, amps, outcome)
-                    fixed = ctc_readout(amps, bob)[3]
+                    fixed = ctc_readout(amps, bob[:, None], np.ones(1))[3]
                     assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
                     assert fixed.method == "chain"
 
@@ -506,6 +521,7 @@ class TestLabelChain:
             expected = np.full(n, 1.0 / n) @ far @ average
             np.testing.assert_allclose(deutsch._cesaro_limit(P.tolist()), expected, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_malformed_inputs_rejected(self):
         outputs, weights = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
         with pytest.raises(InvariantViolationError):
@@ -516,6 +532,10 @@ class TestLabelChain:
         for bad in (np.full(1, np.nan), np.full(1, np.inf), np.zeros(1)):
             with pytest.raises(InvariantViolationError, match="weights"):
                 deutsch.apply_label_chain(outputs, bad)
+        # A CR input of trace 0 (all-zero outputs) or 4 fails the row sums of the chain.
+        for bad_outputs in (np.zeros((4, 4, 1)), 2 * outputs):
+            with pytest.raises(InvariantViolationError, match="weights"):
+                deutsch.apply_label_chain(bad_outputs, weights)
         with pytest.raises(InvariantViolationError, match="finite"):
             deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs), weights)
 

@@ -14,7 +14,6 @@ from dctcsim import (
     InvariantViolationError,
     SolverConfig,
     UnitaryOperator,
-    alice_outcome_distribution,
     apply_dctc,
     bhw_layout,
     candidate_states,
@@ -33,6 +32,8 @@ from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
 
 from oracles import (
     BELL,
+    ensemble,
+    haar_unitary,
     improper_mixture_branches,
     interaction,
     ptrace_brute,
@@ -96,8 +97,8 @@ class TestTeleportAndCorrect:
         for _ in range(25):
             amps = random_amps(rng)
             for bell in BellLabel:
-                distribution = alice_outcome_distribution(bell, amps)
-                for probability in distribution.values():
+                distribution = protocols._alice_branches(bell.state_vector(), amps)[1]
+                for probability in distribution:
                     assert abs(probability - 0.25) <= 1e-12
 
 
@@ -110,12 +111,12 @@ class TestAliceMeasurement:
             amps = random_amps(rng)
             psi = np.array([amps.alpha, amps.beta], dtype=complex)
             for bell in BellLabel:
-                distribution = alice_outcome_distribution(bell, amps)
-                for outcome in BellLabel:
+                distribution = protocols._alice_branches(bell.state_vector(), amps)[1]
+                for k, outcome in enumerate(BellLabel):
                     qubit, probability = teleported_branch(psi, bell.value, outcome.value)
                     bob = teleport_and_correct(bell, amps, outcome)
                     assert np.abs(bob - qubit).max() <= 1e-14
-                    assert abs(distribution[outcome] - probability) <= 1e-14
+                    assert abs(distribution[k] - probability) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
     def test_seeded_draw_follows_reference_weights(self, alpha):
@@ -332,7 +333,7 @@ class TestCtcReadout:
     def test_each_candidate_reads_its_own_label(self):
         for code, state in candidate_states(AMPS).items():
             distribution, b1b2, probability, fixed = ctc_readout(
-                AMPS, np.outer(state, state.conj()))
+                AMPS, *ensemble(np.outer(state, state.conj())))
             assert b1b2 == code
             assert probability == max(distribution) >= 1 - 1e-12
             assert fixed.unique and fixed.residual < 1e-12
@@ -345,7 +346,7 @@ class TestCtcReadout:
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
             cr_out, expected = apply_dctc(u, rho_cr, bhw_layout())
-            distribution, b1b2, probability, fixed = ctc_readout(AMPS, rho_bob)
+            distribution, b1b2, probability, fixed = ctc_readout(AMPS, *ensemble(rho_bob))
             want_distribution, want_b1b2, want_probability = modal_readout(cr_out)
             np.testing.assert_allclose(distribution, want_distribution, atol=1e-12)
             assert b1b2 == want_b1b2
@@ -353,26 +354,44 @@ class TestCtcReadout:
             assert fixed.fp_space_dim == expected.fp_space_dim
 
     def test_invalid_bob_state_rejected(self):
-        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5]),
-                    np.array([1.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 4):
+        unit = candidate_states(AMPS)[(0, 0)][:, None]
+        for kets, weights in (
+                (unit[:, 0], np.ones(1)),                        # not 2 x k
+                (np.ones((4, 1)), np.ones(1)),
+                (unit, np.ones(2)),                              # one weight per ket
+                (np.eye(2), np.ones(2)),                         # trace 2
+                (np.ones((2, 1)), np.ones(1)),                   # a ket of norm^2 2
+                (unit, np.full(1, 0.5)),                         # trace 0.5
+                (unit, np.zeros(1)),                             # trace 0
+                (np.eye(2), np.array([1.5, -0.5])),              # a negative weight
+                (np.eye(2), np.array([np.nan, 1.0]))):           # a NaN weight
             with pytest.raises(InvariantViolationError):
-                ctc_readout(AMPS, bad)
+                ctc_readout(AMPS, kets, weights)
 
-    def test_ket_and_density_matrix_agree(self):
-        for state in candidate_states(AMPS).values():
-            from_ket = ctc_readout(AMPS, state)
-            from_matrix = ctc_readout(AMPS, np.outer(state, state.conj()))
-            np.testing.assert_allclose(from_ket[0], from_matrix[0], atol=1e-12)
-            assert from_ket[1] == from_matrix[1]
-            assert trace_norm(from_ket[3].fixed_point.matrix
-                              - from_matrix[3].fixed_point.matrix) <= 1e-12
+    def test_ensembles_of_one_state_agree(self):
+        # Bob's qubit is his density matrix, whatever ensemble gives it: a
+        # ket and its eigen-ensemble, and the eigen-ensemble of a random state
+        # and three kets from a random isometry, solve to the same readout.
+        rng = np.random.default_rng(173)
+        pairs = [((state[:, None], np.ones(1)), ensemble(np.outer(state, state.conj())))
+                 for state in candidate_states(AMPS).values()]
+        for _ in range(200):
+            rho_bob = random_density(2, rng)
+            kets, weights = ensemble(rho_bob)
+            mixed = haar_unitary(3, rng)[:, :2] @ (kets * np.sqrt(weights)).T
+            norms = np.linalg.norm(mixed, axis=1)
+            pairs.append(((kets, weights), ((mixed / norms[:, None]).T, norms ** 2)))
+        for first, second in pairs:
+            one, other = ctc_readout(AMPS, *first), ctc_readout(AMPS, *second)
+            np.testing.assert_allclose(one[0], other[0], rtol=0, atol=1e-12)
+            assert trace_norm(one[3].fixed_point.matrix - other[3].fixed_point.matrix) <= 1e-12
 
     def test_degenerate_pair_is_solved_not_rejected(self):
         # The degeneracy check belongs to the callers; the stage itself
         # reports the larger fixed-point space.
         amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
         state = candidate_states(amps)[(0, 0)]
-        _, _, _, fixed = ctc_readout(amps, np.outer(state, state.conj()))
+        _, _, _, fixed = ctc_readout(amps, *ensemble(np.outer(state, state.conj())))
         assert fixed.fp_space_dim >= 2
 
 
