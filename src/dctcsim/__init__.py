@@ -59,7 +59,6 @@ from .qmath import (
     RegisterLayout,
     UnitaryOperator,
     kron,
-    partial_trace,
     pure_fidelity,
     trace_norm,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "is_ppt",
     "kron",
     "log_negativity",
-    "partial_trace",
     "partial_transpose",
     "pauli_residual",
     "pure_fidelity",

@@ -126,21 +126,16 @@ class AmplitudePair:
         return min((a2 - b2) ** 2, 4 * a2 * b2) <= UNIT_EIGENVALUE_ATOL
 
 
-def _normalize_code(code) -> tuple:
-    if isinstance(code, str) and set(code) <= {"0", "1"}:
-        code = tuple(map(int, code))
-    if not isinstance(code, (tuple, list)) or tuple(code) not in BLOCK_CODES:
-        raise InvariantViolationError(f"invalid block code {code!r}")
-    return tuple(code)
-
-
 def _block_matrix(code: tuple, amps: AmplitudePair) -> np.ndarray:
     return _LAYERS[code] @ kron(_ROTATIONS[code](amps.alpha, amps.beta), I2)
 
 
 def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
-    """One of the four 4x4 controlled blocks, selected by a two-bit code."""
-    return UnitaryOperator(_block_matrix(_normalize_code(code), amps))
+    """One of the four 4x4 controlled blocks, selected by a code in ``BLOCK_CODES``."""
+    if not (isinstance(code, tuple) and all(isinstance(bit, int) for bit in code)
+            and code in BLOCK_CODES):
+        raise InvariantViolationError(f"invalid block code {code!r}")
+    return UnitaryOperator(_block_matrix(code, amps))
 
 
 def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:

@@ -199,43 +199,41 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
 
 # --- classically controlled CTCs: the label chain ----------------------------
 
-def _escape_cycles(P: list, floor: float = 0.0) -> tuple:
-    """Follow each label's escape, a probability above ``floor`` of leaving
-    for another label in the row-stochastic ``P[i][j]`` (i -> j), to the
-    cycle it reaches.  Returns the escapes as ``{label: (successor,
-    probability)}`` and, per label, the sorted tuple of its cycle; a label
-    that never escapes is a cycle of one.  Raises ``InvariantViolationError``
-    for a label with two escapes."""
+def _cesaro_limit(P: list) -> tuple:
+    """Limit of the Cesaro average of the uniform distribution under the
+    row-stochastic ``P[i][j]`` (i -> j), and the number of closed classes.
+
+    Each label's escape, its one probability above 0 of leaving for another
+    label, is followed to the cycle it reaches; a label that never escapes
+    is a cycle of one.  Each label's mass goes to its cycle, spread there in
+    proportion to 1/e_c: ratios to the cycle's smallest escape, which cannot
+    overflow.  With escapes of at most ``UNIT_EIGENVALUE_ATOL`` counted as
+    absent, the closed classes are the cycles with no such escape plus the
+    labels with one.  Returns ``(p, closed)``.  Raises
+    ``InvariantViolationError`` for a label with two escapes."""
     escapes = {}
     for i, row in enumerate(P):
-        out = [(j, rate) for j, rate in enumerate(row) if j != i and rate > floor]
+        out = [(j, rate) for j, rate in enumerate(row) if j != i and rate > 0]
         if len(out) > 1:
             raise InvariantViolationError(
                 f"label {i} escapes to labels {[j for j, _ in out]}, not to one")
         if out:
             escapes[i] = out[0]
-    cycles = []
+    cycles = Counter()
     for label in range(len(P)):
         path = []
         while label not in path:
             path.append(label)
             label = escapes.get(label, (label,))[0]
-        cycles.append(tuple(sorted(path[path.index(label):])))
-    return escapes, cycles
-
-
-def _cesaro_limit(P: list) -> np.ndarray:
-    """Limit of the Cesaro average of the uniform distribution under ``P``.
-    Each label's mass goes to the cycle it reaches, spread there in
-    proportion to 1/e_c: ratios to the cycle's smallest escape, which
-    cannot overflow."""
-    escapes, cycles = _escape_cycles(P)
+        cycles[tuple(sorted(path[path.index(label):]))] += 1
     p = np.zeros(len(P))
-    for cycle, count in Counter(cycles).items():
+    closed = sum(rate <= UNIT_EIGENVALUE_ATOL for _, rate in escapes.values())
+    for cycle, count in cycles.items():
         rates = [escapes[c][1] for c in cycle] if len(cycle) > 1 else [1.0]
         shares = np.array([min(rates) / rate for rate in rates])
         p[list(cycle)] = count / len(P) * (shares / shares.sum())
-    return p
+        closed += min(rates) > UNIT_EIGENVALUE_ATOL
+    return p, closed
 
 
 def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
@@ -253,7 +251,8 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     label must stay or escape to one other label, and p_c goes as 1/e_c on
     each cycle of escapes (see the module docstring).
 
-    ``fp_space_dim`` counts the cycles, with an escape of probability at most
+    ``fp_space_dim`` counts the chain's closed classes, found in the same
+    walk of the escapes as p, with an escape of probability at most
     ``UNIT_EIGENVALUE_ATOL`` counted as absent: the window the spectral solve
     applies to eigenvalues.  p itself is solved on every escape, so it stays
     an exact fixed point inside that window.  Returns
@@ -284,7 +283,7 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     taus = (scaled @ scaled.conj().transpose(0, 2, 1)).reshape(d, d * d)
     flat = scaled.reshape(d, -1)
     gram = flat @ flat.conj().T
-    p = _cesaro_limit(P)
+    p, closed = _cesaro_limit(P)
     residual = np.inf
     try:
         sigma = (p @ taus).reshape(d, d)
@@ -295,6 +294,5 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
         raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
     if not residual < config.tolerance:
         raise FixedPointConvergenceError(residual, config.tolerance)
-    dim = len(set(_escape_cycles(P, UNIT_EIGENVALUE_ATOL)[1]))
-    result = FixedPointResult(fixed_point, residual, dim, method="chain")
+    result = FixedPointResult(fixed_point, residual, closed, method="chain")
     return DensityOperator(sigma * gram), result

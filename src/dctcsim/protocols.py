@@ -114,7 +114,6 @@ ALICE_OUTCOME_BITS = {
     BellLabel.PHI_MINUS: (1, 0),
     BellLabel.PSI_MINUS: (1, 1),
 }
-_OUTCOME_FROM_BITS = {bits: label for label, bits in ALICE_OUTCOME_BITS.items()}
 CORRECTIONS = {(0, 0): I2, (0, 1): X, (1, 0): Z, (1, 1): Y}
 
 # Alice's Bell measurement on qubits (psi, her half of the pair): row k is
@@ -177,8 +176,6 @@ def _bob_ensemble(pairs: np.ndarray, pair_weights: np.ndarray, amps: AmplitudePa
         outcome = _OUTCOMES[_generator(seed).choice(4, p=weights / weights.sum())]
     elif isinstance(alice_outcome, BellLabel):
         outcome = alice_outcome
-    elif isinstance(alice_outcome, (tuple, list)) and tuple(alice_outcome) in _OUTCOME_FROM_BITS:
-        outcome = _OUTCOME_FROM_BITS[tuple(alice_outcome)]
     else:
         raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
     k = _OUTCOMES.index(outcome)
@@ -190,7 +187,7 @@ def _bob_ensemble(pairs: np.ndarray, pair_weights: np.ndarray, amps: AmplitudePa
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
     """Bob's qubit after teleportation of psi and his correction for Alice's
-    outcome, given as a :class:`BellLabel` or a two-bit tuple."""
+    outcome, a :class:`BellLabel`."""
     _, kets, _ = _bob_ensemble(bell.state_vector()[None], np.ones(1), amps,
                                alice_outcome=alice_outcome)
     return as_state_vector(kets[:, 0])

@@ -226,20 +226,3 @@ def _partial_trace_matrix(mat: np.ndarray, n_qubits: int, keep_positions) -> np.
     d = 2 ** len(keep)
     return t.reshape(d, d)
 
-
-def partial_trace(rho: DensityOperator, layout: RegisterLayout, keep) -> DensityOperator:
-    """Trace out all qubits not named in ``keep``.
-
-    ``keep`` is an iterable of qubit labels; a bare string is one label.  The
-    kept qubits stay in layout order.  Tracing out everything returns the 1x1
-    operator ``[[1]]``.
-    """
-    if layout.dim != rho.dim:
-        raise InvariantViolationError(
-            f"layout dimension {layout.dim} does not match operator dimension {rho.dim}")
-    keep_labels = (keep,) if isinstance(keep, str) else tuple(keep)
-    positions = layout.positions(keep_labels)
-    if len(set(positions)) != len(positions):
-        raise InvariantViolationError(f"repeated labels in selector {keep_labels}")
-    reduced = _partial_trace_matrix(rho.matrix, layout.n_qubits, positions)
-    return DensityOperator(reduced)

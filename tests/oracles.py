@@ -222,6 +222,21 @@ def interaction(alpha: float, beta: float, circuit: str = "cycle") -> np.ndarray
     return controlled @ qubit_swap(4, 0, 2) @ qubit_swap(4, 1, 3)
 
 
+def closed_classes(P: np.ndarray, floor: float) -> int:
+    """Number of closed communicating classes of the row-stochastic chain
+    ``P[i, j]`` (i -> j), with every move to another label of probability at
+    most ``floor`` dropped.  Reachability is the transitive closure of the
+    remaining moves (Warshall); a class is closed when every label it reaches
+    reaches it back."""
+    n = len(P)
+    reach = (np.asarray(P) > floor) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach = reach | (reach[:, k:k + 1] & reach[k:k + 1, :])
+    classes = {tuple(np.flatnonzero(reach[i] & reach[:, i])) for i in range(n)
+               if (reach[i] <= reach[:, i]).all()}
+    return len(classes)
+
+
 def discrimination_chain(alpha: float, beta: float, cr_qubit: np.ndarray) -> np.ndarray:
     """Column-stochastic transition matrix of the CTC label chain: entry
     [c', c] is the weight of basis label c' in U_c (cr_qubit (x) |0>)."""

@@ -77,7 +77,7 @@ class TestBlockUnitaries:
 
     def test_code_10_maps_third_candidate(self):
         vin = kron(np.array([0.8, 0.6]), ket("0"))
-        vout = block_unitary("10", AMPS).matrix @ vin
+        vout = block_unitary((1, 0), AMPS).matrix @ vin
         np.testing.assert_allclose(vout, ket("10"), atol=1e-12)
 
     def test_code_11_maps_fourth_candidate_up_to_phase(self):
@@ -120,7 +120,8 @@ class TestBlockUnitaries:
                                    atol=1e-15)
 
     def test_invalid_code_rejected(self):
-        for bad in ((2, 0), "012", "ab", (0,), 5, None):
+        for bad in ((2, 0), "012", "ab", (0,), 5, None, "10", [1, 0], np.array([1, 0]),
+                    (np.array([1, 0]), np.array([0, 1]))):
             with pytest.raises(InvariantViolationError):
                 block_unitary(bad, AMPS)
 

@@ -28,11 +28,13 @@ from dctcsim import (
     teleport_and_correct,
     trace_norm,
 )
+from dctcsim.circuits import UNIT_EIGENVALUE_ATOL
 from dctcsim.deutsch import FixedPointResult
 from dctcsim.protocols import discriminate_bell
 from dctcsim.qmath import KET_0
 
 from oracles import (
+    closed_classes,
     eigen_fixed_point,
     ensemble,
     expected_blend,
@@ -368,6 +370,21 @@ class TestNearDegeneracy:
             assert record.fixed_point.unique
             assert record.outcome_probability >= 1 - 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.7071, 0.707106, 1e-5])
+    def test_spectral_solve_clips_and_steps_to_the_chain_state(self, alpha):
+        # Rounding of S leaves negative eigenvalues of order 1e-16 / gap on the
+        # projected state here; the clip and the channel step must still give
+        # a certified, unique fixed point close to the chain's.
+        amps = AmplitudePair.from_alpha(alpha)
+        u, layout = bhw_interaction(amps), bhw_layout()
+        for bell, outcome, rho_cr in _discrimination_inputs(amps):
+            result = solve_fixed_point(u, rho_cr, layout)
+            assert result.residual < 1e-12
+            assert result.fp_space_dim == 1
+            bob = teleport_and_correct(bell, amps, outcome)
+            chain = ctc_readout(amps, bob[:, None], np.ones(1))[3].fixed_point
+            assert trace_norm(result.fixed_point.matrix - chain.matrix) <= 1e-5
+
     def test_closer_runs_identify_or_raise_typed_error(self):
         # At |alpha - beta| = 1.6e-6 the chain's gap is about 5e-12; the solve
         # must still certify the fixed point and read it deterministically.
@@ -468,7 +485,7 @@ class TestLabelChain:
         # Two states that swap with probabilities 1e-30 and 3e-30: the
         # stationary distribution is (3/4, 1/4) whatever the gap.
         P = [[1.0, 1e-30], [3e-30, 1.0]]
-        np.testing.assert_allclose(deutsch._cesaro_limit(P), [0.75, 0.25], rtol=1e-15)
+        np.testing.assert_allclose(deutsch._cesaro_limit(P)[0], [0.75, 0.25], rtol=1e-15)
 
     def test_cesaro_limit_absorbs_transient_mass(self):
         # 0 and 3 absorb; 1 goes to 2 and 2 goes to 3, so 3 collects three labels' mass.
@@ -476,7 +493,7 @@ class TestLabelChain:
              [0.0, 0.0, 1.0, 0.0],
              [0.0, 0.0, 0.0, 1.0],
              [0.0, 0.0, 0.0, 1.0]]
-        np.testing.assert_allclose(deutsch._cesaro_limit(P), [0.25, 0.0, 0.0, 0.75],
+        np.testing.assert_allclose(deutsch._cesaro_limit(P)[0], [0.25, 0.0, 0.0, 0.75],
                                    rtol=1e-15)
 
     def test_label_with_two_escapes_rejected(self):
@@ -493,7 +510,7 @@ class TestLabelChain:
         escape = [1e-30, 2e-30, 3e-30, 4e-30]
         P = [[1.0 if j == i else escape[i] if j == (i + 1) % 4 else 0.0 for j in range(4)]
              for i in range(4)]
-        np.testing.assert_allclose(deutsch._cesaro_limit(P), np.array([12, 6, 4, 3]) / 25,
+        np.testing.assert_allclose(deutsch._cesaro_limit(P)[0], np.array([12, 6, 4, 3]) / 25,
                                    rtol=1e-15)
 
     @pytest.mark.parametrize("P, expected", [
@@ -502,7 +519,7 @@ class TestLabelChain:
     ])
     def test_subnormal_escapes_do_not_overflow(self, P, expected):
         # 1 / 5e-324 overflows to inf; ratios to the smallest escape do not.
-        np.testing.assert_allclose(deutsch._cesaro_limit(P), expected, rtol=1e-15)
+        np.testing.assert_allclose(deutsch._cesaro_limit(P)[0], expected, rtol=1e-15)
 
     def test_cycle_solve_matches_cesaro_average_of_matrix_powers(self):
         # Far out, P^k repeats with the period of some cycle of at most 6 labels,
@@ -519,7 +536,22 @@ class TestLabelChain:
             far = np.linalg.matrix_power(P, 2 ** 20)
             average = sum(np.linalg.matrix_power(P, k) for k in range(60)) / 60
             expected = np.full(n, 1.0 / n) @ far @ average
-            np.testing.assert_allclose(deutsch._cesaro_limit(P.tolist()), expected, atol=1e-12)
+            np.testing.assert_allclose(deutsch._cesaro_limit(P.tolist())[0], expected, atol=1e-12)
+
+    def test_closed_classes_match_reachability_oracle(self):
+        # Escapes at 1/2, 1 and 2 times the window: the count drops those at or
+        # below it and keeps the rest, in the same walk that solves p.
+        rng = np.random.default_rng(127)
+        window = UNIT_EIGENVALUE_ATOL
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            P = np.eye(n)
+            for i in range(n):
+                j = int(rng.integers(n))
+                if j != i and rng.random() < 0.8:
+                    escape = rng.choice([0.5 * window, window, 2 * window, rng.uniform(0.05, 1)])
+                    P[i, i], P[i, j] = 1.0 - escape, escape
+            assert deutsch._cesaro_limit(P.tolist())[1] == closed_classes(P, window)
 
     @pytest.mark.filterwarnings("error")
     def test_malformed_inputs_rejected(self):

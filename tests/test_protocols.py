@@ -217,7 +217,7 @@ class TestDiscriminateBell:
             BellLabel.from_b1b2(2, 0)
 
     def test_invalid_alice_outcome_rejected(self):
-        for bad in (3, (0, 2), "00", np.array([0, 1])):
+        for bad in (3, (0, 2), "00", np.array([0, 1]), (0, 1)):
             with pytest.raises(InvariantViolationError):
                 discriminate_bell(BellLabel.PHI_PLUS, AMPS, alice_outcome=bad)
             with pytest.raises(InvariantViolationError):
