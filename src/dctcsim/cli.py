@@ -173,7 +173,7 @@ def _discrimination_row(record) -> dict:
 def run_fixed_point(args, amps, config):
     rows = []
     for code, state in candidate_states(amps).items():
-        _, b1b2, probability, result = ctc_readout(amps, state[:, None], np.ones(1), config)
+        _, b1b2, probability, result = ctc_readout(amps, state[:, None], config)
         rows.append({
             "code": _bits_str(code),
             "input_state": _state_str(state),

@@ -61,7 +61,8 @@ class SolverConfig:
     tolerance: float = 1e-12          # trace-norm residual ||Phi(s) - s||_1
 
     def __post_init__(self):
-        if not isinstance(self.tolerance, numbers.Real) or not 0 < self.tolerance < np.inf:
+        if (isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real)
+                or not 0 < self.tolerance < np.inf):
             raise InvariantViolationError("tolerance must be a finite positive real number")
 
 
@@ -236,18 +237,16 @@ def _cesaro_limit(P: list) -> tuple:
     return p, closed
 
 
-def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
-                      config: SolverConfig | None = None) -> tuple:
+def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -> tuple:
     """Run a CTC that acts as a classical label: the registers are swapped,
     then block U_c acts on the CTC register when the CR register reads c.
 
-    The CR input is rho_CR = sum_j weights[j] v_j v_j^dag, given through the
-    block outputs ``outputs[c, :, j] = U_c v_j``.  With
-    tau_c = U_c rho_CR U_c^dag and the label chain
-    M[c', c] = sum_j weights[j] |outputs[c, c', j]|^2, the CTC state is
-    sigma* = sum_c p_c tau_c, where p is the Cesaro limit of M^n applied to the
-    uniform distribution, and the CR output is sigma* times the Gram matrix
-    of the blocks, entrywise: sigma*_cc' Tr(U_c rho_CR U_c'^dag).  Each
+    The CR input is rho_CR = K K^dag, given through the block outputs
+    ``outputs[c] = U_c K`` of its factor K.  With tau_c = U_c rho_CR U_c^dag
+    and the label chain M[c', c] = sum_j |outputs[c, c', j]|^2, the CTC state
+    is sigma* = sum_c p_c tau_c, where p is the Cesaro limit of M^n applied to
+    the uniform distribution, and the CR output is sigma* times the Gram
+    matrix of the blocks, entrywise: sigma*_cc' Tr(U_c rho_CR U_c'^dag).  Each
     label must stay or escape to one other label, and p_c goes as 1/e_c on
     each cycle of escapes (see the module docstring).
 
@@ -257,31 +256,27 @@ def apply_label_chain(outputs: np.ndarray, weights: np.ndarray,
     applies to eigenvalues.  p itself is solved on every escape, so it stays
     an exact fixed point inside that window.  Returns
     ``(cr_out, FixedPointResult)`` like :func:`apply_dctc`.  Raises
-    ``InvariantViolationError`` for non-finite outputs or weights, negative
-    weights, a CR input whose trace (the sum of every row of the chain) is
-    not 1 within ``TRACE_ATOL``, or a label with two escapes, and
+    ``InvariantViolationError`` for non-finite outputs, a CR input whose
+    trace (the sum of every row of the chain) is not 1 within
+    ``TRACE_ATOL``, or a label with two escapes, and
     ``FixedPointConvergenceError`` when sigma* is not a density operator or
     fails the residual check.
     """
     config = config or SolverConfig()
     outputs = np.asarray(outputs, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
     if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1]:
         raise InvariantViolationError(
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
     if not np.isfinite(outputs).all():
         raise InvariantViolationError("block outputs must be finite")
-    if weights.shape != outputs.shape[2:] or not all(0 <= w < np.inf for w in weights.tolist()):
-        raise InvariantViolationError("weights must be finite and non-negative, one per vector")
     d = outputs.shape[0]
-    scaled = outputs * np.sqrt(weights)
-    P = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=2)               # P[c, c'] = M[c', c]
-    traces = P.sum(axis=1)              # row c: sum_j weights[j] |U_c v_j|^2 = Tr(rho_CR)
+    P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=2)             # P[c, c'] = M[c', c]
+    traces = P.sum(axis=1)                          # row c: ||U_c K||_F^2 = Tr(rho_CR)
     if not (abs(traces - 1.0) <= TRACE_ATOL).all():
-        raise InvariantViolationError(f"weights give a CR input of trace {traces.tolist()}, not 1")
+        raise InvariantViolationError(f"CR input has trace {traces.tolist()}, not 1")
     P = P.tolist()
-    taus = (scaled @ scaled.conj().transpose(0, 2, 1)).reshape(d, d * d)
-    flat = scaled.reshape(d, -1)
+    taus = (outputs @ outputs.conj().transpose(0, 2, 1)).reshape(d, d * d)
+    flat = outputs.reshape(d, -1)
     gram = flat @ flat.conj().T
     p, closed = _cesaro_limit(P)
     residual = np.inf

@@ -12,14 +12,14 @@ point of the circuit (:mod:`dctcsim.circuits`) is unique for every
 non-degenerate amplitude pair, so that readout is deterministic.
 
 :func:`ctc_readout` is that CTC stage, the one place it is assembled: Bob's
-qubit, given as an ensemble of unit kets and weights, and a |0> ancilla form
-the CR input, the Deutsch fixed point is solved through the circuit's
+qubit, given as a factor K of his density matrix K K^dag, and a |0> ancilla
+form the CR input, the Deutsch fixed point is solved through the circuit's
 four-label chain (no 16x16 interaction is built), and the CR register is
 read out.  The discrimination, the improper-mixture run and the CLI
-``fixed-point`` experiment all call it.  The experiments get Bob's ensemble
+``fixed-point`` experiment all call it.  The experiments get Bob's factor
 from one path, :func:`_bob_ensemble`: Alice's Bell measurement on psi (x)
-the shared Bell vector, or on each eigenvector of the AB marginal, then
-Bob's correction.
+the shared Bell vector, or on the eigenvectors of the AB marginal scaled by
+the square roots of their eigenvalues, then Bob's correction.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -164,44 +164,41 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
-def _bob_ensemble(pairs: np.ndarray, pair_weights: np.ndarray, amps: AmplitudePair,
-                  seed=None, alice_outcome=None) -> tuple:
-    """Alice measures psi (x) each pair ket (rows of ``pairs``) with weights
-    w_j; outcome k, unless ``alice_outcome`` pins it, is drawn with probability
-    p_k = sum_j w_j |b_jk|^2.  Returns ``(outcome, kets, weights)``: Bob's
-    corrected b_jk / |b_jk| as the columns of ``kets``, weighted w_j |b_jk|^2 / p_k."""
+def _bob_ensemble(pairs: np.ndarray, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
+    """Alice measures psi (x) rho_AB, given as the rows f_j of ``pairs`` with
+    rho_AB = sum_j f_j f_j^dag; outcome k, unless ``alice_outcome`` pins it, is
+    drawn with probability p_k = sum_j |b_jk|^2.  Returns ``(outcome, kets)``:
+    Bob's corrected b_jk / sqrt(p_k) as the columns of ``kets``, so his state
+    is ``kets @ kets.conj().T``."""
     branches, probabilities = _alice_branches(pairs, amps)
-    weights = pair_weights @ probabilities
+    p = probabilities.sum(axis=0)
     if alice_outcome is None:
-        outcome = _OUTCOMES[_generator(seed).choice(4, p=weights / weights.sum())]
+        outcome = _OUTCOMES[_generator(seed).choice(4, p=p / p.sum())]
     elif isinstance(alice_outcome, BellLabel):
         outcome = alice_outcome
     else:
         raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
     k = _OUTCOMES.index(outcome)
-    bob = branches[:, k]
     correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
-    kets = correction @ (bob / np.linalg.norm(bob, axis=-1)[:, None]).T
-    return outcome, kets, pair_weights * probabilities[:, k] / weights[k]
+    return outcome, correction @ (branches[:, k] / np.sqrt(p[k])).T
 
 
 def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
     """Bob's qubit after teleportation of psi and his correction for Alice's
     outcome, a :class:`BellLabel`."""
-    _, kets, _ = _bob_ensemble(bell.state_vector()[None], np.ones(1), amps,
-                               alice_outcome=alice_outcome)
+    _, kets = _bob_ensemble(bell.state_vector()[None], amps, alice_outcome=alice_outcome)
     return as_state_vector(kets[:, 0])
 
 
-def ctc_readout(amps: AmplitudePair, kets: np.ndarray, weights: np.ndarray,
+def ctc_readout(amps: AmplitudePair, kets: np.ndarray,
                 config: SolverConfig | None = None) -> tuple:
     """Run Bob's qubit through the CTC stage and read the CR register.
 
-    Bob's qubit is sum_j weights[j] v_j v_j^dag over the columns v_j of
-    ``kets`` (2 x k); a ket is one column with weight 1.  The circuit's CTC
-    is a classical label, so the stage is solved through its label chain
-    (:func:`apply_label_chain`) from the block outputs of those columns; that
-    solve checks the weights and the unit trace of the CR input.
+    Bob's qubit is K K^dag for the 2 x k factor K = ``kets``; a ket is one
+    column.  The circuit's CTC is a classical label, so the stage is solved
+    through its label chain (:func:`apply_label_chain`) from the block
+    outputs of those columns; that solve checks the unit trace of the CR
+    input.
     Returns ``(distribution, b1b2, probability, fixed_point)``: the
     :func:`modal_readout` triple of the CR output and the
     :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
@@ -210,7 +207,7 @@ def ctc_readout(amps: AmplitudePair, kets: np.ndarray, weights: np.ndarray,
     kets = np.asarray(kets, dtype=complex)
     if kets.ndim != 2 or kets.shape[0] != 2:
         raise InvariantViolationError(f"Bob's kets must be a 2 x k array, got shape {kets.shape}")
-    cr_out, fixed = apply_label_chain(block_outputs(amps, kets), weights, config)
+    cr_out, fixed = apply_label_chain(block_outputs(amps, kets), config)
     return (*modal_readout(cr_out), fixed)
 
 
@@ -244,13 +241,14 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
     computational value (:func:`modal_readout`); the probability of that
     value is reported, not assumed.
     """
+    if not isinstance(bell, BellLabel):
+        raise InvariantViolationError(f"invalid Bell label {bell!r}")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    outcome, kets, weights = _bob_ensemble(bell.state_vector()[None], np.ones(1), amps,
-                                           seed, alice_outcome)
-    _, b1b2, probability, fixed = ctc_readout(amps, kets, weights, config)
+    outcome, kets = _bob_ensemble(bell.state_vector()[None], amps, seed, alice_outcome)
+    _, b1b2, probability, fixed = ctc_readout(amps, kets, config)
     return DiscriminationRecord(
         input_bell=bell,
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
@@ -342,18 +340,19 @@ class ImproperMixtureRecord:
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
                          seed=None) -> ImproperMixtureRecord:
-    """Alice measures psi (x) each eigenvector of the Smolin AB marginal,
-    weighted by its eigenvalue, and Bob's ensemble for her drawn outcome
-    (:func:`_bob_ensemble`) goes through :func:`ctc_readout`."""
+    """Alice measures psi (x) the Smolin AB marginal, factored as its
+    eigenvectors scaled by the square roots of their eigenvalues, and Bob's
+    factor for her drawn outcome (:func:`_bob_ensemble`) goes through
+    :func:`ctc_readout`."""
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
-    pair_weights, pairs = np.linalg.eigh(rho_ab)
-    outcome, kets, weights = _bob_ensemble(pairs.T, np.clip(pair_weights, 0.0, None), amps, seed)
-    distribution, b1b2, probability, fixed = ctc_readout(amps, kets, weights, config)
+    w, pairs = np.linalg.eigh(rho_ab)
+    outcome, kets = _bob_ensemble((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
+    distribution, b1b2, probability, fixed = ctc_readout(amps, kets, config)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=DensityOperator((kets * weights) @ kets.conj().T),
+        bob_state=DensityOperator(kets @ kets.conj().T),
         cr_distribution=distribution,
         modal_b1b2=b1b2,
         modal_probability=probability,

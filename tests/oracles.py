@@ -52,11 +52,12 @@ def improper_mixture_branches(psi: np.ndarray, rho_ab: np.ndarray) -> dict:
     return branches
 
 
-def ensemble(rho: np.ndarray) -> tuple:
-    """A density matrix as the ``(kets, weights)`` the CTC stage takes: its
-    eigenvectors as columns and its eigenvalues, clipped at 0."""
+def ensemble(rho: np.ndarray) -> np.ndarray:
+    """A density matrix as the factor K, rho = K K^dag, that the CTC stage
+    takes: its eigenvectors as columns, each scaled by the square root of its
+    eigenvalue, clipped at 0."""
     weights, kets = np.linalg.eigh(rho)
-    return kets, np.clip(weights, 0.0, None)
+    return kets * np.sqrt(np.clip(weights, 0.0, None))
 
 
 def ket(bits: str) -> np.ndarray:

@@ -207,9 +207,11 @@ class TestExitCodes:
 
     def test_non_convergence_is_3(self, capsys):
         # The chain solve of a pure candidate at alpha = 0.6 is exact (residual
-        # 0.0), so no tolerance fails it; the improper mixture's solve, from
-        # Bob's four-ket ensemble for Alice's outcome, keeps a rounding residual.
-        code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--tolerance", "1e-20")
+        # 0.0), so no tolerance fails it; the improper mixture's solve at
+        # alpha = 0.3, from Bob's factor for Alice's outcome, keeps a rounding
+        # residual of 6.7e-16.
+        code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--alpha", "0.3",
+                               "--tolerance", "1e-20")
         assert code == 3
         assert "converge" in err
         code, _, _ = run_cli(capsys, "fixed-point", "--max-iterations", "20000")

@@ -15,22 +15,22 @@ from dctcsim import (
     RegisterLayout,
     SolverConfig,
     UnitaryOperator,
-    apply_dctc,
     bhw_interaction,
     bhw_layout,
     candidate_states,
     ctc_map,
-    ctc_readout,
-    fixed_point_space_dim,
     kron,
     solve_fixed_point,
-    superoperator_matrix,
-    teleport_and_correct,
     trace_norm,
 )
 from dctcsim.circuits import UNIT_EIGENVALUE_ATOL
-from dctcsim.deutsch import FixedPointResult
-from dctcsim.protocols import discriminate_bell
+from dctcsim.deutsch import (
+    FixedPointResult,
+    apply_dctc,
+    fixed_point_space_dim,
+    superoperator_matrix,
+)
+from dctcsim.protocols import ctc_readout, discriminate_bell, teleport_and_correct
 from dctcsim.qmath import KET_0
 
 from oracles import (
@@ -382,7 +382,7 @@ class TestNearDegeneracy:
             assert result.residual < 1e-12
             assert result.fp_space_dim == 1
             bob = teleport_and_correct(bell, amps, outcome)
-            chain = ctc_readout(amps, bob[:, None], np.ones(1))[3].fixed_point
+            chain = ctc_readout(amps, bob[:, None])[3].fixed_point
             assert trace_norm(result.fixed_point.matrix - chain.matrix) <= 1e-5
 
     def test_closer_runs_identify_or_raise_typed_error(self):
@@ -396,10 +396,10 @@ class TestNearDegeneracy:
 
 
 def _chain_inputs(blocks, ket):
-    """Block outputs U_c (ket (x) |0>) of 4x4 blocks keyed by code, with weight 1."""
+    """Block outputs U_c (ket (x) |0>) of 4x4 blocks keyed by code, one column each."""
     vin = np.kron(np.asarray(ket, dtype=complex), KET_0)
     outputs = np.array([blocks[code] @ vin for code in sorted(blocks)])
-    return outputs[:, :, None], np.ones(1)
+    return outputs[:, :, None]
 
 
 class TestLabelChain:
@@ -412,7 +412,7 @@ class TestLabelChain:
             u = bhw_interaction(amps)
             for bell, outcome, rho_cr in _discrimination_inputs(amps):
                 bob = teleport_and_correct(bell, amps, outcome)
-                fixed = ctc_readout(amps, bob[:, None], np.ones(1))[3]
+                fixed = ctc_readout(amps, bob[:, None])[3]
                 image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
                 assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
         rng = np.random.default_rng(101)
@@ -420,7 +420,7 @@ class TestLabelChain:
         for _ in range(5):
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
-            fixed = ctc_readout(AMPS, *ensemble(rho_bob))[3]
+            fixed = ctc_readout(AMPS, ensemble(rho_bob))[3]
             image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
             assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
 
@@ -437,7 +437,7 @@ class TestLabelChain:
             for bell in BellLabel:
                 for outcome in BellLabel:
                     bob = teleport_and_correct(bell, amps, outcome)
-                    fixed = ctc_readout(amps, bob[:, None], np.ones(1))[3]
+                    fixed = ctc_readout(amps, bob[:, None])[3]
                     assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
                     assert fixed.method == "chain"
 
@@ -474,8 +474,8 @@ class TestLabelChain:
         # from the uniform distribution matches the spectral solve.
         u, rho_cr, layout = worked_instance(literal())
         spectral_out, spectral = apply_dctc(u, rho_cr, layout)
-        outputs, weights = _chain_inputs(four_blocks(0.6, 0.8, "literal"), [0.8, 0.6])
-        cr_out, fixed = deutsch.apply_label_chain(outputs, weights)
+        outputs = _chain_inputs(four_blocks(0.6, 0.8, "literal"), [0.8, 0.6])
+        cr_out, fixed = deutsch.apply_label_chain(outputs)
         assert fixed.fp_space_dim == spectral.fp_space_dim == 2
         assert trace_norm(fixed.fixed_point.matrix - spectral.fixed_point.matrix) <= 1e-12
         assert abs(cr_out.matrix[2, 2].real - 0.5) <= 1e-12
@@ -503,7 +503,7 @@ class TestLabelChain:
         outputs = np.eye(4, dtype=complex)[:, :, None]     # every label stays ...
         outputs[1, :, 0] = [0.6, 0.0, 0.8, 0.0]             # ... but 1 leaves for 0 and 2
         with pytest.raises(InvariantViolationError):
-            deutsch.apply_label_chain(outputs, np.ones(1))
+            deutsch.apply_label_chain(outputs)
 
     def test_cycle_mass_goes_as_inverse_escape(self):
         # p_c e_c is the same on every label of a cycle: p is (1/e) / sum(1/e).
@@ -555,21 +555,15 @@ class TestLabelChain:
 
     @pytest.mark.filterwarnings("error")
     def test_malformed_inputs_rejected(self):
-        outputs, weights = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
+        outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
         with pytest.raises(InvariantViolationError):
-            deutsch.apply_label_chain(outputs[:, :2], weights)
-        with pytest.raises(InvariantViolationError):
-            deutsch.apply_label_chain(outputs, -weights)
-        # Each of these would otherwise reach a 0/0 or an inf * 0 in the solve.
-        for bad in (np.full(1, np.nan), np.full(1, np.inf), np.zeros(1)):
-            with pytest.raises(InvariantViolationError, match="weights"):
-                deutsch.apply_label_chain(outputs, bad)
+            deutsch.apply_label_chain(outputs[:, :2])
         # A CR input of trace 0 (all-zero outputs) or 4 fails the row sums of the chain.
         for bad_outputs in (np.zeros((4, 4, 1)), 2 * outputs):
-            with pytest.raises(InvariantViolationError, match="weights"):
-                deutsch.apply_label_chain(bad_outputs, weights)
+            with pytest.raises(InvariantViolationError, match="trace"):
+                deutsch.apply_label_chain(bad_outputs)
         with pytest.raises(InvariantViolationError, match="finite"):
-            deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs), weights)
+            deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs))
 
 
 class TestApplyDctc:
@@ -612,7 +606,8 @@ class TestApplyDctc:
 
 class TestConfigAndResult:
     def test_config_validation(self):
-        for bad in (0.0, -1e-12, float("nan"), float("inf"), float("1e400"), "1e-12", 1e-12j, None):
+        for bad in (0.0, -1e-12, float("nan"), float("inf"), float("1e400"), "1e-12", 1e-12j, None,
+                    True):
             with pytest.raises(InvariantViolationError):
                 SolverConfig(tolerance=bad)
         assert SolverConfig(tolerance=np.float64(1e-9)).tolerance == 1e-9

@@ -8,7 +8,6 @@ from dctcsim import (
     DensityOperator,
     InvariantViolationError,
     RegisterLayout,
-    distillable_upper_bound,
     is_ppt,
     kron,
     log_negativity,
@@ -18,6 +17,7 @@ from dctcsim import (
     smolin_state,
     trace_norm,
 )
+from dctcsim.entanglement import distillable_upper_bound
 from dctcsim.qmath import PHI_PLUS, _partial_trace_matrix
 
 from oracles import pt_brute, qubit_swap, random_density, smolin_pauli_form

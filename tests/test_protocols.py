@@ -14,21 +14,23 @@ from dctcsim import (
     InvariantViolationError,
     SolverConfig,
     UnitaryOperator,
-    apply_dctc,
     bhw_layout,
     candidate_states,
-    ctc_readout,
     discriminate_bell,
     distill_smolin,
     kron,
     pauli_residual,
-    pure_fidelity,
-    run_improper_mixture,
-    teleport_and_correct,
     trace_norm,
 )
-from dctcsim.protocols import ALICE_OUTCOME_BITS, modal_readout
-from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z
+from dctcsim.deutsch import apply_dctc
+from dctcsim.protocols import (
+    ALICE_OUTCOME_BITS,
+    ctc_readout,
+    modal_readout,
+    run_improper_mixture,
+    teleport_and_correct,
+)
+from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z, pure_fidelity
 
 from oracles import (
     BELL,
@@ -223,6 +225,11 @@ class TestDiscriminateBell:
             with pytest.raises(InvariantViolationError):
                 teleport_and_correct(BellLabel.PHI_PLUS, AMPS, bad)
 
+    def test_invalid_bell_rejected(self):
+        for bad in ("phi+", None):
+            with pytest.raises(InvariantViolationError, match="Bell label"):
+                discriminate_bell(bad, AMPS, seed=0)
+
     def test_seed_reproducibility(self):
         a = discriminate_bell(BellLabel.PSI_MINUS, AMPS, seed=42)
         b = discriminate_bell(BellLabel.PSI_MINUS, AMPS, seed=42)
@@ -300,6 +307,11 @@ class TestImproperMixture:
             assert abs(probability - 0.25) <= 1e-9
         assert record.fixed_point.residual < 1e-12
 
+    def test_degenerate_amplitudes_rejected(self):
+        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
+        with pytest.raises(DegenerateAmplitudesError):
+            run_improper_mixture(amps)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
     def test_matches_three_qubit_projector_reference(self, alpha):
         rho_ab = ptrace_brute(smolin_pauli_form(), 4, (0, 1))
@@ -333,7 +345,7 @@ class TestCtcReadout:
     def test_each_candidate_reads_its_own_label(self):
         for code, state in candidate_states(AMPS).items():
             distribution, b1b2, probability, fixed = ctc_readout(
-                AMPS, *ensemble(np.outer(state, state.conj())))
+                AMPS, ensemble(np.outer(state, state.conj())))
             assert b1b2 == code
             assert probability == max(distribution) >= 1 - 1e-12
             assert fixed.unique and fixed.residual < 1e-12
@@ -346,7 +358,7 @@ class TestCtcReadout:
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
             cr_out, expected = apply_dctc(u, rho_cr, bhw_layout())
-            distribution, b1b2, probability, fixed = ctc_readout(AMPS, *ensemble(rho_bob))
+            distribution, b1b2, probability, fixed = ctc_readout(AMPS, ensemble(rho_bob))
             want_distribution, want_b1b2, want_probability = modal_readout(cr_out)
             np.testing.assert_allclose(distribution, want_distribution, atol=1e-12)
             assert b1b2 == want_b1b2
@@ -355,34 +367,30 @@ class TestCtcReadout:
 
     def test_invalid_bob_state_rejected(self):
         unit = candidate_states(AMPS)[(0, 0)][:, None]
-        for kets, weights in (
-                (unit[:, 0], np.ones(1)),                        # not 2 x k
-                (np.ones((4, 1)), np.ones(1)),
-                (unit, np.ones(2)),                              # one weight per ket
-                (np.eye(2), np.ones(2)),                         # trace 2
-                (np.ones((2, 1)), np.ones(1)),                   # a ket of norm^2 2
-                (unit, np.full(1, 0.5)),                         # trace 0.5
-                (unit, np.zeros(1)),                             # trace 0
-                (np.eye(2), np.array([1.5, -0.5])),              # a negative weight
-                (np.eye(2), np.array([np.nan, 1.0]))):           # a NaN weight
+        for kets in (
+                unit[:, 0],                                      # not 2 x k
+                np.ones((4, 1)),
+                np.eye(2),                                       # trace 2
+                np.ones((2, 1)),                                 # a ket of norm^2 2
+                unit * np.sqrt(0.5),                             # trace 0.5
+                np.zeros((2, 1)),                                # trace 0
+                np.hstack([unit, np.full((2, 1), np.nan)])):     # a NaN entry
             with pytest.raises(InvariantViolationError):
-                ctc_readout(AMPS, kets, weights)
+                ctc_readout(AMPS, kets)
 
     def test_ensembles_of_one_state_agree(self):
-        # Bob's qubit is his density matrix, whatever ensemble gives it: a
-        # ket and its eigen-ensemble, and the eigen-ensemble of a random state
-        # and three kets from a random isometry, solve to the same readout.
+        # Bob's qubit is his density matrix K K^dag, whatever factor gives it:
+        # a ket and the eigen-factor of its projector, and the eigen-factor K
+        # of a random state and K V for a Haar isometry V (V V^dag = I), solve
+        # to the same readout.
         rng = np.random.default_rng(173)
-        pairs = [((state[:, None], np.ones(1)), ensemble(np.outer(state, state.conj())))
+        pairs = [(state[:, None], ensemble(np.outer(state, state.conj())))
                  for state in candidate_states(AMPS).values()]
         for _ in range(200):
-            rho_bob = random_density(2, rng)
-            kets, weights = ensemble(rho_bob)
-            mixed = haar_unitary(3, rng)[:, :2] @ (kets * np.sqrt(weights)).T
-            norms = np.linalg.norm(mixed, axis=1)
-            pairs.append(((kets, weights), ((mixed / norms[:, None]).T, norms ** 2)))
+            factor = ensemble(random_density(2, rng))
+            pairs.append((factor, factor @ haar_unitary(3, rng)[:2]))
         for first, second in pairs:
-            one, other = ctc_readout(AMPS, *first), ctc_readout(AMPS, *second)
+            one, other = ctc_readout(AMPS, first), ctc_readout(AMPS, second)
             np.testing.assert_allclose(one[0], other[0], rtol=0, atol=1e-12)
             assert trace_norm(one[3].fixed_point.matrix - other[3].fixed_point.matrix) <= 1e-12
 
@@ -391,7 +399,7 @@ class TestCtcReadout:
         # reports the larger fixed-point space.
         amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
         state = candidate_states(amps)[(0, 0)]
-        _, _, _, fixed = ctc_readout(amps, *ensemble(np.outer(state, state.conj())))
+        _, _, _, fixed = ctc_readout(amps, ensemble(np.outer(state, state.conj())))
         assert fixed.fp_space_dim >= 2
 
 
