@@ -41,6 +41,7 @@ from .qmath import (
     KET_0,
     KET_1,
     RegisterLayout,
+    UNIT_EIGENVALUE_ATOL,
     UnitaryOperator,
     X,
     _readonly,
@@ -48,10 +49,9 @@ from .qmath import (
 )
 
 NORMALIZATION_ATOL = 1e-12
-# An eigenvalue of the CTC channel this close to 1 counts as 1.  A pair is
-# degenerate when the discrimination channel's second eigenvalue, which sits
-# min((a^2 - b^2)^2, 4 a^2 b^2) below 1, falls in this window (|a - b| <~ 1e-6).
-UNIT_EIGENVALUE_ATOL = 2e-12
+# A pair is degenerate when the discrimination channel's second eigenvalue,
+# which sits min((a^2 - b^2)^2, 4 a^2 b^2) below 1, falls in the
+# UNIT_EIGENVALUE_ATOL window (|a - b| <~ 1e-6).
 
 BLOCK_CODES = ((0, 0), (0, 1), (1, 0), (1, 1))
 

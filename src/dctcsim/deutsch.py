@@ -41,13 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import UNIT_EIGENVALUE_ATOL
 from .errors import FixedPointConvergenceError, InvariantViolationError
 from .qmath import (
     DensityOperator,
     RegisterLayout,
     TRACE_ATOL,
+    UNIT_EIGENVALUE_ATOL,
     UnitaryOperator,
+    _complex_array,
     _partial_trace_matrix,
     kron,
     trace_norm,
@@ -263,7 +264,7 @@ def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -
     fails the residual check.
     """
     config = config or SolverConfig()
-    outputs = np.asarray(outputs, dtype=complex)
+    outputs = _complex_array(outputs, "block outputs")
     if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1]:
         raise InvariantViolationError(
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")

@@ -17,9 +17,10 @@ form the CR input, the Deutsch fixed point is solved through the circuit's
 four-label chain (no 16x16 interaction is built), and the CR register is
 read out.  The discrimination, the improper-mixture run and the CLI
 ``fixed-point`` experiment all call it.  The experiments get Bob's factor
-from one path, :func:`_bob_ensemble`: Alice's Bell measurement on psi (x)
-the shared Bell vector, or on the eigenvectors of the AB marginal scaled by
-the square roots of their eigenvalues, then Bob's correction.
+from the one teleportation step, :func:`teleport_and_correct`: Alice's Bell
+measurement on psi (x) the shared pair, given as a factor (the Bell vector,
+or the eigenvectors of the AB marginal scaled by the square roots of their
+eigenvalues), then Bob's correction.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -55,6 +56,7 @@ from .qmath import (
     X,
     Y,
     Z,
+    _complex_array,
     _partial_trace_matrix,
     as_state_vector,
     pure_fidelity,
@@ -66,7 +68,8 @@ MAX_READOUT_PROBABILITY = 1.0 + TRACE_ATOL + 3 * PSD_ATOL
 
 
 class BellLabel(enum.Enum):
-    """The four maximally entangled two-qubit states."""
+    """The four maximally entangled two-qubit states, in CR code order 00, 01,
+    10, 11; a label's position is also the index of Alice's outcome."""
 
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
@@ -82,21 +85,13 @@ class BellLabel(enum.Enum):
 
     @classmethod
     def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
-        if (b1, b2) not in _BELL_FROM_BITS:
+        if b1 not in (0, 1) or b2 not in (0, 1):
             raise InvariantViolationError(f"invalid CR outcome {(b1, b2)!r}")
-        return _BELL_FROM_BITS[(b1, b2)]
+        return _OUTCOMES[int(2 * b1 + b2)]
 
     def state_vector(self) -> np.ndarray:
         return BELL_VECTORS[self.value]
 
-
-# CR outcome b1 b2 <-> conclusive Bell state.
-_BELL_FROM_BITS = {
-    (0, 0): BellLabel.PHI_PLUS,
-    (0, 1): BellLabel.PHI_MINUS,
-    (1, 0): BellLabel.PSI_PLUS,
-    (1, 1): BellLabel.PSI_MINUS,
-}
 
 # Residual Pauli error Bob's corrected qubit carries for each shared pair.
 _RESIDUAL = {
@@ -164,30 +159,33 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
-def _bob_ensemble(pairs: np.ndarray, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
-    """Alice measures psi (x) rho_AB, given as the rows f_j of ``pairs`` with
-    rho_AB = sum_j f_j f_j^dag; outcome k, unless ``alice_outcome`` pins it, is
-    drawn with probability p_k = sum_j |b_jk|^2.  Returns ``(outcome, kets)``:
-    Bob's corrected b_jk / sqrt(p_k) as the columns of ``kets``, so his state
-    is ``kets @ kets.conj().T``."""
+def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
+    """Alice's Bell measurement on psi (x) rho_AB, then Bob's correction.
+
+    rho_AB = sum_j f_j f_j^dag for the rows f_j of the k x 4 factor ``pairs``,
+    Alice's qubit first.  Outcome k, unless ``alice_outcome`` (a
+    :class:`BellLabel`) pins it, is drawn with probability p_k = sum_j |b_jk|^2.
+    Returns ``(outcome, kets)``: Bob's corrected b_jk / sqrt(p_k) as the
+    columns of ``kets``, so his state is ``kets @ kets.conj().T``.  ``pairs``
+    must be finite, with trace sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1.
+    """
+    pairs = _complex_array(pairs, "pair factor")
+    if pairs.ndim != 2 or pairs.shape[1] != 4:
+        raise InvariantViolationError(f"pair factor must be a k x 4 array, got shape {pairs.shape}")
+    trace = float(np.vdot(pairs, pairs).real)    # NaN or inf for a non-finite entry
+    if not abs(trace - 1.0) <= TRACE_ATOL:
+        raise InvariantViolationError(f"pair factor has trace {trace!r}, not 1")
     branches, probabilities = _alice_branches(pairs, amps)
     p = probabilities.sum(axis=0)
     if alice_outcome is None:
-        outcome = _OUTCOMES[_generator(seed).choice(4, p=p / p.sum())]
+        k = _generator(seed).choice(4, p=p / p.sum())
     elif isinstance(alice_outcome, BellLabel):
-        outcome = alice_outcome
+        k = _OUTCOMES.index(alice_outcome)
     else:
         raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
-    k = _OUTCOMES.index(outcome)
+    outcome = _OUTCOMES[k]
     correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
     return outcome, correction @ (branches[:, k] / np.sqrt(p[k])).T
-
-
-def teleport_and_correct(bell: BellLabel, amps: AmplitudePair, alice_outcome) -> np.ndarray:
-    """Bob's qubit after teleportation of psi and his correction for Alice's
-    outcome, a :class:`BellLabel`."""
-    _, kets = _bob_ensemble(bell.state_vector()[None], amps, alice_outcome=alice_outcome)
-    return as_state_vector(kets[:, 0])
 
 
 def ctc_readout(amps: AmplitudePair, kets: np.ndarray,
@@ -204,7 +202,7 @@ def ctc_readout(amps: AmplitudePair, kets: np.ndarray,
     :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
     callers that need a unique fixed point check the pair.
     """
-    kets = np.asarray(kets, dtype=complex)
+    kets = _complex_array(kets, "Bob's factor")
     if kets.ndim != 2 or kets.shape[0] != 2:
         raise InvariantViolationError(f"Bob's kets must be a 2 x k array, got shape {kets.shape}")
     cr_out, fixed = apply_label_chain(block_outputs(amps, kets), config)
@@ -247,7 +245,7 @@ def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    outcome, kets = _bob_ensemble(bell.state_vector()[None], amps, seed, alice_outcome)
+    outcome, kets = teleport_and_correct(bell.state_vector()[None], amps, seed, alice_outcome)
     _, b1b2, probability, fixed = ctc_readout(amps, kets, config)
     return DiscriminationRecord(
         input_bell=bell,
@@ -340,15 +338,15 @@ class ImproperMixtureRecord:
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
                          seed=None) -> ImproperMixtureRecord:
-    """Alice measures psi (x) the Smolin AB marginal, factored as its
-    eigenvectors scaled by the square roots of their eigenvalues, and Bob's
-    factor for her drawn outcome (:func:`_bob_ensemble`) goes through
-    :func:`ctc_readout`."""
+    """Teleport psi through the Smolin AB marginal, factored as its
+    eigenvectors scaled by the square roots of their eigenvalues
+    (:func:`teleport_and_correct`, Alice's outcome drawn from ``seed``), and
+    run Bob's corrected factor through :func:`ctc_readout`."""
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
     w, pairs = np.linalg.eigh(rho_ab)
-    outcome, kets = _bob_ensemble((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
+    outcome, kets = teleport_and_correct((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
     distribution, b1b2, probability, fixed = ctc_readout(amps, kets, config)
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome],

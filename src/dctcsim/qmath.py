@@ -23,10 +23,19 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10          # lowest admissible eigenvalue of a density operator
 STATE_NORM_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
+UNIT_EIGENVALUE_ATOL = 2e-12  # an eigenvalue of a CTC channel this close to 1 counts as 1
+
+
+def _complex_array(x, name: str) -> np.ndarray:
+    """``np.asarray(x, dtype=complex)``, with non-numeric input as a typed error."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolationError(f"cannot read {name} as a complex array: {exc}") from exc
 
 
 def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _complex_array(m, name)
     if a.ndim != 2:
         raise InvariantViolationError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -57,7 +66,7 @@ def kron(*matrices) -> np.ndarray:
 
 def as_state_vector(v) -> np.ndarray:
     """Validate and return a normalized state vector (copy, read-only)."""
-    a = np.asarray(v, dtype=complex).reshape(-1).copy()
+    a = _complex_array(v, "state vector").reshape(-1).copy()
     dim = a.size
     if dim < 1 or dim & (dim - 1):
         raise InvariantViolationError(f"state dimension {dim} is not a power of 2")

@@ -83,11 +83,6 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m)
 
 
-def trace_norm_hermitian(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix as the sum of |eigenvalues|."""
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
-
-
 def ptrace_brute(mat: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     """Partial trace by explicit index arithmetic over bit strings."""
     keep = sorted(keep)

@@ -6,6 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import dctcsim.cli as cli
+import dctcsim.protocols as protocols
+from dctcsim import BellLabel, InvariantViolationError
 from dctcsim.cli import build_parser, main, make_document, serialize
 
 
@@ -34,6 +37,16 @@ def run_alone(capsys, argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--output-format", "json")
     return code, json.loads(out), err
+
+
+def misidentifying(discriminate):
+    """``discriminate`` run on the next pair in ``BellLabel`` order, so the
+    record it returns names the wrong pair."""
+    labels = list(BellLabel)
+
+    def wrong(bell, *args, **kwargs):
+        return discriminate(labels[(labels.index(bell) + 1) % 4], *args, **kwargs)
+    return wrong
 
 
 class TestTable1:
@@ -222,6 +235,33 @@ class TestExitCodes:
                                "--alpha", str(1 / np.sqrt(2)), "--allow-degenerate")
         assert code == 4
         assert "degenerate" in err.lower()
+
+    def test_invariant_violation_during_run_is_4(self, capsys, monkeypatch):
+        def violate(*args, **kwargs):
+            raise InvariantViolationError("planted violation")
+        monkeypatch.setattr(cli, "discriminate_bell", violate)
+        code, out, err = run_cli(capsys, "discriminate", "--output-format", "json")
+        assert code == 4
+        assert out == ""
+        assert "invariant violation: planted violation" in err
+
+    @pytest.mark.parametrize("argv,owner,flag,rows", [
+        (("discriminate", "--bell", "phi+"), cli, None, 1),
+        (("table1",), cli, "all_correct", 4),
+        (("smolin",), protocols, "all_identified", 4),
+    ])
+    def test_misidentified_bell_state_is_4(self, capsys, monkeypatch, argv, owner, flag, rows):
+        # The whole document is still written, then one line per wrong row.
+        monkeypatch.setattr(owner, "discriminate_bell", misidentifying(owner.discriminate_bell))
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 4
+        assert doc["experiment"] == argv[0]
+        assert len(doc["rows"]) == rows
+        if flag is not None:
+            assert doc["diagnostics"][flag] is False
+        lines = err.splitlines()
+        assert len(lines) == rows
+        assert all(line.startswith("invariant violation: ") for line in lines)
 
     def test_unwritable_output_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "measures",

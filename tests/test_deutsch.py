@@ -328,7 +328,8 @@ def _discrimination_inputs(amps):
     """The CR input of every (Bell pair, Alice outcome) discrimination run."""
     for bell in BellLabel:
         for outcome in BellLabel:
-            bob = teleport_and_correct(bell, amps, outcome)
+            bob = teleport_and_correct(bell.state_vector()[None], amps,
+                                       alice_outcome=outcome)[1][:, 0]
             yield bell, outcome, DensityOperator.from_state_vector(kron(bob, KET_0))
 
 
@@ -381,7 +382,8 @@ class TestNearDegeneracy:
             result = solve_fixed_point(u, rho_cr, layout)
             assert result.residual < 1e-12
             assert result.fp_space_dim == 1
-            bob = teleport_and_correct(bell, amps, outcome)
+            bob = teleport_and_correct(bell.state_vector()[None], amps,
+                                       alice_outcome=outcome)[1][:, 0]
             chain = ctc_readout(amps, bob[:, None])[3].fixed_point
             assert trace_norm(result.fixed_point.matrix - chain.matrix) <= 1e-5
 
@@ -411,7 +413,8 @@ class TestLabelChain:
             amps = AmplitudePair.from_alpha(alpha)
             u = bhw_interaction(amps)
             for bell, outcome, rho_cr in _discrimination_inputs(amps):
-                bob = teleport_and_correct(bell, amps, outcome)
+                bob = teleport_and_correct(bell.state_vector()[None], amps,
+                                           alice_outcome=outcome)[1][:, 0]
                 fixed = ctc_readout(amps, bob[:, None])[3]
                 image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
                 assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
@@ -436,7 +439,8 @@ class TestLabelChain:
             assert amps.is_degenerate == (scale < 1)
             for bell in BellLabel:
                 for outcome in BellLabel:
-                    bob = teleport_and_correct(bell, amps, outcome)
+                    bob = teleport_and_correct(bell.state_vector()[None], amps,
+                                               alice_outcome=outcome)[1][:, 0]
                     fixed = ctc_readout(amps, bob[:, None])[3]
                     assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
                     assert fixed.method == "chain"

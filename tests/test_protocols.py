@@ -58,23 +58,27 @@ def random_amps(rng):
 class TestTeleportAndCorrect:
     def test_phi_plus_is_identity_channel(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PHI_PLUS, AMPS, outcome)
+            bob = teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None], AMPS,
+                                       alice_outcome=outcome)[1][:, 0]
             assert abs(abs(np.vdot(PSI, bob)) - 1) <= 1e-12
 
     def test_phi_minus_leaves_phase_flip(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PHI_MINUS, AMPS, outcome)
+            bob = teleport_and_correct(BellLabel.PHI_MINUS.state_vector()[None], AMPS,
+                                       alice_outcome=outcome)[1][:, 0]
             assert abs(abs(np.vdot(Z @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_plus_leaves_bit_flip(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PSI_PLUS, AMPS, outcome)
+            bob = teleport_and_correct(BellLabel.PSI_PLUS.state_vector()[None], AMPS,
+                                       alice_outcome=outcome)[1][:, 0]
             assert abs(abs(np.vdot(X @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_minus_leaves_both_flips(self):
         target = (X @ Z) @ PSI  # 0.6|1> - 0.8|0>
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PSI_MINUS, AMPS, outcome)
+            bob = teleport_and_correct(BellLabel.PSI_MINUS.state_vector()[None], AMPS,
+                                       alice_outcome=outcome)[1][:, 0]
             assert abs(abs(np.vdot(target, bob)) - 1) <= 1e-12
 
     def test_outcome_independence(self):
@@ -82,7 +86,8 @@ class TestTeleportAndCorrect:
         for _ in range(50):
             amps = random_amps(rng)
             for bell in BellLabel:
-                states = [teleport_and_correct(bell, amps, outcome)
+                states = [teleport_and_correct(bell.state_vector()[None], amps,
+                                               alice_outcome=outcome)[1][:, 0]
                           for outcome in BellLabel]
                 for state in states[1:]:
                     assert abs(abs(np.vdot(states[0], state)) - 1) <= 1e-12
@@ -91,8 +96,29 @@ class TestTeleportAndCorrect:
         for bell in BellLabel:
             expected = pauli_residual(bell) @ PSI
             for outcome in BellLabel:
-                bob = teleport_and_correct(bell, AMPS, outcome)
+                bob = teleport_and_correct(bell.state_vector()[None], AMPS,
+                                           alice_outcome=outcome)[1][:, 0]
                 assert abs(abs(np.vdot(expected, bob)) - 1) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pinned", [None, BellLabel.PHI_PLUS], ids=["drawn", "pinned"])
+    @pytest.mark.parametrize("pairs", [
+        None, "phi+", np.zeros(4), np.zeros((1, 3)), np.zeros((0, 4)), np.zeros((1, 4)),
+        np.ones((1, 4)), np.full((1, 4), np.nan), np.full((1, 4), np.inf),
+    ], ids=["none", "str", "flat", "1x3", "0x4", "zero", "trace4", "nan", "inf"])
+    def test_malformed_pair_factor_rejected(self, pairs, pinned):
+        with pytest.raises(InvariantViolationError, match="pair factor"):
+            teleport_and_correct(pairs, AMPS, seed=0, alice_outcome=pinned)
+
+    @pytest.mark.parametrize("slack", [-0.99e-12, 0.99e-12])
+    def test_pair_at_normalisation_edge_discriminates(self, slack):
+        # The pair's own slack enters sum_k p_k but not the trace of rho_AB.
+        beta = np.sqrt(1 - 0.36 + slack)
+        amps = AmplitudePair(0.6, beta)
+        assert abs(amps.alpha ** 2 + amps.beta ** 2 - 1 - slack) <= 1e-15
+        for bell in BellLabel:
+            for seed in range(4):
+                assert discriminate_bell(bell, amps, seed=seed).identified is bell
 
     def test_outcomes_equally_likely(self):
         rng = np.random.default_rng(149)
@@ -116,7 +142,8 @@ class TestAliceMeasurement:
                 distribution = protocols._alice_branches(bell.state_vector(), amps)[1]
                 for k, outcome in enumerate(BellLabel):
                     qubit, probability = teleported_branch(psi, bell.value, outcome.value)
-                    bob = teleport_and_correct(bell, amps, outcome)
+                    bob = teleport_and_correct(bell.state_vector()[None], amps,
+                                               alice_outcome=outcome)[1][:, 0]
                     assert np.abs(bob - qubit).max() <= 1e-14
                     assert abs(distribution[k] - probability) <= 1e-14
 
@@ -175,7 +202,8 @@ class TestDiscriminateBell:
         # carries weight exactly 0.5 in the converged CTC state.
         u = UnitaryOperator(interaction(0.6, 0.8, "literal"))
         for bell in BellLabel:
-            bob = teleport_and_correct(bell, AMPS, BellLabel.PHI_PLUS)
+            bob = teleport_and_correct(bell.state_vector()[None], AMPS,
+                                       alice_outcome=BellLabel.PHI_PLUS)[1][:, 0]
             rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
             cr_out, fixed = apply_dctc(u, rho_cr, bhw_layout())
             _, b1b2, probability = modal_readout(cr_out)
@@ -223,7 +251,8 @@ class TestDiscriminateBell:
             with pytest.raises(InvariantViolationError):
                 discriminate_bell(BellLabel.PHI_PLUS, AMPS, alice_outcome=bad)
             with pytest.raises(InvariantViolationError):
-                teleport_and_correct(BellLabel.PHI_PLUS, AMPS, bad)
+                teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None], AMPS,
+                                     alice_outcome=bad)[1][:, 0]
 
     def test_invalid_bell_rejected(self):
         for bad in ("phi+", None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dctcsim import (
+    AmplitudePair,
     DensityOperator,
     InvariantViolationError,
     RegisterLayout,
@@ -20,6 +21,8 @@ from dctcsim.qmath import (
     _partial_trace_matrix,
     as_state_vector,
 )
+from dctcsim.deutsch import apply_label_chain
+from dctcsim.protocols import ctc_readout, teleport_and_correct
 
 from oracles import haar_unitary, ket, ptrace_brute, random_density
 
@@ -115,6 +118,26 @@ class TestFiniteness:
         for check in (DensityOperator, UnitaryOperator, trace_norm):
             with pytest.raises(InvariantViolationError, match="non-finite"):
                 check(m)
+
+
+class TestNonNumericInput:
+    # Every entry point that converts a caller's array with qmath._complex_array.
+    ENTRY_POINTS = {
+        "DensityOperator": DensityOperator,
+        "UnitaryOperator": UnitaryOperator,
+        "trace_norm": trace_norm,
+        "as_state_vector": as_state_vector,
+        "ctc_readout": lambda x: ctc_readout(AmplitudePair.from_alpha(0.6), x),
+        "apply_label_chain": apply_label_chain,
+        "teleport_and_correct": lambda x: teleport_and_correct(x, AmplitudePair.from_alpha(0.6)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["x", {1: 2}, [["a", 1]]], ids=["str", "dict", "mixed"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_typed_error(self, entry, bad):
+        with pytest.raises(InvariantViolationError, match="complex array"):
+            self.ENTRY_POINTS[entry](bad)
 
 
 class TestConstants:
