@@ -8,7 +8,7 @@ the computational value of the CR register.  Each block maps its candidate
 state (x) |0> to the basis state |xy>, up to a global phase.
 
 Each block is U_c = L_c . (R_c (x) I), composed right to left: a real
-rotation or reflection R_c of the first CTC qubit (``_ROTATIONS``), then a
+rotation or reflection R_c of the first CTC qubit (``_ROTATION_TABLE``), then a
 layer L_c on both CTC qubits (``_LAYERS``), which for c = 1x ends with a
 zero-controlled NOT on the CTC ancilla ctc2.  Amplitudes must be real; the
 blocks are not unitary otherwise.
@@ -55,13 +55,9 @@ NORMALIZATION_ATOL = 1e-12
 
 BLOCK_CODES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# R_c(a, b): the real orthogonal 2x2 each block applies first, to the first CTC qubit.
-_ROTATIONS = {
-    (0, 0): lambda a, b: [[a, b], [-b, a]],
-    (0, 1): lambda a, b: [[b, a], [a, -b]],
-    (1, 0): lambda a, b: [[b, a], [-a, b]],
-    (1, 1): lambda a, b: [[a, b], [b, -a]],
-}
+# R_c(a, b), the real orthogonal 2x2 each block applies first to the first CTC qubit, as indices
+# into (a, b, -a, -b): [[a, b], [-b, a]], [[b, a], [a, -b]], [[b, a], [-a, b]], [[a, b], [b, -a]].
+_ROTATION_TABLE = np.array([[[0, 1], [3, 0]], [[1, 0], [0, 3]], [[1, 0], [2, 1]], [[0, 1], [1, 2]]])
 
 # Flip the CTC ancilla (second qubit) when the first CTC qubit is |0>.
 _ZERO_CONTROLLED_NOT = _readonly(
@@ -126,8 +122,8 @@ class AmplitudePair:
         return min((a2 - b2) ** 2, 4 * a2 * b2) <= UNIT_EIGENVALUE_ATOL
 
 
-def _block_matrix(code: tuple, amps: AmplitudePair) -> np.ndarray:
-    return _LAYERS[code] @ kron(_ROTATIONS[code](amps.alpha, amps.beta), I2)
+def _rotations(amps: AmplitudePair) -> np.ndarray:
+    return np.array((amps.alpha, amps.beta, -amps.alpha, -amps.beta))[_ROTATION_TABLE]
 
 
 def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
@@ -135,7 +131,7 @@ def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
     if not (isinstance(code, tuple) and all(isinstance(bit, int) for bit in code)
             and code in BLOCK_CODES):
         raise InvariantViolationError(f"invalid block code {code!r}")
-    return UnitaryOperator(_block_matrix(code, amps))
+    return UnitaryOperator(_LAYERS[code] @ kron(_rotations(amps)[BLOCK_CODES.index(code)], I2))
 
 
 def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
@@ -143,8 +139,7 @@ def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
     ancilla: ``out[c, :, j] = U_c (kets[:, j] (x) |0>)`` for c in
     ``BLOCK_CODES`` order.  Each rotation acts on the qubit and each layer
     contributes only its ancilla-|0> columns, so no 4x4 block is formed."""
-    rotations = np.array([_ROTATIONS[code](amps.alpha, amps.beta) for code in BLOCK_CODES])
-    return _LAYERS_ON_ANCILLA_0 @ (rotations @ kets)
+    return _LAYERS_ON_ANCILLA_0 @ (_rotations(amps) @ kets)
 
 
 def candidate_states(amps: AmplitudePair) -> dict:
@@ -176,8 +171,8 @@ def bhw_interaction(amps: AmplitudePair) -> UnitaryOperator:
     then dispatch U_xy on the CTC register controlled by the CR value |xy>.
     Its one unitarity check covers every block."""
     controlled = np.zeros((16, 16), dtype=complex)
-    for idx, code in enumerate(BLOCK_CODES):
-        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _block_matrix(code, amps)
+    for idx, (code, rotation) in enumerate(zip(BLOCK_CODES, _rotations(amps))):
+        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _LAYERS[code] @ kron(rotation, I2)
     return UnitaryOperator(controlled @ _REGISTER_SWAP)
 
 

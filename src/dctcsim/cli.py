@@ -21,6 +21,7 @@ check, 4 invariant violation during the run.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -62,10 +63,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INVARIANT = 4
 
 
-def _round15(value: float) -> float:
-    return float(f"{value:.15g}")
-
-
 def _clean(value):
     """Quantize floats and reject non-finite numbers while building rows."""
     if isinstance(value, bool):
@@ -75,7 +72,7 @@ def _clean(value):
     if isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
             raise InvariantViolationError(f"non-finite value {value!r} in result document")
-        return _round15(float(value))
+        return float(f"{float(value):.15g}")
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -341,13 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write ``text`` to a new sibling file (mode as ``open(path, "w")`` gives)
-    and rename it over ``path``; on failure remove it and leave ``path`` as it was."""
+    """Write ``text`` to a new sibling file (mode as ``open(path, "w")`` gives),
+    unlink ``path`` and rename the file to it, or on failure remove the file.
+    Unlinking first spares the flush ext4 forces on a rename over a file; a
+    reader may briefly find no file at ``path``, but never a half-written one."""
     tmp = f"{path}.{os.getpid()}.tmp"
     handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
             handle.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

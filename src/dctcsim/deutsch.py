@@ -36,7 +36,6 @@ however small the chain's gap is.
 """
 
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,9 @@ class SolverConfig:
         if (isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real)
                 or not 0 < self.tolerance < np.inf):
             raise InvariantViolationError("tolerance must be a finite positive real number")
+
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
     left and right multiplicities, when the linear algebra fails, or when
     sigma fails the residual check.
     """
-    config = config or SolverConfig()
+    config = config or _DEFAULT_CONFIG
     S = superoperator_matrix(U, rho_cr, layout)
     d = 2 ** len(layout.ctc_labels)
     residual = np.inf
@@ -213,28 +215,33 @@ def _cesaro_limit(P: list) -> tuple:
     absent, the closed classes are the cycles with no such escape plus the
     labels with one.  Returns ``(p, closed)``.  Raises
     ``InvariantViolationError`` for a label with two escapes."""
-    escapes = {}
+    n = len(P)
+    escape, rate = list(range(n)), [1.0] * n        # a label that never escapes: rate 1
     for i, row in enumerate(P):
-        out = [(j, rate) for j, rate in enumerate(row) if j != i and rate > 0]
-        if len(out) > 1:
-            raise InvariantViolationError(
-                f"label {i} escapes to labels {[j for j, _ in out]}, not to one")
-        if out:
-            escapes[i] = out[0]
-    cycles = Counter()
-    for label in range(len(P)):
-        path = []
-        while label not in path:
-            path.append(label)
-            label = escapes.get(label, (label,))[0]
-        cycles[tuple(sorted(path[path.index(label):]))] += 1
-    p = np.zeros(len(P))
-    closed = sum(rate <= UNIT_EIGENVALUE_ATOL for _, rate in escapes.values())
-    for cycle, count in cycles.items():
-        rates = [escapes[c][1] for c in cycle] if len(cycle) > 1 else [1.0]
-        shares = np.array([min(rates) / rate for rate in rates])
-        p[list(cycle)] = count / len(P) * (shares / shares.sum())
-        closed += min(rates) > UNIT_EIGENVALUE_ATOL
+        for j, r in enumerate(row):
+            if r > 0 and j != i:
+                if escape[i] != i:
+                    out = [j for j, r in enumerate(row) if j != i and r > 0]
+                    raise InvariantViolationError(f"label {i} escapes to labels {out}, not to one")
+                escape[i], rate[i] = j, r
+    # cycle[c]: the key of c's cycle (n: c is on none); per key: labels it collects, lowest escape
+    cycle, reach, lowest, total = [n] * n, [0] * n, [np.inf] * n, [0.0] * n
+    for c in range(n):
+        for _ in range(n):              # n escapes from any label end on its cycle
+            if cycle[c] < n:
+                break
+            c = escape[c]
+        key = c
+        while cycle[c] == n:            # a new cycle: mark its labels
+            cycle[c], lowest[key], c = key, min(lowest[key], rate[c]), escape[c]
+        reach[cycle[c]] += 1
+    for c, m in enumerate(cycle):       # in label order, the order numpy sums < 8 terms in
+        if m < n:
+            total[m] += lowest[m] / rate[c]
+    p = np.array([reach[m] / n * (lowest[m] / rate[c] / total[m]) if m < n else 0.0
+                  for c, m in enumerate(cycle)])
+    closed = (sum(r <= UNIT_EIGENVALUE_ATOL for r in rate)
+              + sum(low > UNIT_EIGENVALUE_ATOL for low, k in zip(lowest, reach) if k))
     return p, closed
 
 
@@ -263,30 +270,30 @@ def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -
     ``FixedPointConvergenceError`` when sigma* is not a density operator or
     fails the residual check.
     """
-    config = config or SolverConfig()
+    config = config or _DEFAULT_CONFIG
     outputs = _complex_array(outputs, "block outputs")
     if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1]:
         raise InvariantViolationError(
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
-    if not np.isfinite(outputs).all():
-        raise InvariantViolationError("block outputs must be finite")
     d = outputs.shape[0]
     P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=2)             # P[c, c'] = M[c', c]
-    traces = P.sum(axis=1)                          # row c: ||U_c K||_F^2 = Tr(rho_CR)
-    if not (abs(traces - 1.0) <= TRACE_ATOL).all():
-        raise InvariantViolationError(f"CR input has trace {traces.tolist()}, not 1")
-    P = P.tolist()
+    traces = P.sum(axis=1).tolist()                 # row c: ||U_c K||_F^2 = Tr(rho_CR)
+    if not all(abs(t - 1.0) <= TRACE_ATOL for t in traces):    # fails too on a NaN or inf entry
+        if not np.isfinite(outputs).all():
+            raise InvariantViolationError("block outputs must be finite")
+        raise InvariantViolationError(f"CR input has trace {traces}, not 1")
     taus = (outputs @ outputs.conj().transpose(0, 2, 1)).reshape(d, d * d)
     flat = outputs.reshape(d, -1)
     gram = flat @ flat.conj().T
-    p, closed = _cesaro_limit(P)
+    p, closed = _cesaro_limit(P.tolist())
     residual = np.inf
     try:
         sigma = (p @ taus).reshape(d, d)
         sigma = sigma / sigma.trace().real
-        residual = trace_norm((sigma.diagonal().real @ taus).reshape(d, d) - sigma)
+        step = (sigma.diagonal().real @ taus).reshape(d, d)
+        residual = float(np.linalg.svd(step - sigma, compute_uv=False).sum())     # trace norm
         fixed_point = DensityOperator(sigma)
-    except InvariantViolationError as exc:
+    except (np.linalg.LinAlgError, InvariantViolationError) as exc:
         raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
     if not residual < config.tolerance:
         raise FixedPointConvergenceError(residual, config.tolerance)

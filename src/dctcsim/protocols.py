@@ -131,7 +131,7 @@ def modal_readout(cr_out: DensityOperator) -> tuple:
     within ``READOUT_TIE_ATOL`` of the largest tie, and a tie goes to the
     lowest label, so rounding noise cannot pick the label.
     """
-    distribution = tuple(float(p) for p in np.real(np.diag(cr_out.matrix)))
+    distribution = tuple(cr_out.matrix.diagonal().real.tolist())
     top = max(distribution)
     modal = next(i for i, p in enumerate(distribution) if p >= top - READOUT_TIE_ATOL)
     return distribution, (modal >> 1, modal & 1), distribution[modal]

@@ -34,19 +34,16 @@ def _complex_array(x, name: str) -> np.ndarray:
         raise InvariantViolationError(f"cannot read {name} as a complex array: {exc}") from exc
 
 
-def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+def _square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a finite square complex matrix, checked in that order."""
     a = _complex_array(m, name)
     if a.ndim != 2:
         raise InvariantViolationError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvariantViolationError(f"{name} contains non-finite entries")
+    if a.shape[0] != a.shape[1]:
+        raise InvariantViolationError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def _require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise InvariantViolationError(f"{name} must be square, got shape {m.shape}")
-    return m
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -58,9 +55,9 @@ def kron(*matrices) -> np.ndarray:
     """Kronecker product of one or more matrices (or vectors), left to right."""
     if not matrices:
         raise InvariantViolationError("kron needs at least one factor")
-    out = np.asarray(matrices[0], dtype=complex)
+    out = _complex_array(matrices[0], "kron factor")
     for m in matrices[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        out = np.kron(out, _complex_array(m, "kron factor"))
     return out
 
 
@@ -78,12 +75,12 @@ def as_state_vector(v) -> np.ndarray:
 
 def pure_fidelity(u, v) -> float:
     """|<u|v>|^2 for two pure states."""
-    return float(abs(np.vdot(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))) ** 2)
+    return float(abs(np.vdot(_complex_array(u, "state"), _complex_array(v, "state"))) ** 2)
 
 
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
-    a = _require_square(_as_complex_matrix(m))
+    a = _square_matrix(m)
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
@@ -136,7 +133,7 @@ class UnitaryOperator(_CheckedOperator):
     __slots__ = ()
 
     def __init__(self, matrix):
-        a = _require_square(_as_complex_matrix(matrix, "unitary"), "unitary")
+        a = _square_matrix(matrix, "unitary")
         defect = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
         if defect > UNITARITY_ATOL:
             raise InvariantViolationError(
@@ -154,7 +151,7 @@ class DensityOperator(_CheckedOperator):
     __slots__ = ()
 
     def __init__(self, matrix):
-        a = _require_square(_as_complex_matrix(matrix, "density matrix"), "density matrix")
+        a = _square_matrix(matrix, "density matrix")
         dim = a.shape[0]
         if dim < 1 or dim & (dim - 1):
             raise InvariantViolationError(f"density dimension {dim} is not a power of 2")
@@ -165,7 +162,7 @@ class DensityOperator(_CheckedOperator):
         tr = a.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolationError(f"density matrix trace {tr!r} deviates from 1")
-        lowest = float(np.linalg.eigvalsh(a).min()) if dim > 1 else float(a[0, 0].real)
+        lowest = float(np.linalg.eigvalsh(a)[0]) if dim > 1 else float(a[0, 0].real)
         if lowest < -PSD_ATOL:
             raise InvariantViolationError(
                 f"density matrix not positive semidefinite: min eigenvalue {lowest:.3e}")

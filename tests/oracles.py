@@ -7,6 +7,8 @@ spectral projector instead of iteration, and the four-block circuit is
 reconstructed from its raw matrix formulas.
 """
 
+from collections import Counter
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -231,6 +233,31 @@ def closed_classes(P: np.ndarray, floor: float) -> int:
     classes = {tuple(np.flatnonzero(reach[i] & reach[:, i])) for i in range(n)
                if (reach[i] <= reach[:, i]).all()}
     return len(classes)
+
+
+def cycle_shares(P: list) -> np.ndarray:
+    """The Cesaro limit of the uniform distribution under ``P[i][j]`` (i -> j)
+    when every label stays or escapes to one other label: each label's path
+    of escapes is followed until it repeats, and the cycle it ends on gets its
+    mass, in proportion to 1/e_c there.  The shares are ratios to the cycle's
+    smallest escape, summed by numpy in label order, which is the library's
+    arithmetic, so its result must match bit for bit."""
+    n = len(P)
+    escapes = {i: (j, rate) for i, row in enumerate(P)
+               for j, rate in enumerate(row) if j != i and rate > 0}
+    cycles = Counter()
+    for label in range(n):
+        path = []
+        while label not in path:
+            path.append(label)
+            label = escapes.get(label, (label,))[0]
+        cycles[tuple(sorted(path[path.index(label):]))] += 1
+    p = np.zeros(n)
+    for cycle, count in cycles.items():
+        rates = [escapes[c][1] for c in cycle] if len(cycle) > 1 else [1.0]
+        shares = np.array([min(rates) / rate for rate in rates])
+        p[list(cycle)] = count / n * (shares / shares.sum())
+    return p
 
 
 def discrimination_chain(alpha: float, beta: float, cr_qubit: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from dctcsim.qmath import KET_0
 
 from oracles import (
     closed_classes,
+    cycle_shares,
     eigen_fixed_point,
     ensemble,
     expected_blend,
@@ -470,6 +471,24 @@ class TestLabelChain:
         assert record.identified is BellLabel.PSI_PLUS
         assert record.fixed_point.method == "chain"
 
+    def test_pinned_discrimination_stays_within_its_call_budget(self, monkeypatch):
+        # One run builds two DensityOperators (sigma* and the CR output), each
+        # checked with one eigvalsh, and takes the residual's trace norm with one svd.
+        calls = {"DensityOperator": 0, "svd": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(DensityOperator, "__init__",
+                            counted("DensityOperator", DensityOperator.__init__))
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        record = discriminate_bell(BellLabel.PSI_PLUS, AMPS, alice_outcome=BellLabel.PHI_MINUS)
+        assert record.identified is BellLabel.PSI_PLUS
+        assert calls == {"DensityOperator": 2, "svd": 1, "eigvalsh": 2}
+
     def test_spectral_solve_reports_its_method(self):
         assert solve_fixed_point(*worked_instance()).method == "spectral"
 
@@ -525,6 +544,23 @@ class TestLabelChain:
         # 1 / 5e-324 overflows to inf; ratios to the smallest escape do not.
         np.testing.assert_allclose(deutsch._cesaro_limit(P)[0], expected, rtol=1e-15)
 
+    def test_walk_matches_path_reference_bit_for_bit(self):
+        # Up to 7 labels (numpy sums fewer than 8 terms in order), escapes from
+        # 1e-300 to 1, some at the edge of the UNIT_EIGENVALUE_ATOL window.
+        rng = np.random.default_rng(127)
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            P = np.eye(n)
+            for i in range(n):
+                j = int(rng.integers(n))
+                if j != i and rng.random() < 0.8:
+                    escape = rng.choice([10.0 ** rng.uniform(-300, 0), rng.uniform(0.0, 1.0),
+                                         UNIT_EIGENVALUE_ATOL, 1.0])
+                    P[i, i], P[i, j] = 1.0 - escape, escape
+            p, closed = deutsch._cesaro_limit(P.tolist())
+            assert np.array_equal(p, cycle_shares(P.tolist()))
+            assert closed == closed_classes(P, UNIT_EIGENVALUE_ATOL)
+
     def test_cycle_solve_matches_cesaro_average_of_matrix_powers(self):
         # Far out, P^k repeats with the period of some cycle of at most 6 labels,
         # so its average over 60 = lcm(1..6) consecutive steps is the Cesaro limit.
@@ -568,6 +604,17 @@ class TestLabelChain:
                 deutsch.apply_label_chain(bad_outputs)
         with pytest.raises(InvariantViolationError, match="finite"):
             deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, np.nan),
+                                     complex(0.6, np.nan)], ids=["inf", "-inf", "inf+nanj", "nanj"])
+    def test_non_finite_outputs_rejected_without_warning(self, bad):
+        # Finiteness is checked only once the row sums (the trace) fail: a NaN or
+        # inf entry makes its row's sum NaN or inf, and raises no warning doing so.
+        outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
+        outputs[1, 2, 0] = bad
+        with pytest.raises(InvariantViolationError, match="finite"):
+            deutsch.apply_label_chain(outputs)
 
 
 class TestApplyDctc:

@@ -20,6 +20,7 @@ from dctcsim.qmath import (
     X,
     _partial_trace_matrix,
     as_state_vector,
+    pure_fidelity,
 )
 from dctcsim.deutsch import apply_label_chain
 from dctcsim.protocols import ctc_readout, teleport_and_correct
@@ -130,6 +131,8 @@ class TestNonNumericInput:
         "ctc_readout": lambda x: ctc_readout(AmplitudePair.from_alpha(0.6), x),
         "apply_label_chain": apply_label_chain,
         "teleport_and_correct": lambda x: teleport_and_correct(x, AmplitudePair.from_alpha(0.6)),
+        "kron": kron,
+        "pure_fidelity": lambda x: pure_fidelity(x, [1, 0]),
     }
 
     @pytest.mark.filterwarnings("error")
