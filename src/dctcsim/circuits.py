@@ -5,13 +5,16 @@ The discrimination circuit, after Brun, Harrington & Wilde (PRL 102, 210402,
 qubits.  It swaps the two-qubit CR register with the two-qubit CTC register,
 then applies one of four blocks U_00..U_11 to the CTC register, selected by
 the computational value of the CR register.  Each block maps its candidate
-state (x) |0> to the basis state |xy>, up to a global phase.
+state (x) |0> to the basis state |xy>, up to a global phase.  Candidate c is
+E_c psi, for psi = a|0> + b|1> and the Pauli error E_c (``_PAULI_ERRORS``).
 
 Each block is U_c = L_c . (R_c (x) I), composed right to left: a real
 rotation or reflection R_c of the first CTC qubit (``_ROTATION_TABLE``), then a
 layer L_c on both CTC qubits (``_LAYERS``), which for c = 1x ends with a
-zero-controlled NOT on the CTC ancilla ctc2.  Amplitudes must be real; the
-blocks are not unitary otherwise.
+zero-controlled NOT on the CTC ancilla ctc2.  Each four-entry table is in
+``BLOCK_CODES`` order; ``_blocks`` forms the stack of the four U_c, and
+nothing else forms them.  Amplitudes must be real; the blocks are not unitary
+otherwise.
 
 With the CTC in label c, the CR register reads c after the swap, so U_c keeps
 the CTC in label c with the squared overlap of Bob's qubit and candidate c,
@@ -44,6 +47,7 @@ from .qmath import (
     UNIT_EIGENVALUE_ATOL,
     UnitaryOperator,
     X,
+    Z,
     _readonly,
     kron,
 )
@@ -63,16 +67,16 @@ _ROTATION_TABLE = np.array([[[0, 1], [3, 0]], [[1, 0], [0, 3]], [[1, 0], [2, 1]]
 _ZERO_CONTROLLED_NOT = _readonly(
     kron(np.outer(KET_0, KET_0), X) + kron(np.outer(KET_1, KET_1), I2))
 
-# L_c: the layer each block applies after its rotation.
-_LAYERS = {
-    (0, 0): _readonly(kron(I2, I2)),
-    (0, 1): _readonly(kron(X, X)),
-    (1, 0): _readonly(_ZERO_CONTROLLED_NOT @ kron(X, I2)),
-    (1, 1): _readonly(_ZERO_CONTROLLED_NOT @ kron(I2, X)),
-}
+# L_c: the layer each block applies after its rotation, stacked in BLOCK_CODES order.
+_LAYERS = _readonly(np.stack([kron(I2, I2), kron(X, X), _ZERO_CONTROLLED_NOT @ kron(X, I2),
+                              _ZERO_CONTROLLED_NOT @ kron(I2, X)]))
 
 # Columns of each layer on a |0> CTC ancilla: L_c (x (x) |0>) = _LAYERS_ON_ANCILLA_0[c] @ x.
-_LAYERS_ON_ANCILLA_0 = _readonly(np.stack([_LAYERS[code][:, ::2].real for code in BLOCK_CODES]))
+_LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].real.copy())
+
+# E_c: the Pauli error that turns psi into candidate c, in BLOCK_CODES order.  It is also
+# the residual error Bob's corrected qubit carries when the shared pair is BellLabel c.
+_PAULI_ERRORS = (I2, Z, X, _readonly(X @ Z))
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,17 @@ def _rotations(amps: AmplitudePair) -> np.ndarray:
     return np.array((amps.alpha, amps.beta, -amps.alpha, -amps.beta))[_ROTATION_TABLE]
 
 
+def _blocks(amps: AmplitudePair) -> np.ndarray:
+    """The four blocks U_c = L_c (R_c (x) I), stacked in ``BLOCK_CODES`` order."""
+    return _LAYERS @ np.kron(_rotations(amps), I2)
+
+
 def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
     """One of the four 4x4 controlled blocks, selected by a code in ``BLOCK_CODES``."""
     if not (isinstance(code, tuple) and all(isinstance(bit, int) for bit in code)
             and code in BLOCK_CODES):
         raise InvariantViolationError(f"invalid block code {code!r}")
-    return UnitaryOperator(_LAYERS[code] @ kron(_rotations(amps)[BLOCK_CODES.index(code)], I2))
+    return UnitaryOperator(_blocks(amps)[BLOCK_CODES.index(code)])
 
 
 def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
@@ -143,15 +152,10 @@ def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
 
 
 def candidate_states(amps: AmplitudePair) -> dict:
-    """The four non-orthogonal states the circuit distinguishes, keyed by the
-    two-bit outcome that identifies each of them."""
-    a, b = amps.alpha, amps.beta
-    return {
-        (0, 0): np.array([a, b], dtype=complex),      # a|0> + b|1>
-        (0, 1): np.array([a, -b], dtype=complex),     # a|0> - b|1>
-        (1, 0): np.array([b, a], dtype=complex),      # a|1> + b|0>
-        (1, 1): np.array([-b, a], dtype=complex),     # a|1> - b|0>
-    }
+    """The four non-orthogonal states E_c psi the circuit distinguishes, for
+    psi = a|0> + b|1>, keyed by the two-bit outcome c that identifies each."""
+    psi = np.array([amps.alpha, amps.beta], dtype=complex)
+    return {code: error @ psi for code, error in zip(BLOCK_CODES, _PAULI_ERRORS)}
 
 
 def register_swap(block_qubits: int) -> UnitaryOperator:
@@ -170,10 +174,9 @@ def bhw_interaction(amps: AmplitudePair) -> UnitaryOperator:
     """Full 16x16 interaction on (CR1, CR2, CTC1, CTC2): swap the registers,
     then dispatch U_xy on the CTC register controlled by the CR value |xy>.
     Its one unitarity check covers every block."""
-    controlled = np.zeros((16, 16), dtype=complex)
-    for idx, (code, rotation) in enumerate(zip(BLOCK_CODES, _rotations(amps))):
-        controlled[4 * idx:4 * idx + 4, 4 * idx:4 * idx + 4] = _LAYERS[code] @ kron(rotation, I2)
-    return UnitaryOperator(controlled @ _REGISTER_SWAP)
+    controlled = np.zeros((4, 4, 4, 4), dtype=complex)
+    controlled[range(4), :, range(4)] = _blocks(amps)
+    return UnitaryOperator(controlled.reshape(16, 16) @ _REGISTER_SWAP)
 
 
 def bhw_layout() -> RegisterLayout:

@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed-point diagnostics for the four candidate inputs")
     p_disc = sub.add_parser("discriminate", parents=[common],
                             help="one referee round of Bell discrimination")
-    p_disc.add_argument("--bell", choices=("phi+", "phi-", "psi+", "psi-", "random"),
+    p_disc.add_argument("--bell", choices=(*(label.value for label in BellLabel), "random"),
                         default="random")
     sub.add_parser("table1", parents=[common],
                    help="discrimination table for all four Bell inputs")

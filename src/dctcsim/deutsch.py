@@ -272,11 +272,12 @@ def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -
     """
     config = config or _DEFAULT_CONFIG
     outputs = _complex_array(outputs, "block outputs")
-    if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1]:
+    if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1] or not outputs.shape[0]:
         raise InvariantViolationError(
             f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
     d = outputs.shape[0]
-    P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=2)             # P[c, c'] = M[c', c]
+    with np.errstate(over="ignore"):                # a huge entry gives inf, which fails the trace
+        P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=2)         # P[c, c'] = M[c', c]
     traces = P.sum(axis=1).tolist()                 # row c: ||U_c K||_F^2 = Tr(rho_CR)
     if not all(abs(t - 1.0) <= TRACE_ATOL for t in traces):    # fails too on a NaN or inf entry
         if not np.isfinite(outputs).all():

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AmplitudePair, block_outputs
+from .circuits import AmplitudePair, BLOCK_CODES, _PAULI_ERRORS, block_outputs
 from .deutsch import FixedPointResult, SolverConfig, apply_label_chain
 from .entanglement import (
     BipartiteCut,
@@ -85,42 +85,34 @@ class BellLabel(enum.Enum):
 
     @classmethod
     def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
-        if b1 not in (0, 1) or b2 not in (0, 1):
+        if (b1, b2) not in BLOCK_CODES:
             raise InvariantViolationError(f"invalid CR outcome {(b1, b2)!r}")
-        return _OUTCOMES[int(2 * b1 + b2)]
+        return _OUTCOMES[BLOCK_CODES.index((b1, b2))]
 
     def state_vector(self) -> np.ndarray:
         return BELL_VECTORS[self.value]
 
 
-# Residual Pauli error Bob's corrected qubit carries for each shared pair.
-_RESIDUAL = {
-    BellLabel.PHI_PLUS: I2,
-    BellLabel.PHI_MINUS: Z,
-    BellLabel.PSI_PLUS: X,
-    BellLabel.PSI_MINUS: X @ Z,
-}
-
-# Alice's measurement outcome encoded as (phase bit, flip bit), and Bob's
-# conditional correction: 00 -> I, 01 -> X, 10 -> Z, 11 -> Y.
-ALICE_OUTCOME_BITS = {
-    BellLabel.PHI_PLUS: (0, 0),
-    BellLabel.PSI_PLUS: (0, 1),
-    BellLabel.PHI_MINUS: (1, 0),
-    BellLabel.PSI_MINUS: (1, 1),
-}
-CORRECTIONS = {(0, 0): I2, (0, 1): X, (1, 0): Z, (1, 1): Y}
+# Every four-outcome table is indexed by a Bell label's position k in BellLabel
+# order, which is BLOCK_CODES order: the shared pair k leaves Bob the residual
+# error _PAULI_ERRORS[k] and is read out as BLOCK_CODES[k].  Alice's outcome k
+# is sent as (phase bit, flip bit) = (k & 1, k >> 1), and Bob corrects it with
+# I, Z, X or Y.
+_OUTCOMES = tuple(BellLabel)
+ALICE_OUTCOME_BITS = {label: (k & 1, k >> 1) for k, label in enumerate(_OUTCOMES)}
+_CORRECTIONS = (I2, Z, X, Y)
 
 # Alice's Bell measurement on qubits (psi, her half of the pair): row k is
-# the conjugated Bell vector of outcome k, in BellLabel order.
-_OUTCOMES = tuple(BellLabel)
+# the conjugated Bell vector of outcome k.
 _BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
 
 
 def pauli_residual(bell: BellLabel) -> np.ndarray:
     """Operator E with Bob's post-correction qubit equal to E psi (up to a
     global phase) when the shared pair is ``bell``."""
-    return _RESIDUAL[bell]
+    if not isinstance(bell, BellLabel):
+        raise InvariantViolationError(f"invalid Bell label {bell!r}")
+    return _PAULI_ERRORS[_OUTCOMES.index(bell)]
 
 
 def modal_readout(cr_out: DensityOperator) -> tuple:
@@ -134,7 +126,7 @@ def modal_readout(cr_out: DensityOperator) -> tuple:
     distribution = tuple(cr_out.matrix.diagonal().real.tolist())
     top = max(distribution)
     modal = next(i for i, p in enumerate(distribution) if p >= top - READOUT_TIE_ATOL)
-    return distribution, (modal >> 1, modal & 1), distribution[modal]
+    return distribution, BLOCK_CODES[modal], distribution[modal]
 
 
 def _generator(seed) -> "np.random.Generator":
@@ -183,9 +175,7 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
         k = _OUTCOMES.index(alice_outcome)
     else:
         raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
-    outcome = _OUTCOMES[k]
-    correction = CORRECTIONS[ALICE_OUTCOME_BITS[outcome]]
-    return outcome, correction @ (branches[:, k] / np.sqrt(p[k])).T
+    return _OUTCOMES[k], _CORRECTIONS[k] @ (branches[:, k] / np.sqrt(p[k])).T
 
 
 def ctc_readout(amps: AmplitudePair, kets: np.ndarray,

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: partial
 traces are done by explicit index loops, the channel superoperator is built
 from a Kraus decomposition instead of basis images, fixed points come from a
-spectral projector instead of iteration, and the four-block circuit is
-reconstructed from its raw matrix formulas.
+spectral projector instead of iteration, the four-block circuit is
+reconstructed from its raw matrix formulas, and the label chain is solved
+in exact rational arithmetic.
 """
 
 from collections import Counter
@@ -258,6 +259,72 @@ def cycle_shares(P: list) -> np.ndarray:
         shares = np.array([min(rates) / rate for rate in rates])
         p[list(cycle)] = count / n * (shares / shares.sum())
     return p
+
+
+def _solve_exact(A: list, b: list) -> list:
+    """x with A x = b, by Gaussian elimination over ``Fraction``s (A invertible)."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_cesaro_limit(P: list) -> list:
+    """The Cesaro limit of the uniform distribution under the row-stochastic
+    ``P[i][j]`` (i -> j) of ``Fraction``s, by exact linear algebra: the
+    stationary distribution of each closed class, weighted by the mass that
+    reaches the class (the class's own labels plus each transient label's
+    absorption probability into it)."""
+    # Imported here, not at the top: fractions loads decimal, and bench/run.py imports this module.
+    from fractions import Fraction
+    n = len(P)
+    reach = [[i == j or P[i][j] > 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        reach = [[reach[i][j] or (reach[i][k] and reach[k][j]) for j in range(n)]
+                 for i in range(n)]
+    classes = {tuple(j for j in range(n) if reach[i][j]) for i in range(n)
+               if all(reach[j][i] for j in range(n) if reach[i][j])}
+    transient = [i for i in range(n) if not any(i in c for c in classes)]
+    p = [Fraction(0)] * n
+    for cls in classes:
+        # pi (P - I) = 0 on the class, one equation replaced by sum(pi) = 1
+        A = [[P[i][j] - (i == j) for i in cls] for j in cls[:-1]] + [[Fraction(1)] * len(cls)]
+        pi = _solve_exact(A, [Fraction(0)] * (len(cls) - 1) + [Fraction(1)])
+        # h = P h on the transient labels, with h = 1 on the class and 0 elsewhere
+        h = _solve_exact([[(i == t) - P[i][t] for t in transient] for i in transient],
+                         [sum(P[i][c] for c in cls) for i in transient]) if transient else []
+        mass = (len(cls) + sum(h)) / Fraction(n)
+        for c, share in zip(cls, pi):
+            p[c] = mass * share
+    return p
+
+
+def exact_chain_readout(outputs: np.ndarray) -> list:
+    """The CR diagonal of the label-chain CTC stage, exactly, for the block
+    outputs ``outputs[c, c', j] = (U_c K)[c', j]`` read as exact rationals.
+
+    The move c -> c' != c has probability sum_j |outputs[c, c', j]|^2, as in
+    the solve, and each label stays with the rest, so the chain is exactly
+    stochastic; p is :func:`exact_cesaro_limit`.  The CR output is
+    sigma*_cc' Tr(U_c rho U_c'^dag) with sigma* = sum_c p_c tau_c / trace, so
+    its diagonal entry c is sigma*_cc times ||U_c K||_F^2."""
+    from fractions import Fraction
+    d = outputs.shape[0]
+    weight = [[sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in outputs[c, c2])
+               for c2 in range(d)] for c in range(d)]
+    P = [list(row) for row in weight]
+    for c in range(d):
+        P[c][c] = 1 - sum(w for c2, w in enumerate(weight[c]) if c2 != c)
+    p = exact_cesaro_limit(P)
+    sigma = [sum(p[c] * weight[c][c2] for c in range(d)) for c2 in range(d)]
+    trace = sum(sigma)
+    return [sigma[c] / trace * sum(weight[c]) for c in range(d)]
 
 
 def discrimination_chain(alpha: float, beta: float, cr_qubit: np.ndarray) -> np.ndarray:

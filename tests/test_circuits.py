@@ -187,6 +187,20 @@ class TestCandidateStates:
         for state in states.values():
             assert abs(np.linalg.norm(state) - 1) <= 1e-15
 
+    def test_candidates_match_their_formulas(self):
+        # Pinned apart from the Pauli table they are derived from.
+        rng = np.random.default_rng(53)
+        pairs = [random_amps(rng) for _ in range(50)]
+        pairs.append(AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True))
+        for amps in pairs:
+            a, b = amps.alpha, amps.beta
+            expected = {(0, 0): [a, b], (0, 1): [a, -b], (1, 0): [b, a], (1, 1): [-b, a]}
+            states = candidate_states(amps)
+            assert list(states) == list(expected)
+            for code, vector in expected.items():
+                assert states[code].dtype == complex
+                assert np.array_equal(states[code], vector)
+
 
 class TestRegisterSwap:
     def test_single_qubit_block_is_swap_gate(self):

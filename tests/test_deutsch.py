@@ -1,5 +1,7 @@
 """Fixed-point solver: the consistency map, convergence, and diagnostics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,14 +40,18 @@ from oracles import (
     cycle_shares,
     eigen_fixed_point,
     ensemble,
+    exact_cesaro_limit,
+    exact_chain_readout,
     expected_blend,
     four_blocks,
     haar_unitary,
     interaction,
     ket,
+    ptrace_brute,
     qubit_swap,
     random_density,
     random_pure,
+    smolin_pauli_form,
 )
 
 AMPS = AmplitudePair(0.6, 0.8)
@@ -578,6 +584,38 @@ class TestLabelChain:
             expected = np.full(n, 1.0 / n) @ far @ average
             np.testing.assert_allclose(deutsch._cesaro_limit(P.tolist())[0], expected, atol=1e-12)
 
+    def test_readout_matches_exact_rational_chain(self):
+        # The oracle reads the float block outputs as exact rationals and solves
+        # the chain by exact linear algebra on its closed classes, not by the
+        # 1/e law.  A pure input's CR diagonal is within 1e-20 of it next to the
+        # window; a mixed input, whose labels share the mass, within a few ulp.
+        third = Fraction(1, 3)      # 0 is transient and drains into 1; 1 and 2 absorb
+        drain = [[1 - third, third, 0], [0, 1, 0], [0, 0, 1]]
+        assert exact_cesaro_limit(drain) == [0, 2 * third, third]
+        cycle = [[Fraction(0)] * 4 for _ in range(4)]
+        for i, escape in enumerate((1, 2, 3, 4)):
+            cycle[i][i], cycle[i][(i + 1) % 4] = 1 - Fraction(escape, 10), Fraction(escape, 10)
+        assert exact_cesaro_limit(cycle) == [Fraction(n, 25) for n in (12, 6, 4, 3)]
+
+        def errors(amps, kets):
+            exact = exact_chain_readout(circuits.block_outputs(amps, kets))
+            return [(abs(Fraction(x) - e), e) for x, e in zip(ctc_readout(amps, kets)[0], exact)]
+        mixed = ensemble(ptrace_brute(smolin_pauli_form(), 4, (0, 1))).T     # improper mixture
+        for delta in (1.01e-6, 2e-6, 1e-5, 1.87e-4, 1e-2):
+            for amps in (_pair_at_distance(delta), _pair_at_distance(-delta)):
+                for outcome in BellLabel:
+                    for bell in BellLabel:
+                        kets = teleport_and_correct(bell.state_vector()[None], amps,
+                                                    alice_outcome=outcome)[1]
+                        assert max(error for error, _ in errors(amps, kets)) <= 1e-20
+                    kets = teleport_and_correct(mixed, amps, alice_outcome=outcome)[1]
+                    assert all(error <= 2e-15 * e for error, e in errors(amps, kets))
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            amps = AmplitudePair.from_alpha(rng.uniform(0.05, 0.95))
+            kets = ensemble(random_density(2, rng))
+            assert all(error <= 2e-15 * e for error, e in errors(amps, kets))
+
     def test_closed_classes_match_reachability_oracle(self):
         # Escapes at 1/2, 1 and 2 times the window: the count drops those at or
         # below it and keeps the rest, in the same walk that solves p.
@@ -604,6 +642,17 @@ class TestLabelChain:
                 deutsch.apply_label_chain(bad_outputs)
         with pytest.raises(InvariantViolationError, match="finite"):
             deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_empty_outputs_rejected_without_warning(self):
+        # A finite entry whose square overflows makes its row sum inf, which fails
+        # the trace test; zero labels fail the shape test.
+        outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
+        outputs[1, 2, 0] = 1e200
+        with pytest.raises(InvariantViolationError, match="trace"):
+            deutsch.apply_label_chain(outputs)
+        with pytest.raises(InvariantViolationError, match="shape"):
+            deutsch.apply_label_chain(np.zeros((0, 0, 1)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, np.nan),

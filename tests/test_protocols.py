@@ -100,6 +100,11 @@ class TestTeleportAndCorrect:
                                            alice_outcome=outcome)[1][:, 0]
                 assert abs(abs(np.vdot(expected, bob)) - 1) <= 1e-12
 
+    def test_outcome_bits_are_phase_then_flip(self):
+        # Pinned apart from the label order they are derived from.
+        assert ALICE_OUTCOME_BITS == {BellLabel.PHI_PLUS: (0, 0), BellLabel.PSI_PLUS: (0, 1),
+                                      BellLabel.PHI_MINUS: (1, 0), BellLabel.PSI_MINUS: (1, 1)}
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pinned", [None, BellLabel.PHI_PLUS], ids=["drawn", "pinned"])
     @pytest.mark.parametrize("pairs", [
@@ -258,6 +263,8 @@ class TestDiscriminateBell:
         for bad in ("phi+", None):
             with pytest.raises(InvariantViolationError, match="Bell label"):
                 discriminate_bell(bad, AMPS, seed=0)
+            with pytest.raises(InvariantViolationError, match="Bell label"):
+                pauli_residual(bad)
 
     def test_seed_reproducibility(self):
         a = discriminate_bell(BellLabel.PSI_MINUS, AMPS, seed=42)
