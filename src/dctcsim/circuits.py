@@ -23,13 +23,10 @@ stationary distributions of this four-label chain.  Its escapes form the
 single cycle 00 -> 10 -> 01 -> 11 -> 00, and the other labels stay with
 probabilities (a^2 - b^2)^2, 4 a^2 b^2 and 0, below 1 unless the pair is
 degenerate, so the consistent label is the only stationary state and the CR
-readout is deterministic.
-
-Without the zero-controlled NOT (the bare block formulas) every block acts on
-ctc2 as I or X: the escapes 00 -> 10 -> 00 and 01 -> 11 -> 01 form two closed
-cycles that conserve ctc2, the fixed-point space is two-dimensional for every
-amplitude pair, and the solve from I/4 reads the right label with probability
-0.5.  The NOT fixes |10> and |11>, so it changes the escapes only.
+readout is deterministic.  Without the zero-controlled NOT (the bare block
+formulas) the escapes 00 -> 10 -> 00 and 01 -> 11 -> 01 form two closed cycles
+that conserve ctc2: a two-dimensional fixed-point space, whose solve from I/4
+reads the right label with probability 0.5.  The NOT fixes |10> and |11>.
 """
 
 import numbers
@@ -72,7 +69,7 @@ _LAYERS = _readonly(np.stack([kron(I2, I2), kron(X, X), _ZERO_CONTROLLED_NOT @ k
                               _ZERO_CONTROLLED_NOT @ kron(I2, X)]))
 
 # Columns of each layer on a |0> CTC ancilla: L_c (x (x) |0>) = _LAYERS_ON_ANCILLA_0[c] @ x.
-_LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].real.copy())
+_LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].copy())
 
 # E_c: the Pauli error that turns psi into candidate c, in BLOCK_CODES order.  It is also
 # the residual error Bob's corrected qubit carries when the shared pair is BellLabel c.
@@ -127,7 +124,7 @@ class AmplitudePair:
 
 
 def _rotations(amps: AmplitudePair) -> np.ndarray:
-    return np.array((amps.alpha, amps.beta, -amps.alpha, -amps.beta))[_ROTATION_TABLE]
+    return np.array((amps.alpha, amps.beta, -amps.alpha, -amps.beta), complex)[_ROTATION_TABLE]
 
 
 def _blocks(amps: AmplitudePair) -> np.ndarray:
@@ -137,7 +134,8 @@ def _blocks(amps: AmplitudePair) -> np.ndarray:
 
 def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
     """One of the four 4x4 controlled blocks, selected by a code in ``BLOCK_CODES``."""
-    if not (isinstance(code, tuple) and all(isinstance(bit, int) for bit in code)
+    if not (isinstance(code, tuple)
+            and all(isinstance(bit, int) and not isinstance(bit, bool) for bit in code)
             and code in BLOCK_CODES):
         raise InvariantViolationError(f"invalid block code {code!r}")
     return UnitaryOperator(_blocks(amps)[BLOCK_CODES.index(code)])
@@ -146,9 +144,10 @@ def block_unitary(code, amps: AmplitudePair) -> UnitaryOperator:
 def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
     """Every block applied to every column of ``kets`` (2 x k) with a |0>
     ancilla: ``out[c, :, j] = U_c (kets[:, j] (x) |0>)`` for c in
-    ``BLOCK_CODES`` order.  Each rotation acts on the qubit and each layer
-    contributes only its ancilla-|0> columns, so no 4x4 block is formed."""
-    return _LAYERS_ON_ANCILLA_0 @ (_rotations(amps) @ kets)
+    ``BLOCK_CODES`` order; a stack of factors (n x 2 x k) adds a leading
+    axis.  Each rotation acts on the qubit and each layer contributes only
+    its ancilla-|0> columns, so no 4x4 block is formed."""
+    return _LAYERS_ON_ANCILLA_0 @ (_rotations(amps) @ kets[..., None, :, :])
 
 
 def candidate_states(amps: AmplitudePair) -> dict:

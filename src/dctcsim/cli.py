@@ -2,19 +2,17 @@
 
 Each subcommand runs one named experiment and emits a result document as a
 human-readable table, JSON, or CSV.  Identical parameters (including the
-seed) produce byte-identical JSON.  Floating-point values are quantized to
-15 significant digits when the document is built, so serialization
-round-trips exactly.
+seed) produce byte-identical JSON: floats are quantized to 15 significant
+digits when the document is built, so serialization round-trips exactly.
 
-Every experiment that runs the CTC stage goes through
-:func:`dctcsim.protocols.ctc_readout`; its fixed point comes from one solve
-of the circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no
-iteration budget.
+Every experiment that runs the CTC stage makes one stacked call of
+:func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
+makes a stack of one); the fixed points come from the circuit's four-label
+chain (see :mod:`dctcsim.deutsch`), with no iteration budget.
 
 :func:`main` may be called any number of times in one process (a test
-suite, a benchmark or a scripted sweep does so).  The argument parser is
-built on the first call and reused by every later one; parsing never
-changes it.
+suite, a benchmark or a scripted sweep does so); the argument parser is
+built on the first call and reused, and parsing never changes it.
 
 Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
 check, 4 invariant violation during the run.
@@ -50,8 +48,9 @@ from .errors import (
 )
 from .protocols import (
     BellLabel,
-    ctc_readout,
+    ctc_readouts,
     discriminate_bell,
+    discriminate_bells,
     distill_smolin,
     run_improper_mixture,
 )
@@ -127,12 +126,13 @@ def serialize(doc: dict, output_format: str) -> str:
 
 
 def _state_str(vec) -> str:
+    amps = np.asarray(vec).reshape(-1).tolist()     # Python complex: cheaper to test and format
     terms = []
-    for idx, amp in enumerate(np.asarray(vec).reshape(-1)):
+    for idx, amp in enumerate(amps):
         if abs(amp) < 1e-14:
             continue
         value = f"{amp.real:.15g}" if abs(amp.imag) < 1e-14 else f"({amp.real:.15g}{amp.imag:+.15g}j)"
-        terms.append(f"{value}|{idx:0{int(np.log2(len(vec)))}b}>")
+        terms.append(f"{value}|{idx:0{len(amps).bit_length() - 1}b}>")
     return " + ".join(terms) if terms else "0"
 
 
@@ -168,18 +168,17 @@ def _discrimination_row(record) -> dict:
 
 
 def run_fixed_point(args, amps, config):
-    rows = []
-    for code, state in candidate_states(amps).items():
-        _, b1b2, probability, result = ctc_readout(amps, state[:, None], config)
-        rows.append({
-            "code": _bits_str(code),
-            "input_state": _state_str(state),
-            "residual": result.residual,
-            "fp_space_dim": result.fp_space_dim,
-            "unique": result.unique,
-            "modal_outcome": _bits_str(b1b2),
-            "modal_probability": probability,
-        })
+    candidates = candidate_states(amps)
+    readouts = ctc_readouts(amps, np.array(list(candidates.values()))[:, :, None], config)
+    rows = [{
+        "code": _bits_str(code),
+        "input_state": _state_str(state),
+        "residual": result.residual,
+        "fp_space_dim": result.fp_space_dim,
+        "unique": result.unique,
+        "modal_outcome": _bits_str(b1b2),
+        "modal_probability": probability,
+    } for (code, state), (_, b1b2, probability, result) in zip(candidates.items(), readouts)]
     diagnostics = {
         "degenerate": amps.is_degenerate,
         "max_residual": max(row["residual"] for row in rows),
@@ -189,10 +188,8 @@ def run_fixed_point(args, amps, config):
 
 def run_discriminate(args, amps, config):
     rng = np.random.default_rng(args.seed)
-    if args.bell == "random":
-        bell = list(BellLabel)[rng.integers(4)]
-    else:
-        bell = BellLabel.from_string(args.bell)
+    bell = (list(BellLabel)[rng.integers(4)] if args.bell == "random"
+            else BellLabel.from_string(args.bell))
     record = discriminate_bell(bell, amps, config, seed=rng)
     rows = [_discrimination_row(record)]
     violations = [] if record.identified is bell else [
@@ -201,14 +198,11 @@ def run_discriminate(args, amps, config):
 
 
 def run_table1(args, amps, config):
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    violations = []
-    for bell in BellLabel:
-        record = discriminate_bell(bell, amps, config, seed=rng)
-        rows.append(_discrimination_row(record))
-        if record.identified is not bell:
-            violations.append(f"row {bell.value}: identified {record.identified.value}")
+    bells = tuple(BellLabel)
+    records = discriminate_bells(bells, amps, config, seed=args.seed)
+    rows = [_discrimination_row(record) for record in records]
+    violations = [f"row {bell.value}: identified {record.identified.value}"
+                  for bell, record in zip(bells, records) if record.identified is not bell]
     diagnostics = {
         "all_correct": not violations,
         "min_outcome_probability": min(row["outcome_probability"] for row in rows),
@@ -222,10 +216,7 @@ def run_smolin(args, amps, config):
         record = run_improper_mixture(amps, config, seed=args.seed)
         rows = [{
             "alice_outcome": _bits_str(record.alice_outcome),
-            "p00": record.cr_distribution[0],
-            "p01": record.cr_distribution[1],
-            "p10": record.cr_distribution[2],
-            "p11": record.cr_distribution[3],
+            **dict(zip(("p00", "p01", "p10", "p11"), record.cr_distribution)),
             "modal_outcome": _bits_str(record.modal_b1b2),
             "modal_probability": record.modal_probability,
             "fp_residual": record.fixed_point.residual,
@@ -239,23 +230,20 @@ def run_smolin(args, amps, config):
         return rows, diagnostics, []
 
     report = distill_smolin(amps, config, seed=args.seed)
-    rows = []
-    violations = []
-    for branch in report.branches:
-        rows.append({
-            "branch": branch.branch.value,
-            "probability": branch.probability,
-            "message": branch.message.value,
-            "correct": branch.message is branch.branch,
-            "alice_outcome": _bits_str(branch.record.alice_outcome),
-            "outcome_probability": branch.record.outcome_probability,
-            "cd_fidelity": branch.cd_fidelity,
-            "cd_log_negativity": branch.cd_log_negativity,
-            "fp_residual": branch.record.fixed_point.residual,
-            "fp_space_dim": branch.record.fixed_point.fp_space_dim,
-        })
-        if branch.message is not branch.branch:
-            violations.append(f"branch {branch.branch.value} misidentified")
+    rows = [{
+        "branch": branch.branch.value,
+        "probability": branch.probability,
+        "message": branch.message.value,
+        "correct": branch.message is branch.branch,
+        "alice_outcome": _bits_str(branch.record.alice_outcome),
+        "outcome_probability": branch.record.outcome_probability,
+        "cd_fidelity": branch.cd_fidelity,
+        "cd_log_negativity": branch.cd_log_negativity,
+        "fp_residual": branch.record.fixed_point.residual,
+        "fp_space_dim": branch.record.fixed_point.fp_space_dim,
+    } for branch in report.branches]
+    violations = [f"branch {branch.branch.value} misidentified"
+                  for branch in report.branches if branch.message is not branch.branch]
     diagnostics = {
         "all_identified": report.all_identified,
         "baseline_log_negativity": report.baseline_log_negativity,

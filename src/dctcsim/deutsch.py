@@ -1,38 +1,36 @@
 """Deutsch fixed-point solvers for closed-timelike-curve interactions.
 
 A CTC register interacting with a chronology-respecting (CR) register through
-a unitary U must come out of the loop in the same state it entered: the CTC
-state sigma is a fixed point of the channel
+a unitary U must come out of the loop in the state it entered: the CTC state
+sigma is a fixed point of the channel
 
-    Phi(sigma) = Tr_CR( U (rho_CR (x) sigma) U^dag ).
+    Phi(sigma) = Tr_CR( U (rho_CR (x) sigma) U^dag ),
 
-Phi is linear and completely positive trace preserving in sigma for a fixed
-CR input, so a fixed point always exists; it need not be unique.  Both
-solvers return the limit of the Cesaro average (1/N) sum_n Phi^n(I/d), so a
-degenerate fixed-point space still gives one deterministic answer, report
-the dimension of that space as ``fp_space_dim`` so degeneracy is visible,
-and accept the answer only if it passes a trace-norm residual check.
+linear and CPTP in sigma for a fixed CR input, so a fixed point exists but
+need not be unique.  Both solvers return the limit of the Cesaro average
+(1/N) sum_n Phi^n(I/d), one deterministic answer even then, report the
+dimension of the fixed-point space as ``fp_space_dim``, and accept the
+answer only if it passes a trace-norm residual check.
 
 The *spectral* solve (:func:`solve_fixed_point`, :func:`apply_dctc`) takes a
-general U.  It builds the vectorized channel S, a d^2 x d^2 matrix,
+general U.  It applies the eigenvalue-1 spectral projector of the vectorized
+channel S, a d^2 x d^2 matrix, to the maximally mixed state:
 
-    S[tu, sv] = sum_{a,b,c} U[a,t,b,s] rho_CR[b,c] conj(U[a,u,c,v]),
+    S[tu, sv] = sum_{a,b,c} U[a,t,b,s] rho_CR[b,c] conj(U[a,u,c,v]).
 
-and applies its eigenvalue-1 spectral projector to the maximally mixed state.
-
-The *chain* solve (:func:`apply_label_chain`) takes a CTC that only serves
-as a classical label: U swaps the registers and then applies block U_c to
-the CTC register when the CR register reads c.  Phi then reads only the
-diagonal of sigma, Phi(sigma) = sum_c sigma_cc tau_c with
-tau_c = U_c rho_CR U_c^dag, so the fixed points are sigma = sum_c p_c tau_c
-for the stationary distributions p of the label chain
+The *chain* solve (:func:`apply_label_chains`) takes a CTC that only serves
+as a classical label: U swaps the registers, then applies block U_c to the
+CTC register when the CR register reads c.  So Phi(sigma) =
+sum_c sigma_cc tau_c with tau_c = U_c rho_CR U_c^dag, and the fixed points
+are sum_c p_c tau_c for the stationary distributions p of the label chain
 M[c', c] = <c'|tau_c|c'>.  Each label c must stay or escape to one other
-label, with probability e_c.  The discrimination circuit meets this for any
+label, with probability e_c; the discrimination circuit meets this for any
 CR input, since each block's ancilla-|0> columns are two columns of a
 permutation layer.  Following the escapes, every label reaches one cycle,
-and on a cycle the flow p_c e_c into the next label is the same for every c,
-so p_c is proportional to 1/e_c.  Nothing is subtracted, so p stays accurate
-however small the chain's gap is.
+on which the flow p_c e_c is the same for every c, so p_c goes as 1/e_c:
+nothing is subtracted, however small the chain's gap.  The chain solve
+takes a stack of CR inputs and solves them in one call; a single input is a
+stack of one (:func:`apply_label_chain`).
 """
 
 import numbers
@@ -48,7 +46,9 @@ from .qmath import (
     UNIT_EIGENVALUE_ATOL,
     UnitaryOperator,
     _complex_array,
+    _density_errors,
     _partial_trace_matrix,
+    _readonly,
     kron,
     trace_norm,
 )
@@ -155,17 +155,14 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
     """Find sigma with ||Phi(sigma) - sigma||_1 below tolerance.
 
     With R and L the right and left eigenvalue-1 eigenvectors of S, sigma is
-    R (L^H R)^-1 L^H vec(I/d), the eigenvalue-1 component of I/d and the limit
-    of the Cesaro average of Phi^n(I/d), made Hermitian and divided by its
-    trace.  Rounding of S moves sigma by about 1e-16 / gap, which near
-    alpha = beta leaves small negative eigenvalues on a pure fixed point;
-    they are set to zero, and since that moves sigma along fast modes of S,
-    sigma then takes one channel step (positive, residual not increased)
-    before the residual check judges the returned state.  Raises
-    ``FixedPointConvergenceError`` when S has no eigenvalue 1 or unequal
-    left and right multiplicities, when the linear algebra fails, or when
-    sigma fails the residual check.
-    """
+    R (L^H R)^-1 L^H vec(I/d), the Cesaro limit of Phi^n(I/d), made Hermitian
+    and divided by its trace.  Rounding of S moves sigma by about 1e-16 / gap,
+    which near alpha = beta leaves small negative eigenvalues on a pure fixed
+    point; they are set to zero, then one channel step (positive, residual not
+    increased) undoes the move along fast modes of S before the residual
+    check.  Raises ``FixedPointConvergenceError`` when S has no eigenvalue 1
+    or unequal left and right multiplicities, when the linear algebra fails,
+    or when sigma fails the residual check."""
     config = config or _DEFAULT_CONFIG
     S = superoperator_matrix(U, rho_cr, layout)
     d = 2 ** len(layout.ctc_labels)
@@ -206,14 +203,13 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
 def _cesaro_limit(P: list) -> tuple:
     """Limit of the Cesaro average of the uniform distribution under the
     row-stochastic ``P[i][j]`` (i -> j), and the number of closed classes.
-
     Each label's escape, its one probability above 0 of leaving for another
-    label, is followed to the cycle it reaches; a label that never escapes
-    is a cycle of one.  Each label's mass goes to its cycle, spread there in
-    proportion to 1/e_c: ratios to the cycle's smallest escape, which cannot
-    overflow.  With escapes of at most ``UNIT_EIGENVALUE_ATOL`` counted as
-    absent, the closed classes are the cycles with no such escape plus the
-    labels with one.  Returns ``(p, closed)``.  Raises
+    label, is followed to the cycle it reaches (a label that never escapes
+    is a cycle of one), and its mass is spread on that cycle in proportion
+    to 1/e_c: ratios to the cycle's smallest escape, which cannot overflow.
+    With escapes of at most ``UNIT_EIGENVALUE_ATOL`` counted as absent, the
+    closed classes are the cycles with no such escape plus the labels with
+    one.  Returns ``(p, closed)``, p as a list.  Raises
     ``InvariantViolationError`` for a label with two escapes."""
     n = len(P)
     escape, rate = list(range(n)), [1.0] * n        # a label that never escapes: rate 1
@@ -238,65 +234,81 @@ def _cesaro_limit(P: list) -> tuple:
     for c, m in enumerate(cycle):       # in label order, the order numpy sums < 8 terms in
         if m < n:
             total[m] += lowest[m] / rate[c]
-    p = np.array([reach[m] / n * (lowest[m] / rate[c] / total[m]) if m < n else 0.0
-                  for c, m in enumerate(cycle)])
+    p = [reach[m] / n * (lowest[m] / rate[c] / total[m]) if m < n else 0.0
+         for c, m in enumerate(cycle)]
     closed = (sum(r <= UNIT_EIGENVALUE_ATOL for r in rate)
               + sum(low > UNIT_EIGENVALUE_ATOL for low, k in zip(lowest, reach) if k))
     return p, closed
 
 
-def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -> tuple:
-    """Run a CTC that acts as a classical label: the registers are swapped,
-    then block U_c acts on the CTC register when the CR register reads c.
+def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) -> list:
+    """Solve a stack of label-chain CTCs (see the module docstring), one per
+    CR input, in one call; only the walk of the escapes runs per input.
 
-    The CR input is rho_CR = K K^dag, given through the block outputs
-    ``outputs[c] = U_c K`` of its factor K.  With tau_c = U_c rho_CR U_c^dag
-    and the label chain M[c', c] = sum_j |outputs[c, c', j]|^2, the CTC state
-    is sigma* = sum_c p_c tau_c, where p is the Cesaro limit of M^n applied to
-    the uniform distribution, and the CR output is sigma* times the Gram
-    matrix of the blocks, entrywise: sigma*_cc' Tr(U_c rho_CR U_c'^dag).  Each
-    label must stay or escape to one other label, and p_c goes as 1/e_c on
-    each cycle of escapes (see the module docstring).
+    Input i's rho_CR = K K^dag comes as ``outputs[i, c] = U_c K``, so
+    M[c', c] = sum_j |outputs[i, c, c', j]|^2, p is the Cesaro limit of M^n on
+    the uniform distribution (solved on every escape), and the CR output is
+    sigma* times the Gram matrix of the blocks, entrywise.  ``fp_space_dim``
+    counts closed classes, an escape of at most ``UNIT_EIGENVALUE_ATOL`` (the
+    spectral eigenvalue window) counted as absent.  Returns one
+    ``(cr_out, FixedPointResult)`` per input.
 
-    ``fp_space_dim`` counts the chain's closed classes, found in the same
-    walk of the escapes as p, with an escape of probability at most
-    ``UNIT_EIGENVALUE_ATOL`` counted as absent: the window the spectral solve
-    applies to eigenvalues.  p itself is solved on every escape, so it stays
-    an exact fixed point inside that window.  Returns
-    ``(cr_out, FixedPointResult)`` like :func:`apply_dctc`.  Raises
-    ``InvariantViolationError`` for non-finite outputs, a CR input whose
-    trace (the sum of every row of the chain) is not 1 within
-    ``TRACE_ATOL``, or a label with two escapes, and
-    ``FixedPointConvergenceError`` when sigma* is not a density operator or
-    fails the residual check.
+    Checks, in order: the trace test (``InvariantViolationError`` for
+    non-finite outputs, or a row sum of the chain, Tr(rho_CR), off 1 by more
+    than ``TRACE_ATOL``), the walk (a label with two escapes), sigma* as a
+    density operator and the residual (``FixedPointConvergenceError``), and
+    the CR output as a density operator (``InvariantViolationError``).  The
+    stack raises the first failed check of its lowest failing input, as one
+    call per input would.
     """
     config = config or _DEFAULT_CONFIG
     outputs = _complex_array(outputs, "block outputs")
-    if outputs.ndim != 3 or outputs.shape[0] != outputs.shape[1] or not outputs.shape[0]:
-        raise InvariantViolationError(
-            f"block outputs must have shape (labels, labels, vectors), got {outputs.shape}")
-    d = outputs.shape[0]
+    if outputs.ndim != 4 or 0 in outputs.shape[:2] or outputs.shape[1] != outputs.shape[2]:
+        raise InvariantViolationError("block outputs must have shape (inputs, labels, labels, "
+                                      f"vectors), got {outputs.shape}")
     with np.errstate(over="ignore"):                # a huge entry gives inf, which fails the trace
-        P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=2)         # P[c, c'] = M[c', c]
-    traces = P.sum(axis=1).tolist()                 # row c: ||U_c K||_F^2 = Tr(rho_CR)
-    if not all(abs(t - 1.0) <= TRACE_ATOL for t in traces):    # fails too on a NaN or inf entry
-        if not np.isfinite(outputs).all():
-            raise InvariantViolationError("block outputs must be finite")
-        raise InvariantViolationError(f"CR input has trace {traces}, not 1")
-    taus = (outputs @ outputs.conj().transpose(0, 2, 1)).reshape(d, d * d)
-    flat = outputs.reshape(d, -1)
-    gram = flat @ flat.conj().T
-    p, closed = _cesaro_limit(P.tolist())
-    residual = np.inf
+        P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=3)     # P[i, c, c'] = M_i[c', c]
+        traces = P.sum(axis=2).tolist()             # row c: ||U_c K||_F^2 = Tr(rho_CR)
+    walks, failure = [], None
+    for i, (rows, trace) in enumerate(zip(P.tolist(), traces)):
+        try:
+            if not all(abs(t - 1.0) <= TRACE_ATOL for t in trace):  # fails on NaN or inf too
+                raise InvariantViolationError(f"CR input has trace {trace}, not 1"
+                                              if np.isfinite(outputs[i]).all()
+                                              else "block outputs must be finite")
+            walks.append(_cesaro_limit(rows))
+        except InvariantViolationError as exc:      # the inputs below it are solved first
+            failure = exc
+            break
+    if not walks:
+        raise failure
+    outputs = outputs[:len(walks)]
+    n, d = outputs.shape[:2]
+    conj = outputs.conj()
+    taus = (outputs @ conj.transpose(0, 1, 3, 2)).reshape(n, d, d * d)
+    gram = outputs.reshape(n, d, -1) @ conj.reshape(n, d, -1).transpose(0, 2, 1)
+    sigma = (np.array([[p] for p, _ in walks]) @ taus).reshape(n, d, d)
+    sigma = sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
+    step = (sigma.diagonal(axis1=1, axis2=2).real[:, None] @ taus).reshape(n, d, d)
     try:
-        sigma = (p @ taus).reshape(d, d)
-        sigma = sigma / sigma.trace().real
-        step = (sigma.diagonal().real @ taus).reshape(d, d)
-        residual = float(np.linalg.svd(step - sigma, compute_uv=False).sum())     # trace norm
-        fixed_point = DensityOperator(sigma)
-    except (np.linalg.LinAlgError, InvariantViolationError) as exc:
-        raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
-    if not residual < config.tolerance:
-        raise FixedPointConvergenceError(residual, config.tolerance)
-    result = FixedPointResult(fixed_point, residual, closed, method="chain")
-    return DensityOperator(sigma * gram), result
+        residuals = np.linalg.svd(step - sigma, compute_uv=False).sum(axis=1).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointConvergenceError(np.inf, config.tolerance, str(exc)) from exc
+    states = _readonly(np.concatenate([sigma, sigma * gram]))     # each sigma*, each CR output
+    errors = _density_errors(states)
+    results = []
+    for i, (residual, (_, closed)) in enumerate(zip(residuals, walks)):
+        if errors[i] is not None or not residual < config.tolerance:   # sigma*, then the residual
+            raise FixedPointConvergenceError(residual, config.tolerance, errors[i] or "")
+        if errors[n + i] is not None:
+            raise InvariantViolationError(errors[n + i])
+        fixed = FixedPointResult(DensityOperator._checked(states[i]), residual, closed, "chain")
+        results.append((DensityOperator._checked(states[n + i]), fixed))
+    if failure is not None:
+        raise failure
+    return results
+
+
+def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -> tuple:
+    """:func:`apply_label_chains` on a stack of one: ``outputs[c] = U_c K``."""
+    return apply_label_chains(_complex_array(outputs, "block outputs")[None], config)[0]

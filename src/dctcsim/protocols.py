@@ -3,40 +3,36 @@ Bell-state discrimination, and the Smolin-state distillation experiment.
 
 The discrimination strategy: Alice teleports a known state psi = a|0> + b|1>
 to Bob through the shared (unknown) Bell pair and tells him her Bell
-measurement outcome.  Bob applies the standard correction for that outcome,
-so his qubit ends up carrying the residual Pauli error that identifies the
-shared pair: psi, Z psi, X psi or XZ psi.  Feeding that qubit (with a fresh
-|0> ancilla) through the CTC interaction maps the four non-orthogonal
-possibilities onto the four computational CR outcomes b1 b2.  The CTC fixed
-point of the circuit (:mod:`dctcsim.circuits`) is unique for every
-non-degenerate amplitude pair, so that readout is deterministic.
+measurement outcome.  Bob's correction leaves his qubit carrying the residual
+Pauli error that identifies the pair: psi, Z psi, X psi or XZ psi.  The CTC
+interaction maps these four non-orthogonal states (with a |0> ancilla) onto
+the four computational CR outcomes b1 b2, deterministically for every
+non-degenerate amplitude pair (:mod:`dctcsim.circuits`).
 
-:func:`ctc_readout` is that CTC stage, the one place it is assembled: Bob's
-qubit, given as a factor K of his density matrix K K^dag, and a |0> ancilla
-form the CR input, the Deutsch fixed point is solved through the circuit's
-four-label chain (no 16x16 interaction is built), and the CR register is
-read out.  The discrimination, the improper-mixture run and the CLI
-``fixed-point`` experiment all call it.  The experiments get Bob's factor
-from the one teleportation step, :func:`teleport_and_correct`: Alice's Bell
-measurement on psi (x) the shared pair, given as a factor (the Bell vector,
-or the eigenvectors of the AB marginal scaled by the square roots of their
-eigenvalues), then Bob's correction.
+:func:`ctc_readouts` is that CTC stage, the one place it is assembled, for a
+stack of inputs: each Bob qubit, a factor K of his density matrix K K^dag,
+forms a CR input with the ancilla, one call solves every Deutsch fixed point
+through the circuit's four-label chain (no 16x16 interaction is built), and
+each CR register is read out.  A single input is a stack of one
+(:func:`ctc_readout`, :func:`discriminate_bell`).  Bob's factors come from
+the one teleportation step, :func:`teleport_and_correct`.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
 solver; each pure branch is solved on its own.  An improper-mixture run
-(tracing out the distant parties first) is available as an experimental
-variant with no correctness claim; it illustrates how the nonlinearity
-breaks when the branch identity is discarded.
+(tracing out the distant parties first) is an experimental variant with no
+correctness claim; it shows how the nonlinearity breaks when the branch
+identity is discarded.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import AmplitudePair, BLOCK_CODES, _PAULI_ERRORS, block_outputs
-from .deutsch import FixedPointResult, SolverConfig, apply_label_chain
+from .deutsch import FixedPointResult, SolverConfig, apply_label_chains
 from .entanglement import (
     BipartiteCut,
     is_ppt,
@@ -85,7 +81,9 @@ class BellLabel(enum.Enum):
 
     @classmethod
     def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
-        if (b1, b2) not in BLOCK_CODES:
+        if not (isinstance(b1, (int, np.integer)) and isinstance(b2, (int, np.integer))
+                and not isinstance(b1, bool) and not isinstance(b2, bool)
+                and (b1, b2) in BLOCK_CODES):
             raise InvariantViolationError(f"invalid CR outcome {(b1, b2)!r}")
         return _OUTCOMES[BLOCK_CODES.index((b1, b2))]
 
@@ -116,13 +114,13 @@ def pauli_residual(bell: BellLabel) -> np.ndarray:
 
 
 def modal_readout(cr_out: DensityOperator) -> tuple:
-    """Read a two-qubit CR register in the computational basis.
-
-    Returns ``(distribution, b1b2, probability)``: the four outcome
-    probabilities, the most probable outcome and its probability.  Outcomes
-    within ``READOUT_TIE_ATOL`` of the largest tie, and a tie goes to the
-    lowest label, so rounding noise cannot pick the label.
-    """
+    """Read a two-qubit CR register in the computational basis: returns
+    ``(distribution, b1b2, probability)``, the four outcome probabilities, the
+    most probable outcome and its probability.  Outcomes within
+    ``READOUT_TIE_ATOL`` of the largest tie, and a tie goes to the lowest
+    label, so rounding noise cannot pick the label."""
+    if cr_out.dim != 4:
+        raise InvariantViolationError(f"CR register must be two qubits, got dimension {cr_out.dim}")
     distribution = tuple(cr_out.matrix.diagonal().real.tolist())
     top = max(distribution)
     modal = next(i for i, p in enumerate(distribution) if p >= top - READOUT_TIE_ATOL)
@@ -140,11 +138,9 @@ def _generator(seed) -> "np.random.Generator":
 def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     """Project Alice's four Bell outcomes out of psi (x) |pair> at once, for a
     two-qubit ket ``pair`` (Alice's half first) or a stack of them, one per row.
-
     Returns ``(branches, probabilities)``: row k of the 4x2 ``branches`` is
     Bob's unnormalised, uncorrected qubit for outcome k (``BellLabel`` order)
-    and ``probabilities[k]`` is its squared norm; a stack adds a leading axis.
-    """
+    and ``probabilities[k]`` is its squared norm; a stack adds a leading axis."""
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
     branches = _BELL_BRAS @ full
@@ -175,28 +171,30 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
         k = _OUTCOMES.index(alice_outcome)
     else:
         raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
-    return _OUTCOMES[k], _CORRECTIONS[k] @ (branches[:, k] / np.sqrt(p[k])).T
+    return _OUTCOMES[k], _CORRECTIONS[k] @ (branches[:, k] / math.sqrt(p[k])).T
+
+
+def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
+                 config: SolverConfig | None = None) -> list:
+    """Run a stack of Bob's qubits through the CTC stage and read each CR register.
+
+    Input i's qubit is K K^dag for the 2 x k factor K = ``kets[i]``; a ket is
+    one column.  One :func:`apply_label_chains` call solves every input from
+    its block outputs and raises the error of the lowest failing input.
+    Returns one ``(distribution, b1b2, probability, fixed_point)`` per input:
+    the :func:`modal_readout` triple of the CR output and its
+    :class:`FixedPointResult`.  Degeneracy is the caller's to check."""
+    kets = _complex_array(kets, "Bob's factors")
+    if kets.ndim != 3 or kets.shape[1] != 2:
+        raise InvariantViolationError(f"Bob's factors must be n x 2 x k, got shape {kets.shape}")
+    return [(*modal_readout(cr_out), fixed)
+            for cr_out, fixed in apply_label_chains(block_outputs(amps, kets), config)]
 
 
 def ctc_readout(amps: AmplitudePair, kets: np.ndarray,
                 config: SolverConfig | None = None) -> tuple:
-    """Run Bob's qubit through the CTC stage and read the CR register.
-
-    Bob's qubit is K K^dag for the 2 x k factor K = ``kets``; a ket is one
-    column.  The circuit's CTC is a classical label, so the stage is solved
-    through its label chain (:func:`apply_label_chain`) from the block
-    outputs of those columns; that solve checks the unit trace of the CR
-    input.
-    Returns ``(distribution, b1b2, probability, fixed_point)``: the
-    :func:`modal_readout` triple of the CR output and the
-    :class:`FixedPointResult` of the solve.  Degeneracy is not checked here;
-    callers that need a unique fixed point check the pair.
-    """
-    kets = _complex_array(kets, "Bob's factor")
-    if kets.ndim != 2 or kets.shape[0] != 2:
-        raise InvariantViolationError(f"Bob's kets must be a 2 x k array, got shape {kets.shape}")
-    cr_out, fixed = apply_label_chain(block_outputs(amps, kets), config)
-    return (*modal_readout(cr_out), fixed)
+    """:func:`ctc_readouts` on a stack of one 2 x k factor ``kets``."""
+    return ctc_readouts(amps, _complex_array(kets, "Bob's factor")[None], config)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,33 +217,37 @@ class DiscriminationRecord:
             raise InvariantViolationError("identified label inconsistent with b1 b2")
 
 
-def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
-                      config: SolverConfig | None = None,
-                      seed=None, alice_outcome=None) -> DiscriminationRecord:
-    """Run the full discrimination protocol for one shared Bell pair.
-
-    Alice's outcome is drawn from seeded randomness unless ``alice_outcome``
-    pins it.  The CR register is read out at its most probable
-    computational value (:func:`modal_readout`); the probability of that
-    value is reported, not assumed.
-    """
-    if not isinstance(bell, BellLabel):
-        raise InvariantViolationError(f"invalid Bell label {bell!r}")
+def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None = None,
+                       seed=None, alice_outcome=None) -> list:
+    """The full discrimination protocol for each shared Bell pair of ``bells``, with
+    one CTC stage for all of them; the labels and the pair are checked first.
+    Alice's outcomes are drawn in order from one generator made from ``seed``,
+    unless ``alice_outcome`` pins them all.  Each record reports the most probable
+    CR value (:func:`modal_readout`) and its probability, not an assumed one."""
+    bells = tuple(bells)
+    for bell in bells:
+        if not isinstance(bell, BellLabel):
+            raise InvariantViolationError(f"invalid Bell label {bell!r}")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    outcome, kets = teleport_and_correct(bell.state_vector()[None], amps, seed, alice_outcome)
-    _, b1b2, probability, fixed = ctc_readout(amps, kets, config)
-    return DiscriminationRecord(
-        input_bell=bell,
-        alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=as_state_vector(kets[:, 0]),
-        b1b2=b1b2,
-        identified=BellLabel.from_b1b2(*b1b2),
-        outcome_probability=probability,
-        fixed_point=fixed,
-    )
+    rng = _generator(seed) if alice_outcome is None else None
+    teleported = [teleport_and_correct(bell.state_vector()[None], amps, rng, alice_outcome)
+                  for bell in bells]
+    readouts = ctc_readouts(amps, np.array([kets for _, kets in teleported]), config)
+    return [DiscriminationRecord(
+        input_bell=bell, alice_outcome=ALICE_OUTCOME_BITS[outcome],
+        bob_state=as_state_vector(kets[:, 0]), b1b2=b1b2, identified=BellLabel.from_b1b2(*b1b2),
+        outcome_probability=probability, fixed_point=fixed,
+    ) for bell, (outcome, kets), (_, b1b2, probability, fixed) in zip(bells, teleported, readouts)]
+
+
+def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
+                      config: SolverConfig | None = None,
+                      seed=None, alice_outcome=None) -> DiscriminationRecord:
+    """:func:`discriminate_bells` for one shared Bell pair."""
+    return discriminate_bells((bell,), amps, config, seed, alice_outcome)[0]
 
 
 @dataclass(frozen=True)
@@ -277,34 +279,19 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     pre-protocol baseline: log-negativity 0 and PPT across all three
     balanced cuts of the Smolin state."""
     rng = _generator(seed)
-    cd_layout = RegisterLayout(("C", "D"))
-    cd_cut = BipartiteCut(("C",), ("D",))
-
-    branches = []
-    for branch in BellLabel:
-        record = discriminate_bell(branch, amps, config, seed=rng)
-        cd_state = branch.state_vector()
-        message = record.identified
-        branches.append(BranchOutcome(
-            branch=branch,
-            probability=0.25,
-            record=record,
-            message=message,
-            cd_fidelity=pure_fidelity(message.state_vector(), cd_state),
-            cd_log_negativity=log_negativity(
-                DensityOperator.from_state_vector(cd_state), cd_layout, cd_cut),
-        ))
-
-    rho = smolin_state()
-    layout = smolin_layout()
-    baseline_en = {name: log_negativity(rho, layout, cut)
-                   for name, cut in smolin_cuts().items()}
-    baseline_ppt = {name: is_ppt(rho, layout, cut)
-                    for name, cut in smolin_cuts().items()}
+    cd_layout, cd_cut = RegisterLayout(("C", "D")), BipartiteCut(("C",), ("D",))
+    branches = tuple(BranchOutcome(
+        branch=branch, probability=0.25, record=record, message=record.identified,
+        cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
+        cd_log_negativity=log_negativity(
+            DensityOperator.from_state_vector(branch.state_vector()), cd_layout, cd_cut),
+    ) for branch, record in zip(_OUTCOMES, discriminate_bells(_OUTCOMES, amps, config, seed=rng)))
+    rho, layout, cuts = smolin_state(), smolin_layout(), smolin_cuts()
     return DistillationReport(
-        branches=tuple(branches),
-        baseline_log_negativity=baseline_en,
-        baseline_ppt=baseline_ppt,
+        branches=branches,
+        baseline_log_negativity={name: log_negativity(rho, layout, cut)
+                                 for name, cut in cuts.items()},
+        baseline_ppt={name: is_ppt(rho, layout, cut) for name, cut in cuts.items()},
         all_identified=all(b.message is b.branch for b in branches),
     )
 
@@ -312,11 +299,9 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
 @dataclass(frozen=True)
 class ImproperMixtureRecord:
     """Result of pushing the unconditioned AB marginal through the CTC stage.
-
     Experimental, no correctness claim: discarding the branch identity hands
     the solver the maximally mixed Bob qubit, and the CR readout carries no
-    information about the original pair.
-    """
+    information about the original pair."""
 
     alice_outcome: tuple
     bob_state: DensityOperator
@@ -339,10 +324,7 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     outcome, kets = teleport_and_correct((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
     distribution, b1b2, probability, fixed = ctc_readout(amps, kets, config)
     return ImproperMixtureRecord(
-        alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=DensityOperator(kets @ kets.conj().T),
-        cr_distribution=distribution,
-        modal_b1b2=b1b2,
-        modal_probability=probability,
+        alice_outcome=ALICE_OUTCOME_BITS[outcome], bob_state=DensityOperator(kets @ kets.conj().T),
+        cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,
         fixed_point=fixed,
     )

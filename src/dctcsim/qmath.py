@@ -152,26 +152,45 @@ class DensityOperator(_CheckedOperator):
 
     def __init__(self, matrix):
         a = _square_matrix(matrix, "density matrix")
-        dim = a.shape[0]
-        if dim < 1 or dim & (dim - 1):
-            raise InvariantViolationError(f"density dimension {dim} is not a power of 2")
-        herm_err = np.abs(a - a.conj().T).max()
-        if herm_err > HERMITICITY_ATOL:
-            raise InvariantViolationError(
-                f"density matrix not Hermitian: max |rho - rho^dag| = {herm_err:.3e}")
-        tr = a.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvariantViolationError(f"density matrix trace {tr!r} deviates from 1")
-        lowest = float(np.linalg.eigvalsh(a)[0]) if dim > 1 else float(a[0, 0].real)
-        if lowest < -PSD_ATOL:
-            raise InvariantViolationError(
-                f"density matrix not positive semidefinite: min eigenvalue {lowest:.3e}")
+        error = _density_errors(a[None])[0]
+        if error is not None:
+            raise InvariantViolationError(error)
         self._matrix = _readonly(a.copy())
+
+    @classmethod
+    def _checked(cls, a: np.ndarray) -> "DensityOperator":
+        """Wrap ``a``, a read-only matrix that passed :func:`_density_errors`, unchecked."""
+        operator = object.__new__(cls)
+        operator._matrix = a
+        return operator
 
     @classmethod
     def from_state_vector(cls, v) -> "DensityOperator":
         a = as_state_vector(v)
         return cls(np.outer(a, a.conj()))
+
+
+def _density_errors(a: np.ndarray) -> list:
+    """For each matrix of the stack ``a`` (n x d x d), the message of the first
+    density-operator check it fails, or None.  In order: finite, a power-of-2
+    dimension, Hermitian, trace, and the lowest eigenvalue, from one
+    ``eigvalsh`` of the whole stack."""
+    if not np.isfinite(a).all():        # only a finite matrix goes on to the later checks
+        return [_density_errors(m[None])[0] if np.isfinite(m).all()
+                else "density matrix contains non-finite entries" for m in a]
+    n, dim = a.shape[:2]
+    if dim < 1 or dim & (dim - 1):
+        return [f"density dimension {dim} is not a power of 2"] * n
+    herm = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    traces = a.trace(axis1=1, axis2=2)
+    lowest = np.linalg.eigvalsh(a)[:, 0]
+    return [f"density matrix not Hermitian: max |rho - rho^dag| = {herm[i]:.3e}"
+            if h > HERMITICITY_ATOL else
+            f"density matrix trace {traces[i]!r} deviates from 1"
+            if abs(t - 1.0) > TRACE_ATOL else
+            f"density matrix not positive semidefinite: min eigenvalue {low:.3e}"
+            if low < -PSD_ATOL else None
+            for i, (h, t, low) in enumerate(zip(herm.tolist(), traces.tolist(), lowest.tolist()))]
 
 
 @dataclass(frozen=True)

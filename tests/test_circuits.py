@@ -121,7 +121,7 @@ class TestBlockUnitaries:
 
     def test_invalid_code_rejected(self):
         for bad in ((2, 0), "012", "ab", (0,), 5, None, "10", [1, 0], np.array([1, 0]),
-                    (np.array([1, 0]), np.array([0, 1]))):
+                    (np.array([1, 0]), np.array([0, 1])), (True, 0), (1, False), (1.0, 0)):
             with pytest.raises(InvariantViolationError):
                 block_unitary(bad, AMPS)
 

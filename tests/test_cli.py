@@ -8,7 +8,7 @@ import pytest
 
 import dctcsim.cli as cli
 import dctcsim.protocols as protocols
-from dctcsim import BellLabel, InvariantViolationError
+from dctcsim import AmplitudePair, BellLabel, InvariantViolationError, candidate_states
 from dctcsim.cli import build_parser, main, make_document, serialize
 
 
@@ -41,11 +41,17 @@ def run_json(capsys, *argv):
 
 def misidentifying(discriminate):
     """``discriminate`` run on the next pair in ``BellLabel`` order, so the
-    record it returns names the wrong pair."""
+    record it returns names the wrong pair; a stack of pairs is shifted
+    pair by pair."""
     labels = list(BellLabel)
 
-    def wrong(bell, *args, **kwargs):
-        return discriminate(labels[(labels.index(bell) + 1) % 4], *args, **kwargs)
+    def shifted(bell):
+        return labels[(labels.index(bell) + 1) % 4]
+
+    def wrong(bells, *args, **kwargs):
+        if isinstance(bells, BellLabel):
+            return discriminate(shifted(bells), *args, **kwargs)
+        return discriminate([shifted(bell) for bell in bells], *args, **kwargs)
     return wrong
 
 
@@ -252,7 +258,9 @@ class TestExitCodes:
     ])
     def test_misidentified_bell_state_is_4(self, capsys, monkeypatch, argv, owner, flag, rows):
         # The whole document is still written, then one line per wrong row.
-        monkeypatch.setattr(owner, "discriminate_bell", misidentifying(owner.discriminate_bell))
+        # table1 and smolin discriminate their four pairs in one stacked call.
+        name = "discriminate_bell" if rows == 1 else "discriminate_bells"
+        monkeypatch.setattr(owner, name, misidentifying(getattr(owner, name)))
         code, doc, err = run_json(capsys, *argv)
         assert code == 4
         assert doc["experiment"] == argv[0]
@@ -340,3 +348,71 @@ class TestParserReuse:
         assert run_alone(capsys, to_stdout + ["--output", str(target)]) == (0, "", "")
         assert run_any(capsys, to_stdout) == expected
         assert target.read_text() == expected[1]
+
+
+def recording(fn, results):
+    """``fn``, appending what each call returns to ``results``."""
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return wrapper
+
+
+def assert_same_record(record, reference):
+    assert record.input_bell is reference.input_bell
+    assert record.alice_outcome == reference.alice_outcome
+    assert record.b1b2 == reference.b1b2
+    assert record.outcome_probability == reference.outcome_probability
+    assert np.array_equal(record.bob_state, reference.bob_state)
+    assert np.array_equal(record.fixed_point.fixed_point.matrix,
+                          reference.fixed_point.fixed_point.matrix)
+
+
+class TestStackedExperiments:
+    """Each experiment solves its four inputs in one stacked call; every input
+    comes out as it does alone through the stack-of-one wrapper, with Alice's
+    outcomes drawn from the seed's generator in the same order."""
+
+    SEEDS = range(6)
+    ALPHAS = (0.3, 0.6)
+
+    def test_table1_records_match_single_discriminations(self, capsys, monkeypatch):
+        stacks = []
+        monkeypatch.setattr(cli, "discriminate_bells", recording(cli.discriminate_bells, stacks))
+        for alpha in self.ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            for seed in self.SEEDS:
+                assert run_cli(capsys, "table1", "--alpha", str(alpha), "--seed", str(seed))[0] == 0
+                rng = np.random.default_rng(seed)
+                for record, bell in zip(stacks.pop(), BellLabel):
+                    assert_same_record(record, protocols.discriminate_bell(bell, amps, seed=rng))
+
+    def test_smolin_records_match_single_discriminations(self):
+        for alpha in self.ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            for seed in self.SEEDS:
+                report = protocols.distill_smolin(amps, seed=seed)
+                rng = np.random.default_rng(seed)
+                for branch in report.branches:
+                    reference = protocols.discriminate_bell(branch.branch, amps, seed=rng)
+                    assert_same_record(branch.record, reference)
+                    assert branch.message is reference.identified
+
+    def test_fixed_point_readouts_match_single_readouts(self, capsys, monkeypatch):
+        stacks = []
+        monkeypatch.setattr(cli, "ctc_readouts", recording(cli.ctc_readouts, stacks))
+        for alpha in self.ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            for seed in self.SEEDS:
+                code, doc, _ = run_json(capsys, "fixed-point", "--alpha", str(alpha),
+                                        "--seed", str(seed))
+                assert code == 0
+                readouts = stacks.pop()
+                for row, readout, state in zip(doc["rows"], readouts,
+                                               candidate_states(amps).values()):
+                    alone = protocols.ctc_readout(amps, state[:, None])
+                    assert readout[:3] == alone[:3]
+                    assert readout[3].residual == alone[3].residual
+                    assert np.array_equal(readout[3].fixed_point.matrix,
+                                          alone[3].fixed_point.matrix)
+                    assert row["modal_probability"] == float(f"{alone[2]:.15g}")

@@ -478,8 +478,9 @@ class TestLabelChain:
         assert record.fixed_point.method == "chain"
 
     def test_pinned_discrimination_stays_within_its_call_budget(self, monkeypatch):
-        # One run builds two DensityOperators (sigma* and the CR output), each
-        # checked with one eigvalsh, and takes the residual's trace norm with one svd.
+        # One stacked solve checks every sigma* and CR output with one eigvalsh and
+        # takes every residual's trace norm with one svd, for one input or four;
+        # the DensityOperators it returns are not checked a second time.
         calls = {"DensityOperator": 0, "svd": 0, "eigvalsh": 0}
 
         def counted(name, fn):
@@ -493,7 +494,11 @@ class TestLabelChain:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         record = discriminate_bell(BellLabel.PSI_PLUS, AMPS, alice_outcome=BellLabel.PHI_MINUS)
         assert record.identified is BellLabel.PSI_PLUS
-        assert calls == {"DensityOperator": 2, "svd": 1, "eigvalsh": 2}
+        assert calls == {"DensityOperator": 0, "svd": 1, "eigvalsh": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        records = protocols.discriminate_bells(tuple(BellLabel), AMPS, seed=0)    # table1
+        assert [r.identified for r in records] == list(BellLabel)
+        assert calls == {"DensityOperator": 0, "svd": 1, "eigvalsh": 1}
 
     def test_spectral_solve_reports_its_method(self):
         assert solve_fixed_point(*worked_instance()).method == "spectral"
@@ -664,6 +669,113 @@ class TestLabelChain:
         outputs[1, 2, 0] = bad
         with pytest.raises(InvariantViolationError, match="finite"):
             deutsch.apply_label_chain(outputs)
+
+
+# Rows of a factor of the Smolin AB marginal: the improper-mixture run's pair factor.
+_IMPROPER_PAIRS = ensemble(ptrace_brute(smolin_pauli_form(), 4, (0, 1))).T
+_STACK_PAIRS = (AmplitudePair.from_alpha(0.3), AmplitudePair.from_alpha(0.6),
+                _pair_at_distance(1.01e-6), _pair_at_distance(-1.01e-6), _pair_at_distance(1e-2))
+
+
+def _stage_factors(amps, rng):
+    """Bob's factors of every kind the CTC stage takes at ``amps``, by kind:
+    16 pure kets, 4 improper-mixture factors and 16 seeded mixed 2 x 3 factors."""
+    mixed = rng.normal(size=(16, 2, 3)) + 1j * rng.normal(size=(16, 2, 3))
+    return {
+        "pure": [teleport_and_correct(bell.state_vector()[None], amps, alice_outcome=o)[1]
+                 for bell in BellLabel for o in BellLabel],
+        "improper": [teleport_and_correct(_IMPROPER_PAIRS, amps, alice_outcome=o)[1]
+                     for o in BellLabel],
+        "mixed": list(mixed / np.linalg.norm(mixed, axis=(1, 2))[:, None, None]),
+    }
+
+
+def _same_solve(stacked, alone):
+    """Two (cr_out, FixedPointResult) pairs agree bit for bit."""
+    (cr, fixed), (cr_alone, fixed_alone) = stacked, alone
+    assert np.array_equal(fixed.fixed_point.matrix, fixed_alone.fixed_point.matrix)
+    assert fixed.residual == fixed_alone.residual
+    assert fixed.fp_space_dim == fixed_alone.fp_space_dim
+    assert np.array_equal(cr.matrix.diagonal(), cr_alone.matrix.diagonal())
+    assert protocols.modal_readout(cr) == protocols.modal_readout(cr_alone)
+
+
+class TestStackedChain:
+    def test_stack_matches_stacks_of_one_bit_for_bit(self):
+        # Stacked matmul, trace, svd and eigvalsh give each input the bits it
+        # gets alone: pure, improper-mixture and mixed inputs, pairs mixed in
+        # one stack, next to the degeneracy window and clear of it.
+        rng = np.random.default_rng(181)
+        outputs = {"pure": [], "improper": [], "mixed": []}
+        for amps in _STACK_PAIRS:
+            for kind, factors in _stage_factors(amps, rng).items():
+                outputs[kind] += [circuits.block_outputs(amps, k) for k in factors]
+                stacked = protocols.ctc_readouts(amps, np.array(factors))
+                for readout, factor in zip(stacked, factors):
+                    alone = ctc_readout(amps, factor)
+                    assert readout[:3] == alone[:3]
+                    assert np.array_equal(readout[3].fixed_point.matrix,
+                                          alone[3].fixed_point.matrix)
+        for kind, block_outputs in outputs.items():
+            alone = [deutsch.apply_label_chain(out) for out in block_outputs]
+            for size in (1, 4, 16):
+                for start in range(0, len(block_outputs), size):
+                    stack = np.array(block_outputs[start:start + size])
+                    for i, solved in enumerate(deutsch.apply_label_chains(stack)):
+                        _same_solve(solved, alone[start + i])
+
+    def test_stack_raises_its_lowest_failing_input(self):
+        # Input 0 fails the residual check at a tolerance no rounding meets,
+        # input 1 the trace test: the stack raises input 0's error, as a loop
+        # of single calls would, and input 1's when the order is swapped.
+        tight = SolverConfig(tolerance=1e-20)
+        factor = np.array([[0.6, 0.3j, 0.1], [0.2, -0.5, 0.5]])
+        mixed = circuits.block_outputs(AMPS, factor / np.linalg.norm(factor))
+        residual = deutsch.apply_label_chain(mixed)[1].residual
+        assert residual > 0
+        bad_trace = 2 * mixed
+        two_escapes = np.zeros((4, 4, 3), dtype=complex)      # every label stays ...
+        two_escapes[:, :, 0] = np.eye(4)
+        two_escapes[1, :, 0] = [0.6, 0.0, 0.8, 0.0]             # ... but 1 leaves for 0 and 2
+        with pytest.raises(FixedPointConvergenceError) as info:
+            deutsch.apply_label_chains(np.array([mixed, bad_trace]), tight)
+        assert info.value.best_residual == residual
+        for stack, match in (([bad_trace, mixed], "trace"), ([mixed, bad_trace], "trace"),
+                             ([two_escapes, bad_trace], "escapes"),
+                             ([bad_trace, two_escapes], "trace")):
+            with pytest.raises(InvariantViolationError, match=match):
+                deutsch.apply_label_chains(np.array(stack))
+        solved = deutsch.apply_label_chains(np.array([mixed, mixed]))
+        assert [fixed.residual for _, fixed in solved] == [residual, residual]
+
+    def test_failed_states_raise_in_input_order(self, monkeypatch):
+        # Every sigma* and CR output is checked in one stack, sigma* first: an
+        # input's sigma* fails as FixedPointConvergenceError, its CR output as a
+        # bare InvariantViolationError, and the lowest failing input wins.
+        pure = [circuits.block_outputs(AMPS, candidate_states(AMPS)[code][:, None])
+                for code in ((0, 0), (1, 1))]
+        checks = deutsch._density_errors
+        for planted, error, text in (({2: "output 0"}, InvariantViolationError, "output 0"),
+                                     ({1: "sigma 1", 3: "output 1"}, FixedPointConvergenceError,
+                                      "sigma 1"),
+                                     ({1: "sigma 1", 2: "output 0"}, InvariantViolationError,
+                                      "output 0")):
+            monkeypatch.setattr(deutsch, "_density_errors", lambda states, planted=planted: [
+                planted.get(i, found) for i, found in enumerate(checks(states))])
+            with pytest.raises(error, match=text):
+                deutsch.apply_label_chains(np.array(pure))
+
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_stacks_rejected(self):
+        outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
+        for bad in (outputs, outputs[None, :, :2], outputs[None, ..., 0], outputs[None, None],
+                    np.zeros((0, 4, 4, 1)), np.zeros((1, 0, 0, 1))):
+            with pytest.raises(InvariantViolationError, match="shape"):
+                deutsch.apply_label_chains(bad)
+        unit = candidate_states(AMPS)[(0, 0)][:, None]
+        for bad in (unit, np.ones((1, 3, 1)), np.zeros((0, 2, 1)), "x"):
+            with pytest.raises(InvariantViolationError):
+                protocols.ctc_readouts(AMPS, bad)
 
 
 class TestApplyDctc:

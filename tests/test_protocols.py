@@ -248,8 +248,12 @@ class TestDiscriminateBell:
         record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
         with pytest.raises(InvariantViolationError):
             dataclasses.replace(record, b1b2=(2, 0))
-        with pytest.raises(InvariantViolationError):
-            BellLabel.from_b1b2(2, 0)
+        # A bit equal to 0 or 1 that is not an integer (a bool, a float, an
+        # array) is rejected too; a numpy integer is an integer.
+        for bad in ((2, 0), (1.0, 0), (True, False), (1, True), (np.array([1, 0]), 0)):
+            with pytest.raises(InvariantViolationError, match="invalid CR outcome"):
+                BellLabel.from_b1b2(*bad)
+        assert BellLabel.from_b1b2(np.int64(1), 0) is BellLabel.PSI_PLUS
 
     def test_invalid_alice_outcome_rejected(self):
         for bad in (3, (0, 2), "00", np.array([0, 1]), (0, 1)):
@@ -450,3 +454,9 @@ class TestModalReadout:
         _, b1b2, probability = modal_readout(DensityOperator(np.diag([0.1, 0.2, 0.6, 0.1])))
         assert b1b2 == (1, 0)
         assert probability == 0.6
+
+    def test_register_of_other_size_rejected(self):
+        # One qubit would read as (0, 1) and three would index past BLOCK_CODES.
+        for diagonal in ([0.1, 0.9], [0.0] * 7 + [1.0]):
+            with pytest.raises(InvariantViolationError, match="two qubits"):
+                modal_readout(DensityOperator(np.diag(diagonal)))
