@@ -7,15 +7,16 @@ digits when the document is built, so serialization round-trips exactly.
 
 Every experiment that runs the CTC stage makes one stacked call of
 :func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
-makes a stack of one); the fixed points come from the circuit's four-label
-chain (see :mod:`dctcsim.deutsch`), with no iteration budget.
+and ``smolin --improper-mixture`` have one); the fixed points come from the
+circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no iteration
+budget.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
 built on the first call and reused, and parsing never changes it.
 
-Exit codes: 0 success, 2 usage error, 3 the fixed point fails its residual
-check, 4 invariant violation during the run.
+Exit codes: 0 success, 2 usage error (an empty ``--output`` is one), 3 the
+fixed point fails its residual check, 4 invariant violation during the run.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import io
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -329,8 +331,12 @@ def _write_replacing(path: str, text: str) -> None:
     """Write ``text`` to a new sibling file (mode as ``open(path, "w")`` gives),
     unlink ``path`` and rename the file to it, or on failure remove the file.
     Unlinking first spares the flush ext4 forces on a rename over a file; a
-    reader may briefly find no file at ``path``, but never a half-written one."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    reader may briefly find no file at ``path``, but never a half-written one.
+    The sibling is named by process and thread, so no other live writer owns
+    it, and a file already there, left by a killed run, is removed first."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
     handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
@@ -348,6 +354,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
+    if args.output == "":
+        parser.error("--output must be a path, got an empty string")
 
     try:
         amps = AmplitudePair.from_alpha(args.alpha, allow_degenerate=args.allow_degenerate)

@@ -29,8 +29,7 @@ CR input, since each block's ancilla-|0> columns are two columns of a
 permutation layer.  Following the escapes, every label reaches one cycle,
 on which the flow p_c e_c is the same for every c, so p_c goes as 1/e_c:
 nothing is subtracted, however small the chain's gap.  The chain solve
-takes a stack of CR inputs and solves them in one call; a single input is a
-stack of one (:func:`apply_label_chain`).
+takes a stack of CR inputs and solves them in one call.
 """
 
 import numbers
@@ -253,13 +252,14 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     spectral eigenvalue window) counted as absent.  Returns one
     ``(cr_out, FixedPointResult)`` per input.
 
-    Checks, in order: the trace test (``InvariantViolationError`` for
-    non-finite outputs, or a row sum of the chain, Tr(rho_CR), off 1 by more
-    than ``TRACE_ATOL``), the walk (a label with two escapes), sigma* as a
-    density operator and the residual (``FixedPointConvergenceError``), and
-    the CR output as a density operator (``InvariantViolationError``).  The
-    stack raises the first failed check of its lowest failing input, as one
-    call per input would.
+    Checks, in order: the trace test on every input
+    (``InvariantViolationError`` for non-finite outputs, or a row sum of the
+    chain, Tr(rho_CR), off 1 by more than ``TRACE_ATOL``), then the walk on
+    every input (a label with two escapes), then for each input in turn
+    sigma* as a density operator and the residual
+    (``FixedPointConvergenceError``) and the CR output as a density operator
+    (``InvariantViolationError``).  The first failure raises, from the lowest
+    input that fails it.
     """
     config = config or _DEFAULT_CONFIG
     outputs = _complex_array(outputs, "block outputs")
@@ -269,20 +269,12 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     with np.errstate(over="ignore"):                # a huge entry gives inf, which fails the trace
         P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=3)     # P[i, c, c'] = M_i[c', c]
         traces = P.sum(axis=2).tolist()             # row c: ||U_c K||_F^2 = Tr(rho_CR)
-    walks, failure = [], None
-    for i, (rows, trace) in enumerate(zip(P.tolist(), traces)):
-        try:
-            if not all(abs(t - 1.0) <= TRACE_ATOL for t in trace):  # fails on NaN or inf too
-                raise InvariantViolationError(f"CR input has trace {trace}, not 1"
-                                              if np.isfinite(outputs[i]).all()
-                                              else "block outputs must be finite")
-            walks.append(_cesaro_limit(rows))
-        except InvariantViolationError as exc:      # the inputs below it are solved first
-            failure = exc
-            break
-    if not walks:
-        raise failure
-    outputs = outputs[:len(walks)]
+    for i, trace in enumerate(traces):
+        if not all(abs(t - 1.0) <= TRACE_ATOL for t in trace):     # fails on NaN or inf too
+            raise InvariantViolationError(f"CR input has trace {trace}, not 1"
+                                          if np.isfinite(outputs[i]).all()
+                                          else "block outputs must be finite")
+    walks = [_cesaro_limit(rows) for rows in P.tolist()]
     n, d = outputs.shape[:2]
     conj = outputs.conj()
     taus = (outputs @ conj.transpose(0, 1, 3, 2)).reshape(n, d, d * d)
@@ -304,11 +296,5 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
             raise InvariantViolationError(errors[n + i])
         fixed = FixedPointResult(DensityOperator._checked(states[i]), residual, closed, "chain")
         results.append((DensityOperator._checked(states[n + i]), fixed))
-    if failure is not None:
-        raise failure
     return results
 
-
-def apply_label_chain(outputs: np.ndarray, config: SolverConfig | None = None) -> tuple:
-    """:func:`apply_label_chains` on a stack of one: ``outputs[c] = U_c K``."""
-    return apply_label_chains(_complex_array(outputs, "block outputs")[None], config)[0]

@@ -13,9 +13,8 @@ non-degenerate amplitude pair (:mod:`dctcsim.circuits`).
 stack of inputs: each Bob qubit, a factor K of his density matrix K K^dag,
 forms a CR input with the ancilla, one call solves every Deutsch fixed point
 through the circuit's four-label chain (no 16x16 interaction is built), and
-each CR register is read out.  A single input is a stack of one
-(:func:`ctc_readout`, :func:`discriminate_bell`).  Bob's factors come from
-the one teleportation step, :func:`teleport_and_correct`.
+each CR register is read out.  A single input is a stack of one.  Bob's
+factors come from the one teleportation step, :func:`teleport_and_correct`.
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -74,10 +73,10 @@ class BellLabel(enum.Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "BellLabel":
-        for label in cls:
-            if label.value == name:
-                return label
-        raise InvariantViolationError(f"unknown Bell label {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise InvariantViolationError(f"unknown Bell label {name!r}") from None
 
     @classmethod
     def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
@@ -180,7 +179,7 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
 
     Input i's qubit is K K^dag for the 2 x k factor K = ``kets[i]``; a ket is
     one column.  One :func:`apply_label_chains` call solves every input from
-    its block outputs and raises the error of the lowest failing input.
+    its block outputs, and raises as it does.
     Returns one ``(distribution, b1b2, probability, fixed_point)`` per input:
     the :func:`modal_readout` triple of the CR output and its
     :class:`FixedPointResult`.  Degeneracy is the caller's to check."""
@@ -191,12 +190,6 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
             for cr_out, fixed in apply_label_chains(block_outputs(amps, kets), config)]
 
 
-def ctc_readout(amps: AmplitudePair, kets: np.ndarray,
-                config: SolverConfig | None = None) -> tuple:
-    """:func:`ctc_readouts` on a stack of one 2 x k factor ``kets``."""
-    return ctc_readouts(amps, _complex_array(kets, "Bob's factor")[None], config)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class DiscriminationRecord:
     """Everything observed in one discrimination run."""
@@ -204,7 +197,6 @@ class DiscriminationRecord:
     input_bell: BellLabel
     alice_outcome: tuple
     bob_state: np.ndarray
-    b1b2: tuple
     identified: BellLabel
     outcome_probability: float
     fixed_point: FixedPointResult
@@ -213,8 +205,13 @@ class DiscriminationRecord:
         if not 0.0 <= self.outcome_probability <= MAX_READOUT_PROBABILITY:
             raise InvariantViolationError(
                 f"outcome probability {self.outcome_probability} outside [0, 1]")
-        if self.identified is not BellLabel.from_b1b2(*self.b1b2):
-            raise InvariantViolationError("identified label inconsistent with b1 b2")
+        if not isinstance(self.identified, BellLabel):
+            raise InvariantViolationError(f"invalid Bell label {self.identified!r}")
+
+    @property
+    def b1b2(self) -> tuple:
+        """The CR outcome read out: the identified label's code."""
+        return BLOCK_CODES[_OUTCOMES.index(self.identified)]
 
 
 def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None = None,
@@ -238,7 +235,7 @@ def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None =
     readouts = ctc_readouts(amps, np.array([kets for _, kets in teleported]), config)
     return [DiscriminationRecord(
         input_bell=bell, alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=as_state_vector(kets[:, 0]), b1b2=b1b2, identified=BellLabel.from_b1b2(*b1b2),
+        bob_state=as_state_vector(kets[:, 0]), identified=BellLabel.from_b1b2(*b1b2),
         outcome_probability=probability, fixed_point=fixed,
     ) for bell, (outcome, kets), (_, b1b2, probability, fixed) in zip(bells, teleported, readouts)]
 
@@ -316,13 +313,13 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     """Teleport psi through the Smolin AB marginal, factored as its
     eigenvectors scaled by the square roots of their eigenvalues
     (:func:`teleport_and_correct`, Alice's outcome drawn from ``seed``), and
-    run Bob's corrected factor through :func:`ctc_readout`."""
+    run Bob's corrected factor through :func:`ctc_readouts`."""
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
     w, pairs = np.linalg.eigh(rho_ab)
     outcome, kets = teleport_and_correct((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
-    distribution, b1b2, probability, fixed = ctc_readout(amps, kets, config)
+    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets[None], config)[0]
     return ImproperMixtureRecord(
         alice_outcome=ALICE_OUTCOME_BITS[outcome], bob_state=DensityOperator(kets @ kets.conj().T),
         cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -271,6 +272,11 @@ class TestExitCodes:
         assert len(lines) == rows
         assert all(line.startswith("invariant violation: ") for line in lines)
 
+    def test_empty_output_is_usage_error(self, capsys):
+        code, out, err = run_any(capsys, ["table1", "--output", ""])
+        assert (code, out) == (2, "")
+        assert "--output" in err
+
     def test_unwritable_output_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "measures",
                                "--output", "/no/such/directory/out.json")
@@ -303,6 +309,39 @@ class TestOutputFile:
         # The document gets the mode open(path, "w") gives a new file.
         fresh.write_text("")
         assert target.stat().st_mode == fresh.stat().st_mode
+
+    def test_stale_temporary_file_is_replaced(self, tmp_path, capsys):
+        # A run killed after opening its temporary file leaves it behind, and a
+        # later run with the same PID must not trip over it.
+        target = tmp_path / "doc.json"
+        (tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp").write_text("x" * 1000)
+        code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        assert target.read_text() == expected
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_concurrent_writers_each_use_their_own_temporary_file(self, tmp_path, capsys):
+        # Two threads of one process write one path: neither removes the other's
+        # temporary file, so every run succeeds and one whole document is left.
+        target = tmp_path / "doc.json"
+        codes = []
+
+        def write(seed):
+            for _ in range(20):
+                codes.append(main(["table1", "--seed", str(seed), "--output-format", "json",
+                                   "--output", str(target)]))
+        threads = [threading.Thread(target=write, args=(seed,)) for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert codes == [0] * 40
+        documents = [run_cli(capsys, "table1", "--seed", seed, "--output-format", "json")[1]
+                     for seed in ("1", "2")]
+        assert target.read_text() in documents
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -370,8 +409,8 @@ def assert_same_record(record, reference):
 
 class TestStackedExperiments:
     """Each experiment solves its four inputs in one stacked call; every input
-    comes out as it does alone through the stack-of-one wrapper, with Alice's
-    outcomes drawn from the seed's generator in the same order."""
+    comes out as it does alone in a stack of one, with Alice's outcomes drawn
+    from the seed's generator in the same order."""
 
     SEEDS = range(6)
     ALPHAS = (0.3, 0.6)
@@ -410,7 +449,7 @@ class TestStackedExperiments:
                 readouts = stacks.pop()
                 for row, readout, state in zip(doc["rows"], readouts,
                                                candidate_states(amps).values()):
-                    alone = protocols.ctc_readout(amps, state[:, None])
+                    alone = protocols.ctc_readouts(amps, state[None, :, None])[0]
                     assert readout[:3] == alone[:3]
                     assert readout[3].residual == alone[3].residual
                     assert np.array_equal(readout[3].fixed_point.matrix,

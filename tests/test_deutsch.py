@@ -32,7 +32,7 @@ from dctcsim.deutsch import (
     fixed_point_space_dim,
     superoperator_matrix,
 )
-from dctcsim.protocols import ctc_readout, discriminate_bell, teleport_and_correct
+from dctcsim.protocols import ctc_readouts, discriminate_bell, teleport_and_correct
 from dctcsim.qmath import KET_0
 
 from oracles import (
@@ -391,7 +391,7 @@ class TestNearDegeneracy:
             assert result.fp_space_dim == 1
             bob = teleport_and_correct(bell.state_vector()[None], amps,
                                        alice_outcome=outcome)[1][:, 0]
-            chain = ctc_readout(amps, bob[:, None])[3].fixed_point
+            chain = ctc_readouts(amps, bob[None, :, None])[0][3].fixed_point
             assert trace_norm(result.fixed_point.matrix - chain.matrix) <= 1e-5
 
     def test_closer_runs_identify_or_raise_typed_error(self):
@@ -422,7 +422,7 @@ class TestLabelChain:
             for bell, outcome, rho_cr in _discrimination_inputs(amps):
                 bob = teleport_and_correct(bell.state_vector()[None], amps,
                                            alice_outcome=outcome)[1][:, 0]
-                fixed = ctc_readout(amps, bob[:, None])[3]
+                fixed = ctc_readouts(amps, bob[None, :, None])[0][3]
                 image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
                 assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
         rng = np.random.default_rng(101)
@@ -430,7 +430,7 @@ class TestLabelChain:
         for _ in range(5):
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
-            fixed = ctc_readout(AMPS, ensemble(rho_bob))[3]
+            fixed = ctc_readouts(AMPS, ensemble(rho_bob)[None])[0][3]
             image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
             assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
 
@@ -448,7 +448,7 @@ class TestLabelChain:
                 for outcome in BellLabel:
                     bob = teleport_and_correct(bell.state_vector()[None], amps,
                                                alice_outcome=outcome)[1][:, 0]
-                    fixed = ctc_readout(amps, bob[:, None])[3]
+                    fixed = ctc_readouts(amps, bob[None, :, None])[0][3]
                     assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
                     assert fixed.method == "chain"
 
@@ -509,7 +509,7 @@ class TestLabelChain:
         u, rho_cr, layout = worked_instance(literal())
         spectral_out, spectral = apply_dctc(u, rho_cr, layout)
         outputs = _chain_inputs(four_blocks(0.6, 0.8, "literal"), [0.8, 0.6])
-        cr_out, fixed = deutsch.apply_label_chain(outputs)
+        cr_out, fixed = deutsch.apply_label_chains(outputs[None])[0]
         assert fixed.fp_space_dim == spectral.fp_space_dim == 2
         assert trace_norm(fixed.fixed_point.matrix - spectral.fixed_point.matrix) <= 1e-12
         assert abs(cr_out.matrix[2, 2].real - 0.5) <= 1e-12
@@ -537,7 +537,7 @@ class TestLabelChain:
         outputs = np.eye(4, dtype=complex)[:, :, None]     # every label stays ...
         outputs[1, :, 0] = [0.6, 0.0, 0.8, 0.0]             # ... but 1 leaves for 0 and 2
         with pytest.raises(InvariantViolationError):
-            deutsch.apply_label_chain(outputs)
+            deutsch.apply_label_chains(outputs[None])
 
     def test_cycle_mass_goes_as_inverse_escape(self):
         # p_c e_c is the same on every label of a cycle: p is (1/e) / sum(1/e).
@@ -604,7 +604,8 @@ class TestLabelChain:
 
         def errors(amps, kets):
             exact = exact_chain_readout(circuits.block_outputs(amps, kets))
-            return [(abs(Fraction(x) - e), e) for x, e in zip(ctc_readout(amps, kets)[0], exact)]
+            distribution = ctc_readouts(amps, kets[None])[0][0]
+            return [(abs(Fraction(x) - e), e) for x, e in zip(distribution, exact)]
         mixed = ensemble(ptrace_brute(smolin_pauli_form(), 4, (0, 1))).T     # improper mixture
         for delta in (1.01e-6, 2e-6, 1e-5, 1.87e-4, 1e-2):
             for amps in (_pair_at_distance(delta), _pair_at_distance(-delta)):
@@ -640,13 +641,13 @@ class TestLabelChain:
     def test_malformed_inputs_rejected(self):
         outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
         with pytest.raises(InvariantViolationError):
-            deutsch.apply_label_chain(outputs[:, :2])
+            deutsch.apply_label_chains(outputs[None, :, :2])
         # A CR input of trace 0 (all-zero outputs) or 4 fails the row sums of the chain.
         for bad_outputs in (np.zeros((4, 4, 1)), 2 * outputs):
             with pytest.raises(InvariantViolationError, match="trace"):
-                deutsch.apply_label_chain(bad_outputs)
+                deutsch.apply_label_chains(bad_outputs[None])
         with pytest.raises(InvariantViolationError, match="finite"):
-            deutsch.apply_label_chain(np.where(outputs == 0, np.nan, outputs))
+            deutsch.apply_label_chains(np.where(outputs == 0, np.nan, outputs)[None])
 
     @pytest.mark.filterwarnings("error")
     def test_huge_and_empty_outputs_rejected_without_warning(self):
@@ -655,9 +656,9 @@ class TestLabelChain:
         outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
         outputs[1, 2, 0] = 1e200
         with pytest.raises(InvariantViolationError, match="trace"):
-            deutsch.apply_label_chain(outputs)
+            deutsch.apply_label_chains(outputs[None])
         with pytest.raises(InvariantViolationError, match="shape"):
-            deutsch.apply_label_chain(np.zeros((0, 0, 1)))
+            deutsch.apply_label_chains(np.zeros((0, 0, 1))[None])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, np.nan),
@@ -668,7 +669,7 @@ class TestLabelChain:
         outputs = _chain_inputs(four_blocks(0.6, 0.8), [0.8, 0.6])
         outputs[1, 2, 0] = bad
         with pytest.raises(InvariantViolationError, match="finite"):
-            deutsch.apply_label_chain(outputs)
+            deutsch.apply_label_chains(outputs[None])
 
 
 # Rows of a factor of the Smolin AB marginal: the improper-mixture run's pair factor.
@@ -712,12 +713,12 @@ class TestStackedChain:
                 outputs[kind] += [circuits.block_outputs(amps, k) for k in factors]
                 stacked = protocols.ctc_readouts(amps, np.array(factors))
                 for readout, factor in zip(stacked, factors):
-                    alone = ctc_readout(amps, factor)
+                    alone = ctc_readouts(amps, factor[None])[0]
                     assert readout[:3] == alone[:3]
                     assert np.array_equal(readout[3].fixed_point.matrix,
                                           alone[3].fixed_point.matrix)
         for kind, block_outputs in outputs.items():
-            alone = [deutsch.apply_label_chain(out) for out in block_outputs]
+            alone = [deutsch.apply_label_chains(out[None])[0] for out in block_outputs]
             for size in (1, 4, 16):
                 for start in range(0, len(block_outputs), size):
                     stack = np.array(block_outputs[start:start + size])
@@ -725,26 +726,30 @@ class TestStackedChain:
                         _same_solve(solved, alone[start + i])
 
     def test_stack_raises_its_lowest_failing_input(self):
-        # Input 0 fails the residual check at a tolerance no rounding meets,
-        # input 1 the trace test: the stack raises input 0's error, as a loop
-        # of single calls would, and input 1's when the order is swapped.
+        # The trace test runs on every input, then the walk, then each input's
+        # residual check: a stack raises the first check any input fails,
+        # wherever that input stands.  The mixed input fails the residual check
+        # only at a tolerance no rounding meets.
         tight = SolverConfig(tolerance=1e-20)
         factor = np.array([[0.6, 0.3j, 0.1], [0.2, -0.5, 0.5]])
         mixed = circuits.block_outputs(AMPS, factor / np.linalg.norm(factor))
-        residual = deutsch.apply_label_chain(mixed)[1].residual
+        residual = deutsch.apply_label_chains(mixed[None])[0][1].residual
         assert residual > 0
         bad_trace = 2 * mixed
         two_escapes = np.zeros((4, 4, 3), dtype=complex)      # every label stays ...
         two_escapes[:, :, 0] = np.eye(4)
         two_escapes[1, :, 0] = [0.6, 0.0, 0.8, 0.0]             # ... but 1 leaves for 0 and 2
         with pytest.raises(FixedPointConvergenceError) as info:
-            deutsch.apply_label_chains(np.array([mixed, bad_trace]), tight)
+            deutsch.apply_label_chains(np.array([mixed, mixed]), tight)
         assert info.value.best_residual == residual
-        for stack, match in (([bad_trace, mixed], "trace"), ([mixed, bad_trace], "trace"),
-                             ([two_escapes, bad_trace], "escapes"),
-                             ([bad_trace, two_escapes], "trace")):
+        for stack, config, match in (([mixed, bad_trace], tight, "trace"),
+                                     ([bad_trace, mixed], None, "trace"),
+                                     ([mixed, bad_trace], None, "trace"),
+                                     ([two_escapes, bad_trace], None, "trace"),
+                                     ([bad_trace, two_escapes], None, "trace"),
+                                     ([mixed, two_escapes], tight, "escapes")):
             with pytest.raises(InvariantViolationError, match=match):
-                deutsch.apply_label_chains(np.array(stack))
+                deutsch.apply_label_chains(np.array(stack), config)
         solved = deutsch.apply_label_chains(np.array([mixed, mixed]))
         assert [fixed.residual for _, fixed in solved] == [residual, residual]
 

@@ -25,7 +25,7 @@ from dctcsim import (
 from dctcsim.deutsch import apply_dctc
 from dctcsim.protocols import (
     ALICE_OUTCOME_BITS,
-    ctc_readout,
+    ctc_readouts,
     modal_readout,
     run_improper_mixture,
     teleport_and_correct,
@@ -236,20 +236,17 @@ class TestDiscriminateBell:
         # A valid CR state may carry a diagonal of 1 + 1e-11: its trace is 1
         # and its lowest eigenvalue -1e-11 is within the PSD tolerance.
         cr_out = DensityOperator(np.diag([1 + 1e-11, -1e-11, 0, 0]))
-        _, b1b2, probability = modal_readout(cr_out)
+        _, _, probability = modal_readout(cr_out)
         record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
-        accepted = dataclasses.replace(record, b1b2=b1b2, identified=BellLabel.PHI_PLUS,
+        accepted = dataclasses.replace(record, identified=BellLabel.PHI_PLUS,
                                        outcome_probability=probability)
         assert accepted.outcome_probability == 1 + 1e-11
         with pytest.raises(InvariantViolationError):
             dataclasses.replace(record, outcome_probability=1 + 1e-9)
 
     def test_out_of_range_b1b2_rejected(self):
-        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
-        with pytest.raises(InvariantViolationError):
-            dataclasses.replace(record, b1b2=(2, 0))
-        # A bit equal to 0 or 1 that is not an integer (a bool, a float, an
-        # array) is rejected too; a numpy integer is an integer.
+        # A bit outside {0, 1} is rejected, and so is one equal to 0 or 1 that
+        # is not an integer (a bool, a float, an array); a numpy integer is one.
         for bad in ((2, 0), (1.0, 0), (True, False), (1, True), (np.array([1, 0]), 0)):
             with pytest.raises(InvariantViolationError, match="invalid CR outcome"):
                 BellLabel.from_b1b2(*bad)
@@ -262,6 +259,22 @@ class TestDiscriminateBell:
             with pytest.raises(InvariantViolationError):
                 teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None], AMPS,
                                      alice_outcome=bad)[1][:, 0]
+
+    def test_record_reads_its_code_from_its_label(self):
+        # The record stores the identified label only; b1b2 is that label's code.
+        record = discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=0)
+        for label, code in zip(BellLabel, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            assert dataclasses.replace(record, identified=label).b1b2 == code
+        for bad in ("phi+", None, (0, 0), 0):
+            with pytest.raises(InvariantViolationError, match="invalid Bell label"):
+                dataclasses.replace(record, identified=bad)
+
+    def test_from_string_reads_each_name(self):
+        for label in BellLabel:
+            assert BellLabel.from_string(label.value) is label
+        for bad in ("bogus", "PHI_PLUS", "", None, 0, ["phi+"]):
+            with pytest.raises(InvariantViolationError, match="unknown Bell label"):
+                BellLabel.from_string(bad)
 
     def test_invalid_bell_rejected(self):
         for bad in ("phi+", None):
@@ -384,8 +397,8 @@ def _assert_improper_runs_match_reference(amps, rho_ab, seeds):
 class TestCtcReadout:
     def test_each_candidate_reads_its_own_label(self):
         for code, state in candidate_states(AMPS).items():
-            distribution, b1b2, probability, fixed = ctc_readout(
-                AMPS, ensemble(np.outer(state, state.conj())))
+            distribution, b1b2, probability, fixed = ctc_readouts(
+                AMPS, ensemble(np.outer(state, state.conj()))[None])[0]
             assert b1b2 == code
             assert probability == max(distribution) >= 1 - 1e-12
             assert fixed.unique and fixed.residual < 1e-12
@@ -398,7 +411,7 @@ class TestCtcReadout:
             rho_bob = random_density(2, rng)
             rho_cr = DensityOperator(kron(rho_bob, np.outer(KET_0, KET_0)))
             cr_out, expected = apply_dctc(u, rho_cr, bhw_layout())
-            distribution, b1b2, probability, fixed = ctc_readout(AMPS, ensemble(rho_bob))
+            distribution, b1b2, probability, fixed = ctc_readouts(AMPS, ensemble(rho_bob)[None])[0]
             want_distribution, want_b1b2, want_probability = modal_readout(cr_out)
             np.testing.assert_allclose(distribution, want_distribution, atol=1e-12)
             assert b1b2 == want_b1b2
@@ -416,7 +429,7 @@ class TestCtcReadout:
                 np.zeros((2, 1)),                                # trace 0
                 np.hstack([unit, np.full((2, 1), np.nan)])):     # a NaN entry
             with pytest.raises(InvariantViolationError):
-                ctc_readout(AMPS, kets)
+                ctc_readouts(AMPS, kets[None])
 
     def test_ensembles_of_one_state_agree(self):
         # Bob's qubit is his density matrix K K^dag, whatever factor gives it:
@@ -430,7 +443,7 @@ class TestCtcReadout:
             factor = ensemble(random_density(2, rng))
             pairs.append((factor, factor @ haar_unitary(3, rng)[:2]))
         for first, second in pairs:
-            one, other = ctc_readout(AMPS, first), ctc_readout(AMPS, second)
+            one, other = ctc_readouts(AMPS, first[None])[0], ctc_readouts(AMPS, second[None])[0]
             np.testing.assert_allclose(one[0], other[0], rtol=0, atol=1e-12)
             assert trace_norm(one[3].fixed_point.matrix - other[3].fixed_point.matrix) <= 1e-12
 
@@ -439,7 +452,7 @@ class TestCtcReadout:
         # reports the larger fixed-point space.
         amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
         state = candidate_states(amps)[(0, 0)]
-        _, _, _, fixed = ctc_readout(amps, ensemble(np.outer(state, state.conj())))
+        _, _, _, fixed = ctc_readouts(amps, ensemble(np.outer(state, state.conj()))[None])[0]
         assert fixed.fp_space_dim >= 2
 
 

@@ -22,8 +22,8 @@ from dctcsim.qmath import (
     as_state_vector,
     pure_fidelity,
 )
-from dctcsim.deutsch import apply_label_chain
-from dctcsim.protocols import ctc_readout, teleport_and_correct
+from dctcsim.deutsch import apply_label_chains
+from dctcsim.protocols import ctc_readouts, teleport_and_correct
 
 from oracles import haar_unitary, ket, ptrace_brute, random_density
 
@@ -128,8 +128,8 @@ class TestNonNumericInput:
         "UnitaryOperator": UnitaryOperator,
         "trace_norm": trace_norm,
         "as_state_vector": as_state_vector,
-        "ctc_readout": lambda x: ctc_readout(AmplitudePair.from_alpha(0.6), x),
-        "apply_label_chain": apply_label_chain,
+        "ctc_readouts": lambda x: ctc_readouts(AmplitudePair.from_alpha(0.6), x),
+        "apply_label_chains": apply_label_chains,
         "teleport_and_correct": lambda x: teleport_and_correct(x, AmplitudePair.from_alpha(0.6)),
         "kron": kron,
         "pure_fidelity": lambda x: pure_fidelity(x, [1, 0]),
