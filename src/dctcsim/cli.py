@@ -34,11 +34,10 @@ import numpy as np
 from .circuits import AmplitudePair, candidate_states
 from .deutsch import SolverConfig
 from .entanglement import (
+    PPT_ATOL,
     BipartiteCut,
-    distillable_upper_bound,
-    is_ppt,
-    log_negativity,
-    partial_transpose,
+    _log_negativities,
+    _pt_spectra,
     smolin_cuts,
     smolin_layout,
     smolin_state,
@@ -255,22 +254,22 @@ def run_smolin(args, amps, config):
 
 
 def run_measures(args, amps, config):
-    smolin = (smolin_state(), smolin_layout())
-    subjects = [("smolin", *smolin, name, cut) for name, cut in smolin_cuts().items()]
-    subjects.append(("bell:phi+",
-                     DensityOperator.from_state_vector(BellLabel.PHI_PLUS.state_vector()),
-                     RegisterLayout(("A", "B")), "A:B", BipartiteCut(("A",), ("B",))))
+    bell = DensityOperator.from_state_vector(BellLabel.PHI_PLUS.state_vector())
     rows = []
-    for state_name, rho, layout, cut_name, cut in subjects:
-        pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, layout, cut))
-        rows.append({
-            "state": state_name,
-            "cut": cut_name,
-            "log_negativity": log_negativity(rho, layout, cut),
-            "distillable_upper_bound": distillable_upper_bound(rho, layout, cut),
-            "ppt": is_ppt(rho, layout, cut),
-            "min_pt_eigenvalue": float(pt_eigenvalues.min()),
-        })
+    for state_name, rho, layout, cuts in (
+            ("smolin", smolin_state(), smolin_layout(), smolin_cuts()),
+            ("bell:phi+", bell, RegisterLayout(("A", "B")), {"A:B": BipartiteCut(("A",), ("B",))})):
+        spectra = _pt_spectra((rho,), layout, tuple(cuts.values()))[0]
+        for cut_name, lowest, en in zip(cuts, spectra[:, 0].tolist(),
+                                        _log_negativities(spectra).tolist()):
+            rows.append({
+                "state": state_name,
+                "cut": cut_name,
+                "log_negativity": en,
+                "distillable_upper_bound": max(0.0, en),
+                "ppt": lowest >= -PPT_ATOL,
+                "min_pt_eigenvalue": lowest,
+            })
     return rows, {}, []
 
 

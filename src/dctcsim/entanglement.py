@@ -1,11 +1,11 @@
 """Entanglement diagnostics: partial transpose, logarithmic negativity, PPT
 tests, and the four-qubit bound-entangled Smolin state.
 
-Only the PPT criterion is evaluated numerically; it is a necessary condition
-for separability, so outputs are labeled "PPT", never "separable".
-Log-negativity upper-bounds distillable entanglement, which is why a value of
-0 across a cut certifies that nothing can be distilled across it by ordinary
-LOCC.
+Every measure is read from one primitive, :func:`_pt_spectra`: the spectra
+of the partial transposes of a stack of states across one or more cuts, from
+one ``eigvalsh``.  PPT is necessary for separability, so outputs say "PPT",
+never "separable".  E_N upper-bounds distillable entanglement, so 0 across a
+cut certifies that LOCC distils nothing across it.
 """
 
 import functools
@@ -18,8 +18,8 @@ from .qmath import (
     BELL_VECTORS,
     DensityOperator,
     RegisterLayout,
+    _require,
     kron,
-    trace_norm,
 )
 
 PPT_ATOL = 1e-10
@@ -33,60 +33,67 @@ class BipartiteCut:
     side_b: frozenset
 
     def __init__(self, side_a, side_b):
-        object.__setattr__(self, "side_a", frozenset(side_a))
-        object.__setattr__(self, "side_b", frozenset(side_b))
+        try:
+            object.__setattr__(self, "side_a", frozenset(side_a))
+            object.__setattr__(self, "side_b", frozenset(side_b))
+        except TypeError as exc:
+            raise InvariantViolationError(f"cut sides must be label sets: {exc}") from None
         if not self.side_a or not self.side_b:
             raise InvariantViolationError("both sides of a cut must be non-empty")
         if self.side_a & self.side_b:
             raise InvariantViolationError(
                 f"cut sides overlap: {sorted(self.side_a & self.side_b)}")
 
-    def validate_for(self, layout: RegisterLayout) -> None:
-        union = self.side_a | self.side_b
-        if union != set(layout.labels):
+
+def _partial_transposes(states, layout: RegisterLayout, cuts) -> np.ndarray:
+    """The partial transpose of each :class:`DensityOperator` of ``states``
+    across each cut of ``cuts`` that covers ``layout``, shape (states, cuts,
+    dim, dim).  A cut swaps the row axis q and the column axis q + n of each
+    ``side_a`` qubit q: the one index permutation of this module."""
+    n, perms = _require(layout, RegisterLayout, "register layout").n_qubits, []
+    for cut in cuts:
+        if _require(cut, BipartiteCut, "bipartite cut").side_a | cut.side_b != set(layout.labels):
+            raise InvariantViolationError(f"cut {sorted(cut.side_a)}:{sorted(cut.side_b)} "
+                                          f"does not cover register {layout.labels}")
+        side = set(layout.positions(cut.side_a))
+        perms.append([0] + [1 + (q + n) % (2 * n) if q % n in side else 1 + q
+                            for q in range(2 * n)])     # axis 0 is the stack
+    for rho in states:
+        if _require(rho, DensityOperator, "density operator").dim != layout.dim:
             raise InvariantViolationError(
-                f"cut {sorted(self.side_a)}:{sorted(self.side_b)} does not cover "
-                f"register {layout.labels}")
+                f"layout dimension {layout.dim} does not match operator dimension {rho.dim}")
+    t = np.array([rho.matrix for rho in states]).reshape(-1, *[2] * (2 * n))
+    return np.stack([t.transpose(perm) for perm in perms], axis=1).reshape(
+        len(t), len(perms), layout.dim, layout.dim)
+
+
+def _pt_spectra(states, layout: RegisterLayout, cuts) -> np.ndarray:
+    """Ascending eigenvalues of each of :func:`_partial_transposes`, from one
+    ``eigvalsh``: shape (states, cuts, dim).  PPT is ``[..., 0] >= -PPT_ATOL``."""
+    return np.linalg.eigvalsh(_partial_transposes(states, layout, cuts))
+
+
+def _log_negativities(spectra: np.ndarray) -> np.ndarray:
+    """E_N = log2 sum |eigenvalues|: the trace norm of a Hermitian matrix."""
+    return np.log2(np.abs(spectra).sum(axis=-1))
 
 
 def partial_transpose(rho: DensityOperator, layout: RegisterLayout,
                       cut: BipartiteCut) -> np.ndarray:
     """Transpose the indices of ``cut.side_a`` only.  The result is Hermitian
     and trace-one but in general not positive."""
-    cut.validate_for(layout)
-    if layout.dim != rho.dim:
-        raise InvariantViolationError(
-            f"layout dimension {layout.dim} does not match operator dimension {rho.dim}")
-    n = layout.n_qubits
-    positions = layout.positions(sorted(cut.side_a))
-    t = rho.matrix.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
-    for p in positions:
-        perm[p], perm[n + p] = perm[n + p], perm[p]
-    return t.transpose(perm).reshape(rho.dim, rho.dim)
+    return _partial_transposes((rho,), layout, (cut,))[0, 0]
 
 
 def log_negativity(rho: DensityOperator, layout: RegisterLayout,
                    cut: BipartiteCut) -> float:
     """log2 of the trace norm of the partial transpose across the cut."""
-    return float(np.log2(trace_norm(partial_transpose(rho, layout, cut))))
+    return float(_log_negativities(_pt_spectra((rho,), layout, (cut,)))[0, 0])
 
 
 def is_ppt(rho: DensityOperator, layout: RegisterLayout, cut: BipartiteCut) -> bool:
     """True when the partial transpose has no eigenvalue below ``-PPT_ATOL``."""
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, layout, cut))
-    return bool(eigenvalues.min() >= -PPT_ATOL)
-
-
-def distillable_upper_bound(rho: DensityOperator, layout: RegisterLayout,
-                            cut: BipartiteCut) -> float:
-    """Upper bound on the distillable entanglement across the cut.
-
-    Distillable entanglement is non-negative and bounded above by the
-    log-negativity, so the reportable interval is [0, max(E_N, 0)]; only the
-    upper endpoint is returned, clamped against float noise in E_N.
-    """
-    return max(0.0, log_negativity(rho, layout, cut))
+    return bool(_pt_spectra((rho,), layout, (cut,))[0, 0, 0] >= -PPT_ATOL)
 
 
 @functools.cache

@@ -33,9 +33,10 @@ import numpy as np
 from .circuits import AmplitudePair, BLOCK_CODES, _PAULI_ERRORS, block_outputs
 from .deutsch import FixedPointResult, SolverConfig, apply_label_chains
 from .entanglement import (
+    PPT_ATOL,
     BipartiteCut,
-    is_ppt,
-    log_negativity,
+    _log_negativities,
+    _pt_spectra,
     smolin_cuts,
     smolin_layout,
     smolin_state,
@@ -52,7 +53,10 @@ from .qmath import (
     Y,
     Z,
     _complex_array,
+    _density_errors,
     _partial_trace_matrix,
+    _readonly,
+    _require,
     as_state_vector,
     pure_fidelity,
 )
@@ -107,9 +111,7 @@ _BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
 def pauli_residual(bell: BellLabel) -> np.ndarray:
     """Operator E with Bob's post-correction qubit equal to E psi (up to a
     global phase) when the shared pair is ``bell``."""
-    if not isinstance(bell, BellLabel):
-        raise InvariantViolationError(f"invalid Bell label {bell!r}")
-    return _PAULI_ERRORS[_OUTCOMES.index(bell)]
+    return _PAULI_ERRORS[_OUTCOMES.index(_require(bell, BellLabel, "Bell label"))]
 
 
 def modal_readout(cr_out: DensityOperator) -> tuple:
@@ -166,10 +168,8 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     p = probabilities.sum(axis=0)
     if alice_outcome is None:
         k = _generator(seed).choice(4, p=p / p.sum())
-    elif isinstance(alice_outcome, BellLabel):
-        k = _OUTCOMES.index(alice_outcome)
     else:
-        raise InvariantViolationError(f"invalid Alice outcome {alice_outcome!r}")
+        k = _OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))
     return _OUTCOMES[k], _CORRECTIONS[k] @ (branches[:, k] / math.sqrt(p[k])).T
 
 
@@ -183,6 +183,8 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
     Returns one ``(distribution, b1b2, probability, fixed_point)`` per input:
     the :func:`modal_readout` triple of the CR output and its
     :class:`FixedPointResult`.  Degeneracy is the caller's to check."""
+    _require(amps, AmplitudePair, "amplitude pair")
+    _require(config, (SolverConfig, type(None)), "solver config")
     kets = _complex_array(kets, "Bob's factors")
     if kets.ndim != 3 or kets.shape[1] != 2:
         raise InvariantViolationError(f"Bob's factors must be n x 2 x k, got shape {kets.shape}")
@@ -205,8 +207,7 @@ class DiscriminationRecord:
         if not 0.0 <= self.outcome_probability <= MAX_READOUT_PROBABILITY:
             raise InvariantViolationError(
                 f"outcome probability {self.outcome_probability} outside [0, 1]")
-        if not isinstance(self.identified, BellLabel):
-            raise InvariantViolationError(f"invalid Bell label {self.identified!r}")
+        _require(self.identified, BellLabel, "Bell label")
 
     @property
     def b1b2(self) -> tuple:
@@ -221,10 +222,9 @@ def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None =
     Alice's outcomes are drawn in order from one generator made from ``seed``,
     unless ``alice_outcome`` pins them all.  Each record reports the most probable
     CR value (:func:`modal_readout`) and its probability, not an assumed one."""
-    bells = tuple(bells)
-    for bell in bells:
-        if not isinstance(bell, BellLabel):
-            raise InvariantViolationError(f"invalid Bell label {bell!r}")
+    _require(amps, AmplitudePair, "amplitude pair")
+    _require(config, (SolverConfig, type(None)), "solver config")
+    bells = tuple(_require(bell, BellLabel, "Bell label") for bell in bells)
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
@@ -274,21 +274,29 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     theirs through the CTC circuit and broadcast the label, leaving Charlie
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
-    balanced cuts of the Smolin state."""
-    rng = _generator(seed)
-    cd_layout, cd_cut = RegisterLayout(("C", "D")), BipartiteCut(("C",), ("D",))
+    balanced cuts of the Smolin state.  Each is one :func:`_pt_spectra`
+    call: the four C:D Bell states, checked as one stack, and the Smolin cuts."""
+    _require(amps, AmplitudePair, "amplitude pair")
+    _require(config, (SolverConfig, type(None)), "solver config")
+    records = discriminate_bells(_OUTCOMES, amps, config, seed=_generator(seed))
+    pairs = np.array([label.state_vector() for label in _OUTCOMES])
+    cd = _readonly(pairs[:, :, None] * pairs.conj()[:, None, :])
+    for error in filter(None, _density_errors(cd)):
+        raise InvariantViolationError(error)
+    cd_log_negativities = _log_negativities(_pt_spectra(
+        [DensityOperator._checked(m) for m in cd], RegisterLayout(("C", "D")),
+        (BipartiteCut(("C",), ("D",)),)))[:, 0].tolist()
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
         cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
-        cd_log_negativity=log_negativity(
-            DensityOperator.from_state_vector(branch.state_vector()), cd_layout, cd_cut),
-    ) for branch, record in zip(_OUTCOMES, discriminate_bells(_OUTCOMES, amps, config, seed=rng)))
-    rho, layout, cuts = smolin_state(), smolin_layout(), smolin_cuts()
+        cd_log_negativity=en,
+    ) for branch, record, en in zip(_OUTCOMES, records, cd_log_negativities))
+    cuts = smolin_cuts()
+    spectra = _pt_spectra((smolin_state(),), smolin_layout(), tuple(cuts.values()))[0]
     return DistillationReport(
         branches=branches,
-        baseline_log_negativity={name: log_negativity(rho, layout, cut)
-                                 for name, cut in cuts.items()},
-        baseline_ppt={name: is_ppt(rho, layout, cut) for name, cut in cuts.items()},
+        baseline_log_negativity=dict(zip(cuts, _log_negativities(spectra).tolist())),
+        baseline_ppt=dict(zip(cuts, (spectra[:, 0] >= -PPT_ATOL).tolist())),
         all_identified=all(b.message is b.branch for b in branches),
     )
 
@@ -314,6 +322,8 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     eigenvectors scaled by the square roots of their eigenvalues
     (:func:`teleport_and_correct`, Alice's outcome drawn from ``seed``), and
     run Bob's corrected factor through :func:`ctc_readouts`."""
+    _require(amps, AmplitudePair, "amplitude pair")
+    _require(config, (SolverConfig, type(None)), "solver config")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))

@@ -10,6 +10,7 @@ All values are immutable after construction; stored arrays are marked
 read-only and every function is pure.
 """
 
+import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -46,6 +47,13 @@ def _square_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _require(value, kind, what: str):
+    """``value`` if it is a ``kind``, else an ``InvariantViolationError`` naming ``what``."""
+    if not isinstance(value, kind):
+        raise InvariantViolationError(f"invalid {what} {reprlib.repr(value)}")
+    return value
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -68,14 +76,17 @@ def as_state_vector(v) -> np.ndarray:
     if dim < 1 or dim & (dim - 1):
         raise InvariantViolationError(f"state dimension {dim} is not a power of 2")
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > STATE_NORM_ATOL:
+    if not abs(norm - 1.0) <= STATE_NORM_ATOL:        # NaN fails too
         raise InvariantViolationError(f"state vector norm {norm!r} deviates from 1")
     return _readonly(a)
 
 
 def pure_fidelity(u, v) -> float:
-    """|<u|v>|^2 for two pure states."""
-    return float(abs(np.vdot(_complex_array(u, "state"), _complex_array(v, "state"))) ** 2)
+    """|<u|v>|^2 for two pure states of the same shape."""
+    u, v = _complex_array(u, "state"), _complex_array(v, "state")
+    if u.shape != v.shape:
+        raise InvariantViolationError(f"state shapes {u.shape} and {v.shape} differ")
+    return float(abs(np.vdot(u, v)) ** 2)
 
 
 def trace_norm(m) -> float:

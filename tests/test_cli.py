@@ -11,6 +11,7 @@ import dctcsim.cli as cli
 import dctcsim.protocols as protocols
 from dctcsim import AmplitudePair, BellLabel, InvariantViolationError, candidate_states
 from dctcsim.cli import build_parser, main, make_document, serialize
+from dctcsim.entanglement import PPT_ATOL
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,35 @@ class TestMeasures:
         assert abs(bell_row["log_negativity"] - 1.0) <= 1e-12
         assert abs(bell_row["distillable_upper_bound"] - 1.0) <= 1e-12
         assert bell_row["ppt"] is False
+
+    def test_every_column_reads_the_same_spectrum(self):
+        rows, _, _ = cli.run_measures(None, None, None)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["ppt"] == (row["min_pt_eigenvalue"] >= -PPT_ATOL)
+            assert row["distillable_upper_bound"] == max(0.0, row["log_negativity"])
+
+
+class TestLinearAlgebraCalls:
+    """Steady-state LAPACK calls per run.  ``measures``: one spectrum for the
+    Smolin cuts, one for phi+ and phi+'s density check.  ``smolin``: the CTC
+    stage's two, one density check and one spectrum for the four C:D Bell
+    states, and one spectrum for the Smolin baseline."""
+
+    NAMES = ("eigvalsh", "svd", "eigh", "eig", "solve")
+
+    @pytest.mark.parametrize("argv, most", [(["measures"], 3), (["smolin"], 5)],
+                             ids=["measures", "smolin"])
+    def test_calls_per_run(self, argv, most, capsys, monkeypatch):
+        run_cli(capsys, *argv)                  # builds the parser and the Smolin state
+        calls = []
+        for name in self.NAMES:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) <= most, calls
 
 
 class TestFixedPointExperiment:

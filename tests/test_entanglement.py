@@ -17,7 +17,8 @@ from dctcsim import (
     smolin_state,
     trace_norm,
 )
-from dctcsim.entanglement import distillable_upper_bound
+from dctcsim.cli import run_measures
+from dctcsim.entanglement import _pt_spectra
 from dctcsim.qmath import PHI_PLUS, _partial_trace_matrix
 
 from oracles import pt_brute, qubit_swap, random_density, smolin_pauli_form
@@ -34,6 +35,10 @@ class TestBipartiteCut:
     def test_rejects_empty_side(self):
         with pytest.raises(InvariantViolationError):
             BipartiteCut((), ("A",))
+
+    def test_side_that_is_not_a_label_set_is_typed_error(self):
+        with pytest.raises(InvariantViolationError, match="label sets"):
+            BipartiteCut(None, ("A",))
 
     def test_must_cover_register(self):
         rho = DensityOperator(np.eye(8) / 8)
@@ -129,21 +134,64 @@ class TestIsPpt:
         assert not is_ppt(rho, TWO_QUBITS, CUT_AB)
 
 
+def measures_rows() -> dict:
+    rows, _, _ = run_measures(None, None, None)
+    return {(row["state"], row["cut"]): row for row in rows}
+
+
 class TestDistillableUpperBound:
+    """The ``measures`` column, max(0, E_N) from the row's own spectrum."""
+
     def test_bell_pair_bound_is_one(self):
-        rho = DensityOperator.from_state_vector(PHI_PLUS)
-        assert abs(distillable_upper_bound(rho, TWO_QUBITS, CUT_AB) - 1.0) <= 1e-12
+        assert abs(measures_rows()[("bell:phi+", "A:B")]["distillable_upper_bound"] - 1.0) <= 1e-12
 
     def test_smolin_cuts_bound_is_zero(self):
-        rho, layout = smolin_state(), smolin_layout()
-        for cut in smolin_cuts().values():
-            assert distillable_upper_bound(rho, layout, cut) == 0.0
+        rows = measures_rows()
+        for cut in smolin_cuts():
+            assert rows[("smolin", cut)]["distillable_upper_bound"] == 0.0
 
     def test_never_negative(self):
-        rng = np.random.default_rng(139)
-        for _ in range(50):
-            rho = DensityOperator(random_density(4, rng))
-            assert distillable_upper_bound(rho, TWO_QUBITS, CUT_AB) >= 0.0
+        # The Smolin cuts' E_N may be float noise on either side of 0.
+        for row in measures_rows().values():
+            assert row["distillable_upper_bound"] >= 0.0
+
+
+class TestPtSpectra:
+    LAYOUT = RegisterLayout(("A", "B", "C", "D"))
+    CUTS = (BipartiteCut(("A", "B"), ("C", "D")), BipartiteCut(("B",), ("A", "C", "D")),
+            BipartiteCut(("A", "D"), ("B", "C")))
+
+    def test_stacked_spectra_equal_per_cut_spectra(self):
+        rng = np.random.default_rng(151)
+        states = [DensityOperator(random_density(16, rng)) for _ in range(3)]
+        stacked = _pt_spectra(states, self.LAYOUT, self.CUTS)
+        assert stacked.shape == (3, 3, 16)
+        for i, rho in enumerate(states):
+            for j, cut in enumerate(self.CUTS):
+                alone = np.linalg.eigvalsh(partial_transpose(rho, self.LAYOUT, cut))
+                assert np.array_equal(stacked[i, j], alone)
+                assert np.array_equal(_pt_spectra((rho,), self.LAYOUT, (cut,))[0, 0], alone)
+
+    def test_log_negativity_matches_brute_force_trace_norm(self):
+        rng = np.random.default_rng(157)
+        positions = {cut: self.LAYOUT.positions(sorted(cut.side_a)) for cut in self.CUTS}
+        for k in range(50):
+            rho = DensityOperator(random_density(16, rng))
+            cut = self.CUTS[k % 3]
+            pt = pt_brute(rho.matrix, 4, positions[cut])
+            want = np.log2(np.linalg.svd(pt, compute_uv=False).sum())
+            assert abs(log_negativity(rho, self.LAYOUT, cut) - want) <= 1e-12
+
+    @pytest.mark.parametrize("measure", [log_negativity, is_ppt, partial_transpose])
+    @pytest.mark.parametrize("rho, layout, cut, message", [
+        (np.eye(4) / 4, TWO_QUBITS, CUT_AB, "invalid density operator"),
+        (DensityOperator(np.eye(4) / 4), TWO_QUBITS, ("A", "B"), "invalid bipartite cut"),
+        (DensityOperator(np.eye(4) / 4), None, CUT_AB, "invalid register layout"),
+        (DensityOperator(np.eye(8) / 8), TWO_QUBITS, CUT_AB, "layout dimension"),
+    ], ids=["matrix", "tuple-cut", "no-layout", "dimension"])
+    def test_malformed_arguments_are_typed_errors(self, measure, rho, layout, cut, message):
+        with pytest.raises(InvariantViolationError, match=message):
+            measure(rho, layout, cut)
 
 
 class TestSmolinState:

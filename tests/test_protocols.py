@@ -310,6 +310,22 @@ class TestDiscriminateBell:
         with pytest.raises(DegenerateAmplitudesError):
             discriminate_bell(BellLabel.PHI_PLUS, amps, seed=0)
 
+    @pytest.mark.parametrize("run", [
+        lambda amps, config: discriminate_bell(BellLabel.PHI_PLUS, amps, config),
+        lambda amps, config: distill_smolin(amps, config),
+        lambda amps, config: run_improper_mixture(amps, config),
+        lambda amps, config: ctc_readouts(amps, np.array([[[1.0], [0.0]]]), config),
+    ], ids=["discriminate_bell", "distill_smolin", "run_improper_mixture", "ctc_readouts"])
+    @pytest.mark.parametrize("amps, config, message", [
+        (0.3, None, "invalid amplitude pair"),
+        ((0.6, 0.8), None, "invalid amplitude pair"),
+        (AMPS, 1e-9, "invalid solver config"),
+        (AMPS, {"tolerance": 1e-9}, "invalid solver config"),
+    ], ids=["float-amps", "tuple-amps", "float-config", "dict-config"])
+    def test_malformed_amps_or_config_is_typed_error(self, run, amps, config, message):
+        with pytest.raises(InvariantViolationError, match=message):
+            run(amps, config)
+
     def test_nonorthogonal_states_distinguished(self):
         # the four candidates are pairwise non-orthogonal yet the readout
         # label separates them for every Alice outcome

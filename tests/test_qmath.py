@@ -120,6 +120,12 @@ class TestFiniteness:
             with pytest.raises(InvariantViolationError, match="non-finite"):
                 check(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf])
+    def test_non_finite_state_vector_rejected(self, bad):
+        # NaN fails every comparison, so the norm test must fail on it too.
+        with pytest.raises(InvariantViolationError, match="norm"):
+            as_state_vector([bad, 1.0])
+
 
 class TestNonNumericInput:
     # Every entry point that converts a caller's array with qmath._complex_array.
@@ -218,3 +224,13 @@ class TestStateVector:
     def test_valid(self):
         v = as_state_vector([0.6, 0.8])
         assert v.flags.writeable is False
+
+
+class TestPureFidelity:
+    def test_overlap(self):
+        assert abs(pure_fidelity([1, 0], [0.6, 0.8]) - 0.36) <= 1e-15
+
+    @pytest.mark.parametrize("u, v", [([1, 0], [1, 0, 0]), ([1, 0], [[1], [0]])])
+    def test_mismatched_shapes_rejected(self, u, v):
+        with pytest.raises(InvariantViolationError, match="shapes"):
+            pure_fidelity(u, v)
