@@ -18,6 +18,10 @@ channel S, a d^2 x d^2 matrix, to the maximally mixed state:
 
     S[tu, sv] = sum_{a,b,c} U[a,t,b,s] rho_CR[b,c] conj(U[a,u,c,v]).
 
+One SVD of S - I gives orthonormal right and left fixed vectors (eigenvalue 1
+of a channel is semisimple); the eigenvalues of S count them, since a singular
+value can sit ~1.15x past the eigenvalue distance the window was set for.
+
 The *chain* solve (:func:`apply_label_chains`) takes a CTC that only serves
 as a classical label: U swaps the registers, then applies block U_c to the
 CTC register when the CR register reads c.  So Phi(sigma) =
@@ -66,6 +70,7 @@ class SolverConfig:
 
 
 _DEFAULT_CONFIG = SolverConfig()
+STRADDLE_FACTOR = 100.0     # how much farther from 1 uncounted eigenvalues must lie
 
 
 @dataclass(frozen=True)
@@ -136,16 +141,21 @@ def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
     return S.reshape(d_ctc * d_ctc, d_ctc * d_ctc)
 
 
-def _unit_eigenvectors(M: np.ndarray) -> np.ndarray:
-    # eig puts the unit eigenvalue of a CPTP map within ~4e-15 of 1.
-    values, vectors = np.linalg.eig(M)
-    return vectors[:, np.abs(values - 1.0) <= UNIT_EIGENVALUE_ATOL]
+def _unit_count(S: np.ndarray) -> int:
+    """Number of eigenvalues of S within ``UNIT_EIGENVALUE_ATOL`` of 1, from one
+    ``eigvals``; ``LinAlgError`` if the nearest outside is within ``STRADDLE_FACTOR``
+    of the farthest inside, compared by multiplying as a counted distance can be 0."""
+    distance = np.abs(np.linalg.eigvals(S) - 1.0)
+    inside = distance <= UNIT_EIGENVALUE_ATOL
+    if distance[~inside].min(initial=np.inf) < STRADDLE_FACTOR * distance[inside].max(initial=0.0):
+        raise np.linalg.LinAlgError("spectrum straddles the unit-eigenvalue window")
+    return int(inside.sum())
 
 
 def fixed_point_space_dim(U: UnitaryOperator, rho_cr: DensityOperator,
                           layout: RegisterLayout) -> int:
-    """Multiplicity of eigenvalue 1 of the vectorized channel."""
-    return _unit_eigenvectors(superoperator_matrix(U, rho_cr, layout)).shape[1]
+    """Multiplicity of eigenvalue 1 of the vectorized channel, as the solve counts it."""
+    return _unit_count(superoperator_matrix(U, rho_cr, layout))
 
 
 def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -153,27 +163,27 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
                       config: SolverConfig | None = None) -> FixedPointResult:
     """Find sigma with ||Phi(sigma) - sigma||_1 below tolerance.
 
-    With R and L the right and left eigenvalue-1 eigenvectors of S, sigma is
-    R (L^H R)^-1 L^H vec(I/d), the Cesaro limit of Phi^n(I/d), made Hermitian
-    and divided by its trace.  Rounding of S moves sigma by about 1e-16 / gap,
-    which near alpha = beta leaves small negative eigenvalues on a pure fixed
-    point; they are set to zero, then one channel step (positive, residual not
-    increased) undoes the move along fast modes of S before the residual
-    check.  Raises ``FixedPointConvergenceError`` when S has no eigenvalue 1
-    or unequal left and right multiplicities, when the linear algebra fails,
-    or when sigma fails the residual check."""
+    With R and L the k trailing right and left singular vectors of S - I, k
+    counted by :func:`_unit_count`, sigma is R (L^H R)^-1 L^H vec(I/d), the
+    Cesaro limit of Phi^n(I/d), made Hermitian and divided by its trace.
+    Rounding of S moves sigma by about 1e-16 / gap, which near alpha = beta
+    leaves small negative eigenvalues on a pure fixed point; they are set to
+    zero, then one channel step (positive, residual not increased) undoes the
+    move along fast modes of S before the residual check.  Raises
+    ``FixedPointConvergenceError`` when S has no eigenvalue 1 or a spectrum
+    that straddles the window, when the linear algebra fails, or when sigma
+    fails the residual check."""
     config = config or _DEFAULT_CONFIG
     S = superoperator_matrix(U, rho_cr, layout)
     d = 2 ** len(layout.ctc_labels)
     residual = np.inf
     try:
-        right = _unit_eigenvectors(S)
-        left = _unit_eigenvectors(S.conj().T)
-        if right.shape[1] == 0 or right.shape[1] != left.shape[1]:
-            raise np.linalg.LinAlgError(f"eigenvalue-1 multiplicities {right.shape[1]} "
-                                        f"(right) and {left.shape[1]} (left)")
-        mixed = (np.eye(d, dtype=complex) / d).reshape(-1)
-        vec = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)
+        k = _unit_count(S)
+        if k == 0:
+            raise np.linalg.LinAlgError("eigenvalue-1 multiplicities 0 (right and left)")
+        left, _, right = np.linalg.svd(S - np.eye(d * d))
+        left_h, right = left[:, -k:].conj().T, right[-k:].conj().T      # L^H and R
+        vec = right @ np.linalg.solve(left_h @ right, left_h @ np.eye(d).reshape(-1) / d)
         weights, basis = np.linalg.eigh(vec.reshape(d, d) + vec.reshape(d, d).conj().T)
         sigma = (basis * np.clip(weights, 0.0, None)) @ basis.conj().T
         sigma = (S @ sigma.reshape(-1)).reshape(d, d)
@@ -185,7 +195,7 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
         raise FixedPointConvergenceError(residual, config.tolerance, str(exc)) from exc
     if not residual < config.tolerance:
         raise FixedPointConvergenceError(residual, config.tolerance)
-    return FixedPointResult(fixed_point, residual, right.shape[1])
+    return FixedPointResult(fixed_point, residual, k)
 
 
 def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayout,

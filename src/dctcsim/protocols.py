@@ -19,9 +19,9 @@ factors come from the one teleportation step, :func:`teleport_and_correct`.
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
 solver; each pure branch is solved on its own.  An improper-mixture run
-(tracing out the distant parties first) is an experimental variant with no
-correctness claim; it shows how the nonlinearity breaks when the branch
-identity is discarded.
+(one input whose factor holds every branch as a column) is an experimental
+variant with no correctness claim; it shows how the nonlinearity breaks
+when the branch identity is discarded.
 """
 
 import enum
@@ -54,7 +54,6 @@ from .qmath import (
     Z,
     _complex_array,
     _density_errors,
-    _partial_trace_matrix,
     _readonly,
     _require,
     as_state_vector,
@@ -103,9 +102,8 @@ _OUTCOMES = tuple(BellLabel)
 ALICE_OUTCOME_BITS = {label: (k & 1, k >> 1) for k, label in enumerate(_OUTCOMES)}
 _CORRECTIONS = (I2, Z, X, Y)
 
-# Alice's Bell measurement on qubits (psi, her half of the pair): row k is
-# the conjugated Bell vector of outcome k.
-_BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
+# Row k: label k's Bell vector; Alice's Bell measurement projects onto the conjugates.
+_BELL_KETS = np.array([label.state_vector() for label in _OUTCOMES])
 
 
 def pauli_residual(bell: BellLabel) -> np.ndarray:
@@ -144,7 +142,7 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     and ``probabilities[k]`` is its squared norm; a stack adds a leading axis."""
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
-    branches = _BELL_BRAS @ full
+    branches = _BELL_KETS.conj() @ full
     return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
@@ -279,8 +277,7 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     _require(amps, AmplitudePair, "amplitude pair")
     _require(config, (SolverConfig, type(None)), "solver config")
     records = discriminate_bells(_OUTCOMES, amps, config, seed=_generator(seed))
-    pairs = np.array([label.state_vector() for label in _OUTCOMES])
-    cd = _readonly(pairs[:, :, None] * pairs.conj()[:, None, :])
+    cd = _readonly(_BELL_KETS[:, :, None] * _BELL_KETS.conj()[:, None, :])
     for error in filter(None, _density_errors(cd)):
         raise InvariantViolationError(error)
     cd_log_negativities = _log_negativities(_pt_spectra(
@@ -318,20 +315,13 @@ class ImproperMixtureRecord:
 
 def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
                          seed=None) -> ImproperMixtureRecord:
-    """Teleport psi through the Smolin AB marginal, factored as its
-    eigenvectors scaled by the square roots of their eigenvalues
-    (:func:`teleport_and_correct`, Alice's outcome drawn from ``seed``), and
-    run Bob's corrected factor through :func:`ctc_readouts`."""
+    """Teleport psi through the Smolin AB marginal as its four Bell branches,
+    sum_k |B_k><B_k| / 4 (Alice's outcome drawn from ``seed``), and run Bob's
+    four-column factor through :func:`ctc_readouts` as one input."""
     _require(amps, AmplitudePair, "amplitude pair")
     _require(config, (SolverConfig, type(None)), "solver config")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    rho_ab = _partial_trace_matrix(smolin_state().matrix, 4, (0, 1))
-    w, pairs = np.linalg.eigh(rho_ab)
-    outcome, kets = teleport_and_correct((pairs * np.sqrt(np.clip(w, 0.0, None))).T, amps, seed)
-    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets[None], config)[0]
-    return ImproperMixtureRecord(
-        alice_outcome=ALICE_OUTCOME_BITS[outcome], bob_state=DensityOperator(kets @ kets.conj().T),
-        cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,
-        fixed_point=fixed,
-    )
+    outcome, kets = teleport_and_correct(_BELL_KETS / 2, amps, seed)
+    return ImproperMixtureRecord(ALICE_OUTCOME_BITS[outcome], DensityOperator(kets @ kets.conj().T),
+                                 *ctc_readouts(amps, kets[None], config)[0])

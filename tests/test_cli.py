@@ -258,9 +258,11 @@ class TestExitCodes:
     def test_non_convergence_is_3(self, capsys):
         # The chain solve of a pure candidate at alpha = 0.6 is exact (residual
         # 0.0), so no tolerance fails it; the improper mixture's solve at
-        # alpha = 0.3, from Bob's factor for Alice's outcome, keeps a rounding
-        # residual of 6.7e-16.
-        code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--alpha", "0.3",
+        # alpha = 0.6, from Bob's four-column factor for Alice's outcome, keeps
+        # a rounding residual of 1.4e-16.
+        code, doc, _ = run_json(capsys, "smolin", "--improper-mixture", "--alpha", "0.6")
+        assert code == 0 and doc["rows"][0]["fp_residual"] > 0
+        code, _, err = run_cli(capsys, "smolin", "--improper-mixture", "--alpha", "0.6",
                                "--tolerance", "1e-20")
         assert code == 3
         assert "converge" in err

@@ -309,13 +309,66 @@ class TestSolveFixedPoint:
         with pytest.raises(FixedPointConvergenceError, match="multiplicities 0"):
             solve_fixed_point(u, rho_cr, layout)
 
-    def test_linear_algebra_failure_raises_typed_error(self, monkeypatch):
-        def fail(_):
+    @pytest.mark.parametrize("name", ["eigvals", "svd"])
+    def test_linear_algebra_failure_raises_typed_error(self, name, monkeypatch):
+        def fail(*_, **__):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
-        monkeypatch.setattr(deutsch.np.linalg, "eig", fail)
+        monkeypatch.setattr(deutsch.np.linalg, name, fail)
         u, rho_cr, layout = worked_instance()
         with pytest.raises(FixedPointConvergenceError, match="did not converge"):
             solve_fixed_point(u, rho_cr, layout)
+
+    def test_degenerate_clifford_channel_solves(self):
+        # U = CNOT(c0 -> t0) SWAP(c1, t1) S_c1 H_c1 S_t0 H_t1 on (c0, c1, t0, t1)
+        # with rho_CR = |10><10|: t1 comes back as c1's |+i>, and t0 turns under
+        # X S, whose fixed points are diagonal in its eigenbasis, so the
+        # Cesaro limit is I/2 (x) |+i><+i|.  eig does not promise a
+        # well-conditioned basis of this degenerate eigenspace; an SVD does.
+        def on(gate, position):
+            ops = [np.eye(2)] * 4
+            ops[position] = gate
+            return np.kron(np.kron(ops[0], ops[1]), np.kron(ops[2], ops[3]))
+        H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        S = np.diag([1, 1j])
+        cnot = on(np.diag([1, 0]), 0) + on(np.diag([0, 1]), 0) @ on(np.array([[0, 1], [1, 0]]), 2)
+        u = cnot @ qubit_swap(4, 1, 3) @ on(S, 1) @ on(H, 1) @ on(S, 2) @ on(H, 3)
+        layout = RegisterLayout(("c0", "c1", "t0", "t1"), ctc=("t0", "t1"))
+        rho_cr = DensityOperator.from_state_vector(ket("10"))
+        result = solve_fixed_point(UnitaryOperator(u), rho_cr, layout)
+        plus_i = np.array([1, 1j]) / np.sqrt(2)
+        assert result.fp_space_dim == 2
+        assert result.residual < 1e-12
+        expected = np.kron(np.eye(2) / 2, np.outer(plus_i, plus_i.conj()))
+        assert trace_norm(result.fixed_point.matrix - expected) < 1e-12
+
+    def test_spectrum_straddling_the_window_raises(self):
+        # Eigenvalues 1.9e-12, 2.1e-12 and 2.1e-12 below 1, on both sides of
+        # UNIT_EIGENVALUE_ATOL (margin 1.10): counting 2 and a window of 1e-9
+        # counting 4 give fixed points 0.13 apart, both with residuals < 1e-12.
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        w, v = np.linalg.eigh((g + g.conj().T) / 2)
+        u = UnitaryOperator((v * np.exp(1j * 3.85e-7 * w)) @ v.conj().T)
+        rho_cr = DensityOperator(random_density(4, rng))
+        layout = RegisterLayout(("c0", "c1", "t0", "t1"), ctc=("t0", "t1"))
+        with pytest.raises(FixedPointConvergenceError, match="straddles the unit-eigenvalue"):
+            solve_fixed_point(u, rho_cr, layout)
+        _, multiplicity = eigen_fixed_point(u.matrix, rho_cr.matrix, 4, 4)
+        assert multiplicity == 4
+
+    def test_one_eigvals_and_no_eig_per_solve(self, monkeypatch):
+        calls = {"eig": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        result = solve_fixed_point(*worked_instance())
+        assert result.fp_space_dim == 1
+        assert calls == {"eig": 0, "eigvals": 1}
 
 
 def _pair_at_distance(delta):
@@ -473,6 +526,7 @@ class TestLabelChain:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, fail)
         monkeypatch.setattr(np.linalg, "eig", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         record = discriminate_bell(BellLabel.PSI_PLUS, AMPS, alice_outcome=BellLabel.PHI_MINUS)
         assert record.identified is BellLabel.PSI_PLUS
         assert record.fixed_point.method == "chain"

@@ -383,31 +383,41 @@ class TestImproperMixture:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
     def test_matches_three_qubit_projector_reference(self, alpha):
+        amps = AmplitudePair.from_alpha(alpha)
         rho_ab = ptrace_brute(smolin_pauli_form(), 4, (0, 1))
-        _assert_improper_runs_match_reference(AmplitudePair.from_alpha(alpha), rho_ab, range(200))
 
-    def test_generic_marginal_matches_reference(self, monkeypatch):
+        def run(seed):
+            record = run_improper_mixture(amps, seed=seed)
+            return record.alice_outcome, record.bob_state.matrix
+        _assert_runs_match_reference(run, amps, rho_ab, range(200))
+
+    def test_generic_marginal_matches_reference(self):
         # The Smolin marginal is I/4, which leaves Bob at I/2 on every outcome;
-        # a random four-qubit state checks the branch mixture itself.
+        # a random marginal's eigh factor checks the branch mixture itself.
         rng = np.random.default_rng(167)
         for _ in range(20):
-            rho = random_density(16, rng)
-            monkeypatch.setattr(protocols, "smolin_state", lambda: DensityOperator(rho))
-            _assert_improper_runs_match_reference(AMPS, ptrace_brute(rho, 4, (0, 1)), range(10))
+            rho_ab = ptrace_brute(random_density(16, rng), 4, (0, 1))
+            factor = ensemble(rho_ab).T
+
+            def run(seed):
+                outcome, kets = teleport_and_correct(factor, AMPS, seed)
+                return ALICE_OUTCOME_BITS[outcome], kets @ kets.conj().T
+            _assert_runs_match_reference(run, AMPS, rho_ab, range(10))
 
 
-def _assert_improper_runs_match_reference(amps, rho_ab, seeds):
-    """Each seeded run draws the outcome the reference weights give, and
-    hands the CTC stage the reference's corrected Bob state."""
+def _assert_runs_match_reference(run, amps, rho_ab, seeds):
+    """Each seeded ``run(seed) -> (Alice's outcome bits, Bob's state)`` draws
+    the outcome the reference weights give, and hands the CTC stage the
+    reference's corrected Bob state."""
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     reference = improper_mixture_branches(psi, rho_ab)
     outcomes = list(BELL)
     weights = np.array([reference[o][1] for o in outcomes])
     for seed in seeds:
         drawn = outcomes[np.random.default_rng(seed).choice(4, p=weights / weights.sum())]
-        record = run_improper_mixture(amps, seed=seed)
-        assert record.alice_outcome == ALICE_OUTCOME_BITS[BellLabel.from_string(drawn)]
-        assert np.abs(record.bob_state.matrix - reference[drawn][0]).max() <= 1e-14
+        bits, bob = run(seed)
+        assert bits == ALICE_OUTCOME_BITS[BellLabel.from_string(drawn)]
+        assert np.abs(bob - reference[drawn][0]).max() <= 1e-14
 
 
 class TestCtcReadout:
