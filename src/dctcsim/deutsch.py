@@ -154,8 +154,11 @@ def _unit_count(S: np.ndarray) -> int:
 
 def fixed_point_space_dim(U: UnitaryOperator, rho_cr: DensityOperator,
                           layout: RegisterLayout) -> int:
-    """Multiplicity of eigenvalue 1 of the vectorized channel, as the solve counts it."""
-    return _unit_count(superoperator_matrix(U, rho_cr, layout))
+    """Eigenvalue-1 multiplicity of the vectorized channel: counts and raises as the solve."""
+    try:
+        return _unit_count(superoperator_matrix(U, rho_cr, layout))
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointConvergenceError(np.inf, _DEFAULT_CONFIG.tolerance, str(exc)) from exc
 
 
 def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,

@@ -53,8 +53,6 @@ from .qmath import (
     Y,
     Z,
     _complex_array,
-    _density_errors,
-    _readonly,
     _require,
     as_state_vector,
     pure_fidelity,
@@ -102,8 +100,11 @@ _OUTCOMES = tuple(BellLabel)
 ALICE_OUTCOME_BITS = {label: (k & 1, k >> 1) for k, label in enumerate(_OUTCOMES)}
 _CORRECTIONS = (I2, Z, X, Y)
 
-# Row k: label k's Bell vector; Alice's Bell measurement projects onto the conjugates.
-_BELL_KETS = np.array([label.state_vector() for label in _OUTCOMES])
+# Alice's Bell measurement: row k is the conjugated Bell vector of outcome k.
+_BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
+_CD_LOG_NEGATIVITIES = _log_negativities(_pt_spectra(    # each C:D Bell pair, in BellLabel order
+    [DensityOperator.from_state_vector(ket) for ket in _BELL_BRAS.conj()],
+    RegisterLayout(("C", "D")), (BipartiteCut(("C",), ("D",)),)))[:, 0].tolist()
 
 
 def pauli_residual(bell: BellLabel) -> np.ndarray:
@@ -142,7 +143,7 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     and ``probabilities[k]`` is its squared norm; a stack adds a leading axis."""
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
-    branches = _BELL_KETS.conj() @ full
+    branches = _BELL_BRAS @ full
     return branches, np.linalg.norm(branches, axis=-1) ** 2
 
 
@@ -272,22 +273,14 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     theirs through the CTC circuit and broadcast the label, leaving Charlie
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
-    balanced cuts of the Smolin state.  Each is one :func:`_pt_spectra`
-    call: the four C:D Bell states, checked as one stack, and the Smolin cuts."""
-    _require(amps, AmplitudePair, "amplitude pair")
-    _require(config, (SolverConfig, type(None)), "solver config")
-    records = discriminate_bells(_OUTCOMES, amps, config, seed=_generator(seed))
-    cd = _readonly(_BELL_KETS[:, :, None] * _BELL_KETS.conj()[:, None, :])
-    for error in filter(None, _density_errors(cd)):
-        raise InvariantViolationError(error)
-    cd_log_negativities = _log_negativities(_pt_spectra(
-        [DensityOperator._checked(m) for m in cd], RegisterLayout(("C", "D")),
-        (BipartiteCut(("C",), ("D",)),)))[:, 0].tolist()
+    balanced cuts of the Smolin state, from one :func:`_pt_spectra` call;
+    the four C:D log-negativities are computed once, at import."""
+    records = discriminate_bells(_OUTCOMES, amps, config, seed=seed)
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
         cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
         cd_log_negativity=en,
-    ) for branch, record, en in zip(_OUTCOMES, records, cd_log_negativities))
+    ) for branch, record, en in zip(_OUTCOMES, records, _CD_LOG_NEGATIVITIES))
     cuts = smolin_cuts()
     spectra = _pt_spectra((smolin_state(),), smolin_layout(), tuple(cuts.values()))[0]
     return DistillationReport(
@@ -322,6 +315,10 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     _require(config, (SolverConfig, type(None)), "solver config")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    outcome, kets = teleport_and_correct(_BELL_KETS / 2, amps, seed)
-    return ImproperMixtureRecord(ALICE_OUTCOME_BITS[outcome], DensityOperator(kets @ kets.conj().T),
-                                 *ctc_readouts(amps, kets[None], config)[0])
+    outcome, kets = teleport_and_correct(_BELL_BRAS.conj() / 2, amps, seed)
+    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets[None], config)[0]
+    return ImproperMixtureRecord(
+        alice_outcome=ALICE_OUTCOME_BITS[outcome], bob_state=DensityOperator(kets @ kets.conj().T),
+        cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,
+        fixed_point=fixed,
+    )

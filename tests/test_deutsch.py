@@ -351,8 +351,9 @@ class TestSolveFixedPoint:
         u = UnitaryOperator((v * np.exp(1j * 3.85e-7 * w)) @ v.conj().T)
         rho_cr = DensityOperator(random_density(4, rng))
         layout = RegisterLayout(("c0", "c1", "t0", "t1"), ctc=("t0", "t1"))
-        with pytest.raises(FixedPointConvergenceError, match="straddles the unit-eigenvalue"):
-            solve_fixed_point(u, rho_cr, layout)
+        for run in (solve_fixed_point, fixed_point_space_dim):
+            with pytest.raises(FixedPointConvergenceError, match="straddles the unit-eigenvalue"):
+                run(u, rho_cr, layout)
         _, multiplicity = eigen_fixed_point(u.matrix, rho_cr.matrix, 4, 4)
         assert multiplicity == 4
 
