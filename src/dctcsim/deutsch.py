@@ -12,6 +12,10 @@ need not be unique.  Both solvers return the limit of the Cesaro average
 dimension of the fixed-point space as ``fp_space_dim``, and accept the
 answer only if it passes a trace-norm residual check.
 
+A layout puts every CR qubit first: that order makes each register one block
+of axes of U (rho_CR (x) sigma) U^dag, so :func:`ctc_map` and
+:func:`apply_dctc` each take one block trace, not a trace over qubit positions.
+
 The *spectral* solve (:func:`solve_fixed_point`, :func:`apply_dctc`) takes a
 general U.  It applies the eigenvalue-1 spectral projector of the vectorized
 channel S, a d^2 x d^2 matrix, to the maximally mixed state:
@@ -50,8 +54,8 @@ from .qmath import (
     UnitaryOperator,
     _complex_array,
     _density_errors,
-    _partial_trace_matrix,
     _readonly,
+    _require,
     kron,
     trace_norm,
 )
@@ -93,9 +97,16 @@ class FixedPointResult:
         return self.fp_space_dim == 1
 
 
+def _config(config) -> SolverConfig:
+    """``config``, or the default for None; any other non-``SolverConfig`` is a typed error."""
+    return _DEFAULT_CONFIG if config is None else _require(config, SolverConfig, "solver config")
+
+
 def _interaction_dims(U: UnitaryOperator, rho_cr: DensityOperator,
                       layout: RegisterLayout) -> tuple:
-    cr, ctc = layout.cr_labels, layout.ctc_labels
+    _require(U, UnitaryOperator, "interaction")
+    _require(rho_cr, DensityOperator, "CR state")
+    cr, ctc = _require(layout, RegisterLayout, "register layout").cr_labels, layout.ctc_labels
     if not ctc:
         raise InvariantViolationError("layout has no CTC qubits")
     if layout.labels != cr + ctc:
@@ -113,20 +124,22 @@ def _interaction_dims(U: UnitaryOperator, rho_cr: DensityOperator,
 
 
 def _joint_output(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
-                  layout: RegisterLayout, keep: tuple) -> DensityOperator:
-    """The ``keep`` part of U (rho_CR (x) sigma) U^dag."""
+                  trace: str) -> DensityOperator:
+    """The partial trace ``trace`` of U (rho_CR (x) sigma) U^dag on axes (a, t, b, u):
+    ``"atbt->ab"`` for the CR output, ``"atau->tu"`` for the CTC image.  CR-first
+    order makes each register one block of axes, so one einsum traces it."""
     big = U.matrix @ kron(rho_cr.matrix, sigma.matrix) @ U.matrix.conj().T
-    return DensityOperator(_partial_trace_matrix(big, layout.n_qubits, layout.positions(keep)))
+    return DensityOperator(np.einsum(trace, big.reshape((rho_cr.dim, sigma.dim) * 2)))
 
 
 def ctc_map(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
             layout: RegisterLayout) -> DensityOperator:
     """Evaluate Phi(sigma) = Tr_CR(U (rho_CR (x) sigma) U^dag)."""
     _, d_ctc = _interaction_dims(U, rho_cr, layout)
-    if sigma.dim != d_ctc:
+    if _require(sigma, DensityOperator, "CTC state").dim != d_ctc:
         raise InvariantViolationError(
             f"CTC state has dimension {sigma.dim}, layout expects {d_ctc}")
-    return _joint_output(U, rho_cr, sigma, layout, layout.ctc_labels)
+    return _joint_output(U, rho_cr, sigma, "atau->tu")
 
 
 def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -176,7 +189,7 @@ def solve_fixed_point(U: UnitaryOperator, rho_cr: DensityOperator,
     ``FixedPointConvergenceError`` when S has no eigenvalue 1 or a spectrum
     that straddles the window, when the linear algebra fails, or when sigma
     fails the residual check."""
-    config = config or _DEFAULT_CONFIG
+    config = _config(config)
     S = superoperator_matrix(U, rho_cr, layout)
     d = 2 ** len(layout.ctc_labels)
     residual = np.inf
@@ -207,7 +220,7 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
     sigma*, then return the CR output Tr_CTC(U (rho_CR (x) sigma*) U^dag)
     together with the solver diagnostics."""
     result = solve_fixed_point(U, rho_cr, layout, config)
-    return _joint_output(U, rho_cr, result.fixed_point, layout, layout.cr_labels), result
+    return _joint_output(U, rho_cr, result.fixed_point, "atbt->ab"), result
 
 
 # --- classically controlled CTCs: the label chain ----------------------------
@@ -274,7 +287,7 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     (``InvariantViolationError``).  The first failure raises, from the lowest
     input that fails it.
     """
-    config = config or _DEFAULT_CONFIG
+    config = _config(config)
     outputs = _complex_array(outputs, "block outputs")
     if outputs.ndim != 4 or 0 in outputs.shape[:2] or outputs.shape[1] != outputs.shape[2]:
         raise InvariantViolationError("block outputs must have shape (inputs, labels, labels, "

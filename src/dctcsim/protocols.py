@@ -119,7 +119,7 @@ def modal_readout(cr_out: DensityOperator) -> tuple:
     most probable outcome and its probability.  Outcomes within
     ``READOUT_TIE_ATOL`` of the largest tie, and a tie goes to the lowest
     label, so rounding noise cannot pick the label."""
-    if cr_out.dim != 4:
+    if _require(cr_out, DensityOperator, "CR state").dim != 4:
         raise InvariantViolationError(f"CR register must be two qubits, got dimension {cr_out.dim}")
     distribution = tuple(cr_out.matrix.diagonal().real.tolist())
     top = max(distribution)
@@ -157,6 +157,7 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     columns of ``kets``, so his state is ``kets @ kets.conj().T``.  ``pairs``
     must be finite, with trace sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1.
     """
+    _require(amps, AmplitudePair, "amplitude pair")
     pairs = _complex_array(pairs, "pair factor")
     if pairs.ndim != 2 or pairs.shape[1] != 4:
         raise InvariantViolationError(f"pair factor must be a k x 4 array, got shape {pairs.shape}")
@@ -183,7 +184,6 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
     the :func:`modal_readout` triple of the CR output and its
     :class:`FixedPointResult`.  Degeneracy is the caller's to check."""
     _require(amps, AmplitudePair, "amplitude pair")
-    _require(config, (SolverConfig, type(None)), "solver config")
     kets = _complex_array(kets, "Bob's factors")
     if kets.ndim != 3 or kets.shape[1] != 2:
         raise InvariantViolationError(f"Bob's factors must be n x 2 x k, got shape {kets.shape}")
@@ -222,7 +222,6 @@ def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None =
     unless ``alice_outcome`` pins them all.  Each record reports the most probable
     CR value (:func:`modal_readout`) and its probability, not an assumed one."""
     _require(amps, AmplitudePair, "amplitude pair")
-    _require(config, (SolverConfig, type(None)), "solver config")
     bells = tuple(_require(bell, BellLabel, "Bell label") for bell in bells)
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
@@ -312,7 +311,6 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
     sum_k |B_k><B_k| / 4 (Alice's outcome drawn from ``seed``), and run Bob's
     four-column factor through :func:`ctc_readouts` as one input."""
     _require(amps, AmplitudePair, "amplitude pair")
-    _require(config, (SolverConfig, type(None)), "solver config")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
     outcome, kets = teleport_and_correct(_BELL_BRAS.conj() / 2, amps, seed)

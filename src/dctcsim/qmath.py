@@ -249,16 +249,3 @@ class RegisterLayout:
                 raise InvariantViolationError(f"unknown qubit label {lbl!r}")
             out.append(index[lbl])
         return tuple(out)
-
-
-def _partial_trace_matrix(mat: np.ndarray, n_qubits: int, keep_positions) -> np.ndarray:
-    keep = sorted(keep_positions)
-    traced = [p for p in range(n_qubits) if p not in keep]
-    t = mat.reshape([2] * (2 * n_qubits))
-    n = n_qubits
-    for p in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=p, axis2=p + n)
-        n -= 1
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
-

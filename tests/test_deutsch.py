@@ -875,6 +875,26 @@ class TestApplyDctc:
             assert abs(probabilities[modal] - 0.5) <= 1e-9
             assert result.fp_space_dim == 2
 
+    @pytest.mark.parametrize("n_cr, n_ctc", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 4)])
+    def test_block_traces_match_brute_partial_trace(self, n_cr, n_ctc):
+        # ctc_map traces out the CR block, apply_dctc the CTC block, of one product.
+        rng = np.random.default_rng(100 + 10 * n_cr + n_ctc)
+        n = n_cr + n_ctc
+        labels = [f"q{i}" for i in range(n)]
+        layout = RegisterLayout(labels, ctc=labels[n_cr:])
+        u = UnitaryOperator(haar_unitary(2 ** n, rng))
+        rho_cr = DensityOperator(random_density(2 ** n_cr, rng))
+
+        def joint(sigma):
+            return u.matrix @ kron(rho_cr.matrix, sigma.matrix) @ u.matrix.conj().T
+
+        sigma = DensityOperator(random_density(2 ** n_ctc, rng))
+        image = ctc_map(u, rho_cr, sigma, layout).matrix
+        assert np.abs(image - ptrace_brute(joint(sigma), n, range(n_cr, n))).max() <= 1e-14
+        out, result = apply_dctc(u, rho_cr, layout)
+        want = ptrace_brute(joint(result.fixed_point), n, range(n_cr))
+        assert np.abs(out.matrix - want).max() <= 1e-14
+
 
 class TestConfigAndResult:
     def test_config_validation(self):
@@ -892,3 +912,29 @@ class TestConfigAndResult:
             FixedPointResult(rho, residual=0.0, fp_space_dim=1, method="iterative")
         assert FixedPointResult(rho, residual=0.0, fp_space_dim=1).unique
         assert not FixedPointResult(rho, residual=0.0, fp_space_dim=2).unique
+
+    _U, _RHO = UnitaryOperator(np.eye(4)), DensityOperator(np.eye(2) / 2)
+    _OUTPUTS = circuits.block_outputs(AMPS, np.array([[[1.0], [0.0]]]))
+
+    @pytest.mark.parametrize("call, args, what", [
+        (solve_fixed_point, (_U, _RHO, LAYOUT_1_1, 5), "solver config"),
+        (solve_fixed_point, (_U, _RHO, LAYOUT_1_1, 0), "solver config"),
+        (solve_fixed_point, (_U, _RHO, LAYOUT_1_1, ""), "solver config"),
+        (apply_dctc, (_U, _RHO, LAYOUT_1_1, "x"), "solver config"),
+        (deutsch.apply_label_chains, (_OUTPUTS, 5), "solver config"),
+        (deutsch.apply_label_chains, (_OUTPUTS, 0), "solver config"),
+        (ctc_map, (np.eye(4), _RHO, _RHO, LAYOUT_1_1), "interaction"),
+        (ctc_map, (_U, np.eye(2) / 2, _RHO, LAYOUT_1_1), "CR state"),
+        (ctc_map, (_U, _RHO, np.eye(2) / 2, LAYOUT_1_1), "CTC state"),
+        (ctc_map, (_U, _RHO, _RHO, ("c", "t")), "register layout"),
+        (ctc_map, (_U, _RHO, _RHO, None), "register layout"),
+        (superoperator_matrix, (np.eye(4), _RHO, LAYOUT_1_1), "interaction"),
+        (superoperator_matrix, (_U, _RHO, None), "register layout"),
+        (fixed_point_space_dim, (_U, np.eye(2) / 2, LAYOUT_1_1), "CR state"),
+        (fixed_point_space_dim, (_U, _RHO, ("c", "t")), "register layout"),
+        (teleport_and_correct, (BellLabel.PHI_PLUS.state_vector()[None], 0.3), "amplitude pair"),
+        (protocols.modal_readout, (np.eye(4) / 4,), "CR state"),
+    ])
+    def test_malformed_argument_is_typed_error(self, call, args, what):
+        with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):
+            call(*args)

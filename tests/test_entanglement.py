@@ -19,9 +19,9 @@ from dctcsim import (
 )
 from dctcsim.cli import run_measures
 from dctcsim.entanglement import _pt_spectra
-from dctcsim.qmath import PHI_PLUS, _partial_trace_matrix
+from dctcsim.qmath import PHI_PLUS
 
-from oracles import pt_brute, qubit_swap, random_density, smolin_pauli_form
+from oracles import pt_brute, ptrace_brute, qubit_swap, random_density, smolin_pauli_form
 
 TWO_QUBITS = RegisterLayout(("A", "B"))
 CUT_AB = BipartiteCut(("A",), ("B",))
@@ -206,7 +206,7 @@ class TestSmolinState:
         assert abs(purity - 0.25) <= 1e-12
 
     def test_cd_marginal_is_maximally_mixed(self):
-        reduced = _partial_trace_matrix(smolin_state().matrix, 4, (2, 3))
+        reduced = ptrace_brute(smolin_state().matrix, 4, (2, 3))
         np.testing.assert_allclose(reduced, np.eye(4) / 4, atol=1e-14)
 
     def test_equals_pauli_form(self):

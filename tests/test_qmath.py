@@ -1,4 +1,4 @@
-"""Math core: Kronecker products, partial trace, trace norm, constants."""
+"""Math core: Kronecker products, trace norm, constants."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,13 @@ from dctcsim.qmath import (
     PHI_PLUS,
     PSI_MINUS,
     X,
-    _partial_trace_matrix,
     as_state_vector,
     pure_fidelity,
 )
 from dctcsim.deutsch import apply_label_chains
 from dctcsim.protocols import ctc_readouts, teleport_and_correct
 
-from oracles import haar_unitary, ket, ptrace_brute, random_density
+from oracles import haar_unitary, ket
 
 
 class TestKron:
@@ -46,44 +45,6 @@ class TestKron:
             left = kron(kron(a, b), c)
             right = kron(a, kron(b, c))
             assert np.abs(left - right).max() <= 1e-14
-
-
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(3)
-        rho_a = random_density(2, rng)
-        rho_b = random_density(2, rng)
-        reduced = _partial_trace_matrix(kron(rho_a, rho_b), 2, (0,))
-        np.testing.assert_allclose(reduced, rho_a, atol=1e-14)
-
-    def test_bell_marginal_is_maximally_mixed(self):
-        rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        reduced = _partial_trace_matrix(rho, 2, (0,))
-        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
-
-    def test_full_trace_is_one(self):
-        rng = np.random.default_rng(5)
-        scalar = _partial_trace_matrix(random_density(8, rng), 3, ())
-        np.testing.assert_allclose(scalar, [[1.0]], atol=1e-14)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            rho = random_density(8, rng)
-            for positions in [(0,), (1,), (0, 2), (1, 2)]:
-                got = _partial_trace_matrix(rho, 3, positions)
-                want = ptrace_brute(rho, 3, positions)
-                np.testing.assert_allclose(got, want, atol=1e-13)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            rho1, rho2 = random_density(4, rng), random_density(4, rng)
-            w = rng.uniform(0.1, 0.9)
-            lhs = _partial_trace_matrix(w * rho1 + (1 - w) * rho2, 2, (1,))
-            rhs = (w * _partial_trace_matrix(rho1, 2, (1,))
-                   + (1 - w) * _partial_trace_matrix(rho2, 2, (1,)))
-            assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestTraceNorm:
