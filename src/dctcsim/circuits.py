@@ -46,6 +46,7 @@ from .qmath import (
     X,
     Z,
     _readonly,
+    _require,
     kron,
 )
 
@@ -129,6 +130,7 @@ def _rotations(amps: AmplitudePair) -> np.ndarray:
 
 def _blocks(amps: AmplitudePair) -> np.ndarray:
     """The four blocks U_c = L_c (R_c (x) I), stacked in ``BLOCK_CODES`` order."""
+    _require(amps, AmplitudePair, "amplitude pair")
     return _LAYERS @ np.kron(_rotations(amps), I2)
 
 
@@ -153,6 +155,7 @@ def block_outputs(amps: AmplitudePair, kets: np.ndarray) -> np.ndarray:
 def candidate_states(amps: AmplitudePair) -> dict:
     """The four non-orthogonal states E_c psi the circuit distinguishes, for
     psi = a|0> + b|1>, keyed by the two-bit outcome c that identifies each."""
+    _require(amps, AmplitudePair, "amplitude pair")
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     return {code: error @ psi for code, error in zip(BLOCK_CODES, _PAULI_ERRORS)}
 

@@ -9,7 +9,11 @@ Every experiment that runs the CTC stage makes one stacked call of
 :func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
 and ``smolin --improper-mixture`` have one); the fixed points come from the
 circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no iteration
-budget.
+budget.  Every experiment that teleports makes one stacked
+:func:`dctcsim.protocols.teleport_and_correct` call over its inputs too.
+``measures`` and ``smolin`` read the partial-transpose spectra of their
+constant states (the Smolin state's cuts and phi+), which are taken once per
+process, on first use.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
@@ -25,6 +29,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import threading
@@ -35,12 +40,10 @@ from .circuits import AmplitudePair, candidate_states
 from .deutsch import SolverConfig
 from .entanglement import (
     PPT_ATOL,
-    BipartiteCut,
     _log_negativities,
-    _pt_spectra,
+    _phi_plus_spectra,
+    _smolin_spectra,
     smolin_cuts,
-    smolin_layout,
-    smolin_state,
 )
 from .errors import (
     DegenerateAmplitudesError,
@@ -55,7 +58,6 @@ from .protocols import (
     distill_smolin,
     run_improper_mixture,
 )
-from .qmath import DensityOperator, RegisterLayout
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,7 +72,7 @@ def _clean(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InvariantViolationError(f"non-finite value {value!r} in result document")
         return float(f"{float(value):.15g}")
     if isinstance(value, dict):
@@ -254,12 +256,9 @@ def run_smolin(args, amps, config):
 
 
 def run_measures(args, amps, config):
-    bell = DensityOperator.from_state_vector(BellLabel.PHI_PLUS.state_vector())
     rows = []
-    for state_name, rho, layout, cuts in (
-            ("smolin", smolin_state(), smolin_layout(), smolin_cuts()),
-            ("bell:phi+", bell, RegisterLayout(("A", "B")), {"A:B": BipartiteCut(("A",), ("B",))})):
-        spectra = _pt_spectra((rho,), layout, tuple(cuts.values()))[0]
+    for state_name, cuts, spectra in (("smolin", smolin_cuts(), _smolin_spectra()),
+                                      ("bell:phi+", ("A:B",), _phi_plus_spectra())):
         for cut_name, lowest, en in zip(cuts, spectra[:, 0].tolist(),
                                         _log_negativities(spectra).tolist()):
             rows.append({

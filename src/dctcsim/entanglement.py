@@ -3,7 +3,9 @@ tests, and the four-qubit bound-entangled Smolin state.
 
 Every measure is read from one primitive, :func:`_pt_spectra`: the spectra
 of the partial transposes of a stack of states across one or more cuts, from
-one ``eigvalsh``.  PPT is necessary for separability, so outputs say "PPT",
+one ``eigvalsh``; the spectra of the constant states the experiments report
+(the Smolin state's cuts and phi+) are taken once per process, on first
+use.  PPT is necessary for separability, so outputs say "PPT",
 never "separable".  E_N upper-bounds distillable entanglement, so 0 across a
 cut certifies that LOCC distils nothing across it.
 """
@@ -16,8 +18,10 @@ import numpy as np
 from .errors import InvariantViolationError
 from .qmath import (
     BELL_VECTORS,
+    PHI_PLUS,
     DensityOperator,
     RegisterLayout,
+    _readonly,
     _require,
     kron,
 )
@@ -110,6 +114,24 @@ def smolin_state() -> DensityOperator:
         pair = np.outer(vec, vec.conj())
         mat += kron(pair, pair)
     return DensityOperator(mat / 4.0)
+
+
+@functools.cache
+def _smolin_spectra() -> np.ndarray:
+    """:func:`_pt_spectra` of the Smolin state across the cuts of
+    :func:`smolin_cuts`, in their order (3 x 16): taken once per process, on
+    first use, and read-only."""
+    return _readonly(_pt_spectra((smolin_state(),), smolin_layout(),
+                                 tuple(smolin_cuts().values()))[0])
+
+
+@functools.cache
+def _phi_plus_spectra() -> np.ndarray:
+    """:func:`_pt_spectra` of phi+ across A:B (1 x 4), its density check
+    included: taken once per process, on first use, and read-only."""
+    return _readonly(_pt_spectra((DensityOperator.from_state_vector(PHI_PLUS),),
+                                 RegisterLayout(("A", "B")),
+                                 (BipartiteCut(("A",), ("B",)),))[0])
 
 
 def smolin_layout() -> RegisterLayout:

@@ -14,7 +14,11 @@ stack of inputs: each Bob qubit, a factor K of his density matrix K K^dag,
 forms a CR input with the ancilla, one call solves every Deutsch fixed point
 through the circuit's four-label chain (no 16x16 interaction is built), and
 each CR register is read out.  A single input is a stack of one.  Bob's
-factors come from the one teleportation step, :func:`teleport_and_correct`.
+factors come from the one teleportation step, :func:`teleport_and_correct`,
+which takes the same stack: every input's pair factor is measured and
+corrected in one call, and its n x 2 x k output is the CTC stage's input.
+The spectra of the constant states (the Smolin baseline) are taken once per
+process, on first use (:mod:`dctcsim.entanglement`).
 
 The CTC stage is simulated branch-wise: the self-consistency map is
 nonlinear in the CR input, so convex mixtures cannot be pushed through the
@@ -26,6 +30,7 @@ when the branch identity is discarded.
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +42,8 @@ from .entanglement import (
     BipartiteCut,
     _log_negativities,
     _pt_spectra,
+    _smolin_spectra,
     smolin_cuts,
-    smolin_layout,
-    smolin_state,
 )
 from .errors import DegenerateAmplitudesError, InvariantViolationError
 from .qmath import (
@@ -53,6 +57,7 @@ from .qmath import (
     Y,
     Z,
     _complex_array,
+    _readonly,
     _require,
     as_state_vector,
     pure_fidelity,
@@ -100,10 +105,12 @@ _OUTCOMES = tuple(BellLabel)
 ALICE_OUTCOME_BITS = {label: (k & 1, k >> 1) for k, label in enumerate(_OUTCOMES)}
 _CORRECTIONS = (I2, Z, X, Y)
 
-# Alice's Bell measurement: row k is the conjugated Bell vector of outcome k.
-_BELL_BRAS = np.array([label.state_vector().conj() for label in _OUTCOMES])
+# Each Bell pair as a 1 x 4 factor, in BellLabel order; Alice's Bell measurement
+# (row k: the conjugated Bell vector of outcome k).
+_BELL_KETS = _readonly(np.array([[label.state_vector()] for label in _OUTCOMES]))
+_BELL_BRAS = _BELL_KETS[:, 0].conj()
 _CD_LOG_NEGATIVITIES = _log_negativities(_pt_spectra(    # each C:D Bell pair, in BellLabel order
-    [DensityOperator.from_state_vector(ket) for ket in _BELL_BRAS.conj()],
+    [DensityOperator.from_state_vector(ket) for ket in _BELL_KETS[:, 0]],
     RegisterLayout(("C", "D")), (BipartiteCut(("C",), ("D",)),)))[:, 0].tolist()
 
 
@@ -137,40 +144,53 @@ def _generator(seed) -> "np.random.Generator":
 
 def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     """Project Alice's four Bell outcomes out of psi (x) |pair> at once, for a
-    two-qubit ket ``pair`` (Alice's half first) or a stack of them, one per row.
-    Returns ``(branches, probabilities)``: row k of the 4x2 ``branches`` is
-    Bob's unnormalised, uncorrected qubit for outcome k (``BellLabel`` order)
-    and ``probabilities[k]`` is its squared norm; a stack adds a leading axis."""
+    two-qubit ket ``pair`` (Alice's half first) or a stack of them along
+    leading axes.  Returns ``(branches, probabilities)``: row k of the 4x2
+    ``branches`` is Bob's unnormalised, uncorrected qubit for outcome k
+    (``BellLabel`` order) and ``probabilities[k]`` is its squared norm; a
+    stack adds its leading axes."""
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
     branches = _BELL_BRAS @ full
-    return branches, np.linalg.norm(branches, axis=-1) ** 2
+    # np.linalg.norm(branches, axis=-1) ** 2, the same operations without its dispatch
+    return branches, np.sqrt((branches.conj() * branches).real.sum(axis=-1)) ** 2
 
 
 def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
-    """Alice's Bell measurement on psi (x) rho_AB, then Bob's correction.
+    """Alice's Bell measurement on psi (x) rho_AB, then Bob's correction, for
+    a stack of pair states in one call.
 
-    rho_AB = sum_j f_j f_j^dag for the rows f_j of the k x 4 factor ``pairs``,
-    Alice's qubit first.  Outcome k, unless ``alice_outcome`` (a
-    :class:`BellLabel`) pins it, is drawn with probability p_k = sum_j |b_jk|^2.
-    Returns ``(outcome, kets)``: Bob's corrected b_jk / sqrt(p_k) as the
-    columns of ``kets``, so his state is ``kets @ kets.conj().T``.  ``pairs``
-    must be finite, with trace sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1.
+    Input i's rho_AB = sum_j f_j f_j^dag for the rows f_j of the k x 4 factor
+    ``pairs[i]`` (``pairs`` is n x k x 4), Alice's qubit first.  Its outcome,
+    unless ``alice_outcome`` (a :class:`BellLabel`) pins every outcome, is
+    drawn with probability p_k = sum_j |b_jk|^2, input by input from one
+    generator made from ``seed``.  Returns ``(outcomes, kets)``: the n
+    outcomes as a tuple of :class:`BellLabel`, and the n x 2 x k ``kets``,
+    input i's Bob's corrected b_jk / sqrt(p_k) as the columns of ``kets[i]``,
+    so his state is ``kets[i] @ kets[i].conj().T``; ``kets`` is the input of
+    :func:`ctc_readouts`.  Each ``pairs[i]`` must be finite, with trace
+    sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1.
     """
     _require(amps, AmplitudePair, "amplitude pair")
-    pairs = _complex_array(pairs, "pair factor")
-    if pairs.ndim != 2 or pairs.shape[1] != 4:
-        raise InvariantViolationError(f"pair factor must be a k x 4 array, got shape {pairs.shape}")
-    trace = float(np.vdot(pairs, pairs).real)    # NaN or inf for a non-finite entry
-    if not abs(trace - 1.0) <= TRACE_ATOL:
-        raise InvariantViolationError(f"pair factor has trace {trace!r}, not 1")
+    pairs = _complex_array(pairs, "pair factors")
+    if pairs.ndim != 3 or pairs.shape[2] != 4:
+        raise InvariantViolationError(
+            f"pair factors must be an n x k x 4 array, got shape {pairs.shape}")
+    for i, factor in enumerate(pairs):
+        trace = float(np.vdot(factor, factor).real)    # NaN or inf for a non-finite entry
+        if not abs(trace - 1.0) <= TRACE_ATOL:
+            raise InvariantViolationError(f"pair factor {i} has trace {trace!r}, not 1")
     branches, probabilities = _alice_branches(pairs, amps)
-    p = probabilities.sum(axis=0)
+    p = probabilities.sum(axis=1)
     if alice_outcome is None:
-        k = _generator(seed).choice(4, p=p / p.sum())
+        rng = _generator(seed)
+        ks = [rng.choice(4, p=row / row.sum()) for row in p]
     else:
-        k = _OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))
-    return _OUTCOMES[k], _CORRECTIONS[k] @ (branches[:, k] / math.sqrt(p[k])).T
+        ks = [_OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))] * len(p)
+    kets = np.empty((len(p), 2, pairs.shape[1]), dtype=complex)
+    for i, k in enumerate(ks):
+        kets[i] = _CORRECTIONS[k] @ (branches[i, :, k] / math.sqrt(p[i, k])).T
+    return tuple([_OUTCOMES[k] for k in ks]), kets
 
 
 def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
@@ -216,26 +236,27 @@ class DiscriminationRecord:
 
 def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None = None,
                        seed=None, alice_outcome=None) -> list:
-    """The full discrimination protocol for each shared Bell pair of ``bells``, with
-    one CTC stage for all of them; the labels and the pair are checked first.
-    Alice's outcomes are drawn in order from one generator made from ``seed``,
-    unless ``alice_outcome`` pins them all.  Each record reports the most probable
+    """The full discrimination protocol for each shared Bell pair of the
+    sequence ``bells``, with one teleportation step and one CTC stage for all
+    of them; the labels and the pair are checked first.  Alice's outcomes are
+    drawn in order from one generator made from ``seed``, unless
+    ``alice_outcome`` pins them all.  Each record reports the most probable
     CR value (:func:`modal_readout`) and its probability, not an assumed one."""
     _require(amps, AmplitudePair, "amplitude pair")
-    bells = tuple(_require(bell, BellLabel, "Bell label") for bell in bells)
+    bells = tuple(_require(bell, BellLabel, "Bell label")
+                  for bell in _require(bells, Iterable, "Bell label sequence"))
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    rng = _generator(seed) if alice_outcome is None else None
-    teleported = [teleport_and_correct(bell.state_vector()[None], amps, rng, alice_outcome)
-                  for bell in bells]
-    readouts = ctc_readouts(amps, np.array([kets for _, kets in teleported]), config)
+    pairs = _BELL_KETS.take([_OUTCOMES.index(bell) for bell in bells], axis=0)
+    outcomes, kets = teleport_and_correct(pairs, amps, seed, alice_outcome)
     return [DiscriminationRecord(
         input_bell=bell, alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=as_state_vector(kets[:, 0]), identified=BellLabel.from_b1b2(*b1b2),
+        bob_state=as_state_vector(ket[:, 0]), identified=BellLabel.from_b1b2(*b1b2),
         outcome_probability=probability, fixed_point=fixed,
-    ) for bell, (outcome, kets), (_, b1b2, probability, fixed) in zip(bells, teleported, readouts)]
+    ) for bell, outcome, ket, (_, b1b2, probability, fixed)
+        in zip(bells, outcomes, kets, ctc_readouts(amps, kets, config))]
 
 
 def discriminate_bell(bell: BellLabel, amps: AmplitudePair,
@@ -272,16 +293,16 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     theirs through the CTC circuit and broadcast the label, leaving Charlie
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
-    balanced cuts of the Smolin state, from one :func:`_pt_spectra` call;
-    the four C:D log-negativities are computed once, at import."""
+    balanced cuts of the Smolin state, from their spectra, taken once per
+    process on first use; the four C:D log-negativities are computed once,
+    at import."""
     records = discriminate_bells(_OUTCOMES, amps, config, seed=seed)
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
         cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
         cd_log_negativity=en,
     ) for branch, record, en in zip(_OUTCOMES, records, _CD_LOG_NEGATIVITIES))
-    cuts = smolin_cuts()
-    spectra = _pt_spectra((smolin_state(),), smolin_layout(), tuple(cuts.values()))[0]
+    cuts, spectra = smolin_cuts(), _smolin_spectra()
     return DistillationReport(
         branches=branches,
         baseline_log_negativity=dict(zip(cuts, _log_negativities(spectra).tolist())),
@@ -309,14 +330,16 @@ def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None
                          seed=None) -> ImproperMixtureRecord:
     """Teleport psi through the Smolin AB marginal as its four Bell branches,
     sum_k |B_k><B_k| / 4 (Alice's outcome drawn from ``seed``), and run Bob's
-    four-column factor through :func:`ctc_readouts` as one input."""
+    four-column factor through :func:`ctc_readouts` as one input: a stack
+    of one for :func:`teleport_and_correct` and the CTC stage."""
     _require(amps, AmplitudePair, "amplitude pair")
     if amps.is_degenerate:
         raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    outcome, kets = teleport_and_correct(_BELL_BRAS.conj() / 2, amps, seed)
-    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets[None], config)[0]
+    (outcome,), kets = teleport_and_correct(_BELL_KETS.transpose(1, 0, 2) / 2, amps, seed)
+    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets, config)[0]
     return ImproperMixtureRecord(
-        alice_outcome=ALICE_OUTCOME_BITS[outcome], bob_state=DensityOperator(kets @ kets.conj().T),
+        alice_outcome=ALICE_OUTCOME_BITS[outcome],
+        bob_state=DensityOperator(kets[0] @ kets[0].conj().T),
         cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,
         fixed_point=fixed,
     )

@@ -213,8 +213,8 @@ class RegisterLayout:
     ctc: frozenset
 
     def __init__(self, labels: Iterable[str], ctc: Iterable[str] = ()):
-        labels = tuple(labels)
-        ctc = frozenset(ctc)
+        labels = tuple(_require(labels, Iterable, "qubit labels"))
+        ctc = frozenset(_require(ctc, Iterable, "CTC labels"))
         if not labels:
             raise InvariantViolationError("layout needs at least one qubit label")
         if len(set(labels)) != len(labels):

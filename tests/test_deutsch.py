@@ -389,8 +389,8 @@ def _discrimination_inputs(amps):
     """The CR input of every (Bell pair, Alice outcome) discrimination run."""
     for bell in BellLabel:
         for outcome in BellLabel:
-            bob = teleport_and_correct(bell.state_vector()[None], amps,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                       alice_outcome=outcome)[1][0, :, 0]
             yield bell, outcome, DensityOperator.from_state_vector(kron(bob, KET_0))
 
 
@@ -443,8 +443,8 @@ class TestNearDegeneracy:
             result = solve_fixed_point(u, rho_cr, layout)
             assert result.residual < 1e-12
             assert result.fp_space_dim == 1
-            bob = teleport_and_correct(bell.state_vector()[None], amps,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                       alice_outcome=outcome)[1][0, :, 0]
             chain = ctc_readouts(amps, bob[None, :, None])[0][3].fixed_point
             assert trace_norm(result.fixed_point.matrix - chain.matrix) <= 1e-5
 
@@ -474,8 +474,8 @@ class TestLabelChain:
             amps = AmplitudePair.from_alpha(alpha)
             u = bhw_interaction(amps)
             for bell, outcome, rho_cr in _discrimination_inputs(amps):
-                bob = teleport_and_correct(bell.state_vector()[None], amps,
-                                           alice_outcome=outcome)[1][:, 0]
+                bob = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                           alice_outcome=outcome)[1][0, :, 0]
                 fixed = ctc_readouts(amps, bob[None, :, None])[0][3]
                 image = ctc_map(u, rho_cr, fixed.fixed_point, layout)
                 assert trace_norm(image.matrix - fixed.fixed_point.matrix) < 1e-12
@@ -500,8 +500,8 @@ class TestLabelChain:
             assert amps.is_degenerate == (scale < 1)
             for bell in BellLabel:
                 for outcome in BellLabel:
-                    bob = teleport_and_correct(bell.state_vector()[None], amps,
-                                               alice_outcome=outcome)[1][:, 0]
+                    bob = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                               alice_outcome=outcome)[1][0, :, 0]
                     fixed = ctc_readouts(amps, bob[None, :, None])[0][3]
                     assert (fixed.fp_space_dim >= 2) == amps.is_degenerate
                     assert fixed.method == "chain"
@@ -666,10 +666,10 @@ class TestLabelChain:
             for amps in (_pair_at_distance(delta), _pair_at_distance(-delta)):
                 for outcome in BellLabel:
                     for bell in BellLabel:
-                        kets = teleport_and_correct(bell.state_vector()[None], amps,
-                                                    alice_outcome=outcome)[1]
+                        kets = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                                    alice_outcome=outcome)[1][0]
                         assert max(error for error, _ in errors(amps, kets)) <= 1e-20
-                    kets = teleport_and_correct(mixed, amps, alice_outcome=outcome)[1]
+                    kets = teleport_and_correct(mixed[None], amps, alice_outcome=outcome)[1][0]
                     assert all(error <= 2e-15 * e for error, e in errors(amps, kets))
         rng = np.random.default_rng(131)
         for _ in range(20):
@@ -738,9 +738,9 @@ def _stage_factors(amps, rng):
     16 pure kets, 4 improper-mixture factors and 16 seeded mixed 2 x 3 factors."""
     mixed = rng.normal(size=(16, 2, 3)) + 1j * rng.normal(size=(16, 2, 3))
     return {
-        "pure": [teleport_and_correct(bell.state_vector()[None], amps, alice_outcome=o)[1]
+        "pure": [teleport_and_correct(bell.state_vector()[None, None], amps, alice_outcome=o)[1][0]
                  for bell in BellLabel for o in BellLabel],
-        "improper": [teleport_and_correct(_IMPROPER_PAIRS, amps, alice_outcome=o)[1]
+        "improper": [teleport_and_correct(_IMPROPER_PAIRS[None], amps, alice_outcome=o)[1][0]
                      for o in BellLabel],
         "mixed": list(mixed / np.linalg.norm(mixed, axis=(1, 2))[:, None, None]),
     }
@@ -932,8 +932,15 @@ class TestConfigAndResult:
         (superoperator_matrix, (_U, _RHO, None), "register layout"),
         (fixed_point_space_dim, (_U, np.eye(2) / 2, LAYOUT_1_1), "CR state"),
         (fixed_point_space_dim, (_U, _RHO, ("c", "t")), "register layout"),
-        (teleport_and_correct, (BellLabel.PHI_PLUS.state_vector()[None], 0.3), "amplitude pair"),
+        (teleport_and_correct, (BellLabel.PHI_PLUS.state_vector()[None, None], 0.3),
+         "amplitude pair"),
         (protocols.modal_readout, (np.eye(4) / 4,), "CR state"),
+        (protocols.discriminate_bells, (BellLabel.PHI_PLUS, AMPS), "Bell label sequence"),
+        (bhw_interaction, (0.6,), "amplitude pair"),
+        (candidate_states, (0.6,), "amplitude pair"),
+        (circuits.block_unitary, ((0, 0), 0.6), "amplitude pair"),
+        (RegisterLayout, (5,), "qubit labels"),
+        (RegisterLayout, (("a",), 5), "CTC labels"),
     ])
     def test_malformed_argument_is_typed_error(self, call, args, what):
         with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):

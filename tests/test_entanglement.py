@@ -1,8 +1,14 @@
 """Partial transpose, log-negativity, PPT checks, and the Smolin state."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dctcsim
 from dctcsim import (
     BipartiteCut,
     DensityOperator,
@@ -18,7 +24,7 @@ from dctcsim import (
     trace_norm,
 )
 from dctcsim.cli import run_measures
-from dctcsim.entanglement import _pt_spectra
+from dctcsim.entanglement import _phi_plus_spectra, _pt_spectra, _smolin_spectra
 from dctcsim.qmath import PHI_PLUS
 
 from oracles import pt_brute, ptrace_brute, qubit_swap, random_density, smolin_pauli_form
@@ -192,6 +198,36 @@ class TestPtSpectra:
     def test_malformed_arguments_are_typed_errors(self, measure, rho, layout, cut, message):
         with pytest.raises(InvariantViolationError, match=message):
             measure(rho, layout, cut)
+
+
+class TestCachedSpectra:
+    """The constant states' spectra, taken once per process on first use."""
+
+    @pytest.mark.parametrize("cached, states, layout, cuts", [
+        (_smolin_spectra, lambda: (smolin_state(),), smolin_layout(),
+         tuple(smolin_cuts().values())),
+        (_phi_plus_spectra, lambda: (DensityOperator.from_state_vector(PHI_PLUS),), TWO_QUBITS,
+         (CUT_AB,)),
+    ], ids=["smolin", "phi+"])
+    def test_read_only_and_equal_to_a_fresh_call(self, cached, states, layout, cuts):
+        spectra = cached()
+        assert spectra is cached()
+        assert not spectra.flags.writeable
+        with pytest.raises(ValueError):
+            spectra[0, 0] = 1.0
+        fresh = _pt_spectra(states(), layout, cuts)[0]
+        assert spectra.shape == fresh.shape
+        assert spectra.tobytes() == fresh.tobytes()
+
+    def test_not_filled_at_import(self):
+        # The caches fill on first use, so importing the package and its CLI takes no spectrum.
+        code = ("import dctcsim, dctcsim.cli; from dctcsim import entanglement as e; "
+                "print(e._smolin_spectra.cache_info().currsize, "
+                "e._phi_plus_spectra.cache_info().currsize)")
+        src = str(Path(dctcsim.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestSmolinState:

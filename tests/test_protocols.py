@@ -58,27 +58,27 @@ def random_amps(rng):
 class TestTeleportAndCorrect:
     def test_phi_plus_is_identity_channel(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None], AMPS,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None, None], AMPS,
+                                       alice_outcome=outcome)[1][0, :, 0]
             assert abs(abs(np.vdot(PSI, bob)) - 1) <= 1e-12
 
     def test_phi_minus_leaves_phase_flip(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PHI_MINUS.state_vector()[None], AMPS,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(BellLabel.PHI_MINUS.state_vector()[None, None], AMPS,
+                                       alice_outcome=outcome)[1][0, :, 0]
             assert abs(abs(np.vdot(Z @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_plus_leaves_bit_flip(self):
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PSI_PLUS.state_vector()[None], AMPS,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(BellLabel.PSI_PLUS.state_vector()[None, None], AMPS,
+                                       alice_outcome=outcome)[1][0, :, 0]
             assert abs(abs(np.vdot(X @ PSI, bob)) - 1) <= 1e-12
 
     def test_psi_minus_leaves_both_flips(self):
         target = (X @ Z) @ PSI  # 0.6|1> - 0.8|0>
         for outcome in BellLabel:
-            bob = teleport_and_correct(BellLabel.PSI_MINUS.state_vector()[None], AMPS,
-                                       alice_outcome=outcome)[1][:, 0]
+            bob = teleport_and_correct(BellLabel.PSI_MINUS.state_vector()[None, None], AMPS,
+                                       alice_outcome=outcome)[1][0, :, 0]
             assert abs(abs(np.vdot(target, bob)) - 1) <= 1e-12
 
     def test_outcome_independence(self):
@@ -86,8 +86,8 @@ class TestTeleportAndCorrect:
         for _ in range(50):
             amps = random_amps(rng)
             for bell in BellLabel:
-                states = [teleport_and_correct(bell.state_vector()[None], amps,
-                                               alice_outcome=outcome)[1][:, 0]
+                states = [teleport_and_correct(bell.state_vector()[None, None], amps,
+                                               alice_outcome=outcome)[1][0, :, 0]
                           for outcome in BellLabel]
                 for state in states[1:]:
                     assert abs(abs(np.vdot(states[0], state)) - 1) <= 1e-12
@@ -96,9 +96,31 @@ class TestTeleportAndCorrect:
         for bell in BellLabel:
             expected = pauli_residual(bell) @ PSI
             for outcome in BellLabel:
-                bob = teleport_and_correct(bell.state_vector()[None], AMPS,
-                                           alice_outcome=outcome)[1][:, 0]
+                bob = teleport_and_correct(bell.state_vector()[None, None], AMPS,
+                                           alice_outcome=outcome)[1][0, :, 0]
                 assert abs(abs(np.vdot(expected, bob)) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
+    def test_stack_matches_stacks_of_one_bit_for_bit(self, alpha):
+        # n inputs in one call give the outcomes and the bytes of n calls of
+        # one, drawn in input order from one generator or pinned: Bell kets
+        # (one column) and random factors of the Smolin-marginal shape (four).
+        amps, rng = AmplitudePair.from_alpha(alpha), np.random.default_rng(181)
+        factors = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        stacks = [np.array([bell.state_vector()[None] for bell in list(BellLabel) * 3]),
+                  np.concatenate([protocols._BELL_KETS.transpose(1, 0, 2) / 2,
+                                  factors / np.linalg.norm(factors, axis=(1, 2))[:, None, None]])]
+        for pairs in stacks:
+            runs = [{"seed": seed} for seed in range(8)]
+            runs += [{"alice_outcome": outcome} for outcome in BellLabel]
+            for run in runs:
+                outcomes, kets = teleport_and_correct(pairs, amps, **run)
+                gen = np.random.default_rng(run["seed"]) if "seed" in run else None
+                alone = [teleport_and_correct(pair[None], amps, gen, run.get("alice_outcome"))
+                         for pair in pairs]
+                assert outcomes == tuple(outcome for (outcome,), _ in alone)
+                assert kets.shape == (len(pairs), 2, pairs.shape[1])
+                assert kets.tobytes() == np.concatenate([k for _, k in alone]).tobytes()
 
     def test_outcome_bits_are_phase_then_flip(self):
         # Pinned apart from the label order they are derived from.
@@ -108,9 +130,12 @@ class TestTeleportAndCorrect:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pinned", [None, BellLabel.PHI_PLUS], ids=["drawn", "pinned"])
     @pytest.mark.parametrize("pairs", [
-        None, "phi+", np.zeros(4), np.zeros((1, 3)), np.zeros((0, 4)), np.zeros((1, 4)),
-        np.ones((1, 4)), np.full((1, 4), np.nan), np.full((1, 4), np.inf),
-    ], ids=["none", "str", "flat", "1x3", "0x4", "zero", "trace4", "nan", "inf"])
+        None, "phi+", np.zeros(4), BellLabel.PHI_PLUS.state_vector()[None], np.zeros((1, 1, 3)),
+        np.zeros((1, 0, 4)), np.zeros((1, 1, 4)), np.ones((1, 1, 4)),
+        np.full((1, 1, 4), np.nan), np.full((1, 1, 4), np.inf),
+        np.stack([BellLabel.PHI_PLUS.state_vector()[None], np.full((1, 4), np.nan)]),
+    ], ids=["none", "str", "flat", "kx4", "1x3", "0x4", "zero", "trace4", "nan", "inf",
+            "second-nan"])
     def test_malformed_pair_factor_rejected(self, pairs, pinned):
         with pytest.raises(InvariantViolationError, match="pair factor"):
             teleport_and_correct(pairs, AMPS, seed=0, alice_outcome=pinned)
@@ -147,8 +172,8 @@ class TestAliceMeasurement:
                 distribution = protocols._alice_branches(bell.state_vector(), amps)[1]
                 for k, outcome in enumerate(BellLabel):
                     qubit, probability = teleported_branch(psi, bell.value, outcome.value)
-                    bob = teleport_and_correct(bell.state_vector()[None], amps,
-                                               alice_outcome=outcome)[1][:, 0]
+                    bob = teleport_and_correct(bell.state_vector()[None, None], amps,
+                                               alice_outcome=outcome)[1][0, :, 0]
                     assert np.abs(bob - qubit).max() <= 1e-14
                     assert abs(distribution[k] - probability) <= 1e-14
 
@@ -207,8 +232,8 @@ class TestDiscriminateBell:
         # carries weight exactly 0.5 in the converged CTC state.
         u = UnitaryOperator(interaction(0.6, 0.8, "literal"))
         for bell in BellLabel:
-            bob = teleport_and_correct(bell.state_vector()[None], AMPS,
-                                       alice_outcome=BellLabel.PHI_PLUS)[1][:, 0]
+            bob = teleport_and_correct(bell.state_vector()[None, None], AMPS,
+                                       alice_outcome=BellLabel.PHI_PLUS)[1][0, :, 0]
             rho_cr = DensityOperator.from_state_vector(kron(bob, KET_0))
             cr_out, fixed = apply_dctc(u, rho_cr, bhw_layout())
             _, b1b2, probability = modal_readout(cr_out)
@@ -257,8 +282,8 @@ class TestDiscriminateBell:
             with pytest.raises(InvariantViolationError):
                 discriminate_bell(BellLabel.PHI_PLUS, AMPS, alice_outcome=bad)
             with pytest.raises(InvariantViolationError):
-                teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None], AMPS,
-                                     alice_outcome=bad)[1][:, 0]
+                teleport_and_correct(BellLabel.PHI_PLUS.state_vector()[None, None], AMPS,
+                                     alice_outcome=bad)
 
     def test_record_reads_its_code_from_its_label(self):
         # The record stores the identified label only; b1b2 is that label's code.
@@ -400,7 +425,7 @@ class TestImproperMixture:
             factor = ensemble(rho_ab).T
 
             def run(seed):
-                outcome, kets = teleport_and_correct(factor, AMPS, seed)
+                (outcome,), (kets,) = teleport_and_correct(factor[None], AMPS, seed)
                 return ALICE_OUTCOME_BITS[outcome], kets @ kets.conj().T
             _assert_runs_match_reference(run, AMPS, rho_ab, range(10))
 
