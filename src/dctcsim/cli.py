@@ -4,6 +4,9 @@ Each subcommand runs one named experiment and emits a result document as a
 human-readable table, JSON, or CSV.  Identical parameters (including the
 seed) produce byte-identical JSON: floats are quantized to 15 significant
 digits when the document is built, so serialization round-trips exactly.
+The JSON text is emitted in one walk of the document, byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)``, and ``--output`` writes the
+text's UTF-8 bytes, the bytes the same command prints.
 
 Every experiment that runs the CTC stage makes one stacked call of
 :func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
@@ -28,11 +31,11 @@ import contextlib
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
 import threading
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -99,10 +102,46 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    nested at ``indent`` (a newline, then two spaces a level), in one walk.
+
+    It takes only what :func:`_clean` builds: dicts (keys in sorted order),
+    lists, strings, booleans and finite ints and floats; any other value
+    raises ``InvariantViolationError``, and a key that is not a string a
+    ``TypeError``."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is True:           # before int: bool is an int
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{_json_string(key)}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())]) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_text(item, inner) for item in value]) + indent + "]"
+    raise InvariantViolationError(f"cannot emit {value!r} in a result document")
+
+
 def serialize(doc: dict, output_format: str) -> str:
     rows = doc["rows"]
     if output_format == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        try:
+            return _json_text(doc) + "\n"
+        except TypeError as exc:        # a key that is not a string
+            raise InvariantViolationError(f"cannot emit a result document key: {exc}") from exc
     if output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -326,19 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write ``text`` to a new sibling file (mode as ``open(path, "w")`` gives),
-    unlink ``path`` and rename the file to it, or on failure remove the file.
-    Unlinking first spares the flush ext4 forces on a rename over a file; a
-    reader may briefly find no file at ``path``, but never a half-written one.
-    The sibling is named by process and thread, so no other live writer owns
-    it, and a file already there, left by a killed run, is removed first."""
+    """Write ``text``, UTF-8 encoded, to a new sibling file (mode as
+    ``open(path, "w")`` gives), unlink ``path`` and rename the file to it, or
+    on failure remove the file.  Unlinking first spares the flush ext4 forces
+    on a rename over a file; a reader may briefly find no file at ``path``,
+    but never a half-written one.  The sibling is named by process and
+    thread, so no other live writer owns it, and a file already there, left
+    by a killed run, is removed first; it is then created exclusively, so a
+    symlink planted at that predictable name is refused, never followed."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     with contextlib.suppress(FileNotFoundError):
         os.unlink(tmp)
-    handle = open(tmp, "x", encoding="utf-8")
+    handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(text)
+            handle.write(text.encode("utf-8"))
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
         os.replace(tmp, path)

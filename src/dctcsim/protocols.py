@@ -30,6 +30,7 @@ when the branch identity is discarded.
 
 import enum
 import math
+import reprlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -169,7 +170,8 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     input i's Bob's corrected b_jk / sqrt(p_k) as the columns of ``kets[i]``,
     so his state is ``kets[i] @ kets[i].conj().T``; ``kets`` is the input of
     :func:`ctc_readouts`.  Each ``pairs[i]`` must be finite, with trace
-    sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1.
+    sum_j ||f_j||^2 within ``TRACE_ATOL`` of 1, and an outcome, pinned or
+    drawn, must have p_k above ``TRACE_ATOL``.
     """
     _require(amps, AmplitudePair, "amplitude pair")
     pairs = _complex_array(pairs, "pair factors")
@@ -189,7 +191,12 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
         ks = [_OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))] * len(p)
     kets = np.empty((len(p), 2, pairs.shape[1]), dtype=complex)
     for i, k in enumerate(ks):
-        kets[i] = _CORRECTIONS[k] @ (branches[i, :, k] / math.sqrt(p[i, k])).T
+        probability = p[i, k]
+        if probability <= TRACE_ATOL:       # zero up to rounding: no ket to normalise
+            raise InvariantViolationError(
+                f"Alice outcome {_OUTCOMES[k].value} has probability "
+                f"{float(probability)!r} for pair factor {i}")
+        kets[i] = _CORRECTIONS[k] @ (branches[i, :, k] / math.sqrt(probability)).T
     return tuple([_OUTCOMES[k] for k in ks]), kets
 
 
@@ -243,6 +250,8 @@ def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None =
     ``alice_outcome`` pins them all.  Each record reports the most probable
     CR value (:func:`modal_readout`) and its probability, not an assumed one."""
     _require(amps, AmplitudePair, "amplitude pair")
+    if isinstance(bells, str):          # iterable, but of characters, not labels
+        raise InvariantViolationError(f"invalid Bell label sequence {reprlib.repr(bells)}")
     bells = tuple(_require(bell, BellLabel, "Bell label")
                   for bell in _require(bells, Iterable, "Bell label sequence"))
     if amps.is_degenerate:

@@ -47,6 +47,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def dumps(doc) -> str:
+    """The JSON text ``json.dumps`` writes for ``doc``, as the CLI prints it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def misidentifying(discriminate):
     """``discriminate`` run on the next pair in ``BellLabel`` order, so the
     record it returns names the wrong pair; a stack of pairs is shifted
@@ -131,6 +136,68 @@ class TestDeterminism:
         doc = make_document("demo", {}, [], {})
         assert json.loads(serialize(doc, "json"))["rows"] == []
         assert serialize(doc, "csv") == ""
+
+
+class TestJsonEmitter:
+    """``serialize(doc, "json")`` writes the bytes ``json.dumps`` would."""
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    @pytest.mark.parametrize("alpha", ["0.1", "0.3", "0.69", "0.75"])
+    @pytest.mark.parametrize("argv", [
+        ["fixed-point"], ["discriminate"], ["table1"], ["smolin"],
+        ["smolin", "--improper-mixture"], ["measures"]], ids=" ".join)
+    def test_experiment_documents_match_json_dumps(self, argv, alpha, seed, capsys,
+                                                   monkeypatch):
+        self._check_run(capsys, monkeypatch,
+                        [*argv, "--alpha", alpha, "--seed", seed, "--output-format", "json"])
+
+    def test_degenerate_fixed_point_document_matches_json_dumps(self, capsys, monkeypatch):
+        self._check_run(capsys, monkeypatch, ["fixed-point", "--allow-degenerate", "--alpha",
+                                              "0.7071067811865475", "--output-format", "json"])
+
+    @staticmethod
+    def _check_run(capsys, monkeypatch, argv):
+        documents = []
+
+        def recording(doc, output_format):
+            documents.append(doc)
+            return serialize(doc, output_format)
+        monkeypatch.setattr(cli, "serialize", recording)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        [doc] = documents
+        assert out == serialize(doc, "json") == dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        make_document("demo", {}, [], {}),
+        make_document("demo", {"nested": {"b": [1, {"c": [], "d": {}}], "a": {"x": [[]]}}},
+                      [{"x": 1}], {"flags": [True, False]}),
+        make_document("caf\u00e9 \u2203\U0001d11e", {"k\u00ebY": "\u00e9", "\"q\"": "\\"},
+                      [{"text": "tab\t nl\n nul\x00 us\x1f del\x7f quote\" slash/ back\\"}],
+                      {"\u0000key": "\ud83d\ude00 \ufeff"}),
+        make_document("numbers", {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2 ** 80,
+                                  "negative": -7, "third": 1 / 3, "whole": 2.0},
+                      [{"int": np.int64(-3), "float": np.float64(5e-324), "max": 1.79e308}], {}),
+    ], ids=["empty", "nested", "text", "numbers"])
+    def test_hand_built_documents_match_json_dumps(self, doc):
+        assert serialize(doc, "json") == dumps(doc)
+
+    @pytest.mark.parametrize("value", [
+        None, (1, 2), {1, 2}, b"x", 1j, np.int64(1), np.array([1.0]),
+        float("nan"), float("inf"), -float("inf"), {1: "int key"}, {"a": 1, 2: "mixed keys"},
+    ], ids=["none", "tuple", "set", "bytes", "complex", "np-int", "array", "nan", "inf", "-inf",
+            "int-key", "mixed-keys"])
+    def test_value_clean_cannot_build_is_invariant_violation(self, value):
+        doc = {"experiment": "demo", "parameters": {}, "rows": [{"value": value}],
+               "diagnostics": {}}
+        with pytest.raises(InvariantViolationError, match="^cannot emit "):
+            serialize(doc, "json")
+
+    def test_float_quantized_past_the_largest_is_refused(self):
+        # 15 significant digits round the largest float up to inf: the document
+        # is refused, not written with a bare Infinity, which is not JSON.
+        with pytest.raises(InvariantViolationError):
+            serialize(make_document("demo", {}, [{"max": 1.7976931348623157e308}], {}), "json")
 
 
 class TestMeasures:
@@ -398,6 +465,43 @@ class TestOutputFile:
                      for seed in ("1", "2")]
         assert target.read_text() in documents
         assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_symlink_at_temporary_name_is_not_followed(self, tmp_path, capsys):
+        # A symlink planted at the predictable temporary name is removed as a
+        # stale file: the file it points at keeps its bytes.
+        target, victim = tmp_path / "doc.json", tmp_path / "victim"
+        victim.write_text("victim")
+        (tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp").symlink_to(victim)
+        code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        assert victim.read_text() == "victim"
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        assert not target.is_symlink()
+        assert target.read_text() == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.json", "victim"]
+
+    def test_symlink_planted_after_stale_unlink_is_refused(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # A symlink planted again between the unlink of a stale file and the
+        # open: exclusive creation refuses it, where O_TRUNC would write through.
+        target, victim = tmp_path / "doc.json", tmp_path / "victim"
+        victim.write_text("victim")
+        tmp = tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp.symlink_to(victim)
+        unlink = os.unlink
+
+        def racing_unlink(path):
+            unlink(path)
+            if os.fspath(path) == os.fspath(tmp):
+                tmp.symlink_to(victim)
+        monkeypatch.setattr(cli.os, "unlink", racing_unlink)
+        code, out, err = run_cli(capsys, "table1", "--output-format", "json",
+                                 "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write output: [Errno 17] File exists")
+        assert victim.read_text() == "victim"
+        assert not target.exists()
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"

@@ -936,6 +936,7 @@ class TestConfigAndResult:
          "amplitude pair"),
         (protocols.modal_readout, (np.eye(4) / 4,), "CR state"),
         (protocols.discriminate_bells, (BellLabel.PHI_PLUS, AMPS), "Bell label sequence"),
+        (protocols.discriminate_bells, ("phi+", AMPS), "Bell label sequence"),
         (bhw_interaction, (0.6,), "amplitude pair"),
         (candidate_states, (0.6,), "amplitude pair"),
         (circuits.block_unitary, ((0, 0), 0.6), "amplitude pair"),

@@ -140,6 +140,23 @@ class TestTeleportAndCorrect:
         with pytest.raises(InvariantViolationError, match="pair factor"):
             teleport_and_correct(pairs, AMPS, seed=0, alice_outcome=pinned)
 
+    @pytest.mark.filterwarnings("error")
+    def test_pinned_outcome_of_zero_probability_rejected(self):
+        # At (0.6, 0.8) the factor (0.8, 0, -0.6, 0) gives phi+ a probability
+        # of ~3.5e-35, zero up to rounding: pinned, it is refused, naming the
+        # input and its probability, not normalised from rounding noise.
+        amps = AmplitudePair(0.6, 0.8)
+        pairs = np.array([BellLabel.PHI_PLUS.state_vector()[None], [[0.8, 0, -0.6, 0]]])
+        with pytest.raises(InvariantViolationError,
+                           match=r"^Alice outcome phi\+ has probability "
+                                 r"[-+.e\d]+ for pair factor 1$"):
+            teleport_and_correct(pairs, amps, alice_outcome=BellLabel.PHI_PLUS)
+        # Every outcome of positive probability stays pinnable.
+        for outcome in (BellLabel.PHI_MINUS, BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
+            outcomes, kets = teleport_and_correct(pairs, amps, alice_outcome=outcome)
+            assert outcomes == (outcome, outcome)
+            assert np.allclose(np.linalg.norm(kets, axis=1), 1, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("slack", [-0.99e-12, 0.99e-12])
     def test_pair_at_normalisation_edge_discriminates(self, slack):
         # The pair's own slack enters sum_k p_k but not the trace of rho_AB.
