@@ -91,6 +91,9 @@ class AmplitudePair:
     allow_degenerate: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.allow_degenerate, bool):
+            raise InvariantViolationError(
+                f"invalid allow_degenerate flag {self.allow_degenerate!r}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if isinstance(value, complex) or not isinstance(value, numbers.Real):
                 raise InvariantViolationError(f"{name} must be a real number")
@@ -162,8 +165,9 @@ def candidate_states(amps: AmplitudePair) -> dict:
 
 def register_swap(block_qubits: int) -> UnitaryOperator:
     """Unitary exchanging two adjacent registers of ``block_qubits`` qubits each."""
-    if block_qubits < 1:
-        raise InvariantViolationError("block_qubits must be >= 1")
+    if (isinstance(block_qubits, bool) or not isinstance(block_qubits, numbers.Integral)
+            or block_qubits < 1):
+        raise InvariantViolationError(f"invalid block size {block_qubits!r}: need an int >= 1")
     d = 2 ** block_qubits
     swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
     return UnitaryOperator(swap.reshape(d * d, d * d))

@@ -14,9 +14,11 @@ and ``smolin --improper-mixture`` have one); the fixed points come from the
 circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no iteration
 budget.  Every experiment that teleports makes one stacked
 :func:`dctcsim.protocols.teleport_and_correct` call over its inputs too.
-``measures`` and ``smolin`` read the partial-transpose spectra of their
-constant states (the Smolin state's cuts and phi+), which are taken once per
-process, on first use.
+``smolin --improper-mixture`` is that pair of calls on one input, the
+Smolin AB marginal's four Bell branches as the columns of one factor: the
+Deutsch reading on the actual state.  ``measures`` and ``smolin`` read the
+partial-transpose spectra of their constant states (the Smolin state's cuts
+and the Bell pairs), which are taken once per process, on first use.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
@@ -41,26 +43,23 @@ import numpy as np
 
 from .circuits import AmplitudePair, candidate_states
 from .deutsch import SolverConfig
-from .entanglement import (
-    PPT_ATOL,
-    _log_negativities,
-    _phi_plus_spectra,
-    _smolin_spectra,
-    smolin_cuts,
-)
+from .entanglement import PPT_ATOL, _bell_spectra, _log_negativities, _smolin_spectra, smolin_cuts
 from .errors import (
     DegenerateAmplitudesError,
     FixedPointConvergenceError,
     InvariantViolationError,
 )
 from .protocols import (
+    ALICE_OUTCOME_BITS,
+    _SMOLIN_AB_FACTOR,
     BellLabel,
     ctc_readouts,
     discriminate_bell,
     discriminate_bells,
     distill_smolin,
-    run_improper_mixture,
+    teleport_and_correct,
 )
+from .qmath import DensityOperator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,15 +68,16 @@ EXIT_INVARIANT = 4
 
 
 def _clean(value):
-    """Quantize floats and reject non-finite numbers while building rows."""
+    """Quantize floats and reject any that is not finite once quantized."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
+        quantized = float(f"{float(value):.15g}")   # the largest floats round up to inf
+        if not math.isfinite(quantized):
             raise InvariantViolationError(f"non-finite value {value!r} in result document")
-        return float(f"{float(value):.15g}")
+        return quantized
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -255,19 +255,24 @@ def run_table1(args, amps, config):
 
 def run_smolin(args, amps, config):
     if args.improper_mixture:
-        record = run_improper_mixture(amps, config, seed=args.seed)
+        # Experimental, no correctness claim: one input for the whole AB
+        # marginal hands the CTC stage Bob's maximally mixed qubit.
+        if amps.is_degenerate:
+            raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
+        (outcome,), kets = teleport_and_correct(_SMOLIN_AB_FACTOR, amps, args.seed)
+        [(distribution, b1b2, probability, fixed)] = ctc_readouts(amps, kets, config)
+        bob = DensityOperator(kets[0] @ kets[0].conj().T).matrix
         rows = [{
-            "alice_outcome": _bits_str(record.alice_outcome),
-            **dict(zip(("p00", "p01", "p10", "p11"), record.cr_distribution)),
-            "modal_outcome": _bits_str(record.modal_b1b2),
-            "modal_probability": record.modal_probability,
-            "fp_residual": record.fixed_point.residual,
-            "fp_space_dim": record.fixed_point.fp_space_dim,
+            "alice_outcome": _bits_str(ALICE_OUTCOME_BITS[outcome]),
+            **dict(zip(("p00", "p01", "p10", "p11"), distribution)),
+            "modal_outcome": _bits_str(b1b2),
+            "modal_probability": probability,
+            "fp_residual": fixed.residual,
+            "fp_space_dim": fixed.fp_space_dim,
         }]
         diagnostics = {
             "note": "experimental improper-mixture run; no correctness claim",
-            "bob_purity": float(np.real(np.trace(
-                record.bob_state.matrix @ record.bob_state.matrix))),
+            "bob_purity": float(np.real(np.trace(bob @ bob))),
         }
         return rows, diagnostics, []
 
@@ -297,7 +302,7 @@ def run_smolin(args, amps, config):
 def run_measures(args, amps, config):
     rows = []
     for state_name, cuts, spectra in (("smolin", smolin_cuts(), _smolin_spectra()),
-                                      ("bell:phi+", ("A:B",), _phi_plus_spectra())):
+                                      ("bell:phi+", ("A:B",), _bell_spectra()[0])):
         for cut_name, lowest, en in zip(cuts, spectra[:, 0].tolist(),
                                         _log_negativities(spectra).tolist()):
             rows.append({

@@ -87,8 +87,13 @@ class FixedPointResult:
     method: str = "spectral"          # "spectral" or "chain"
 
     def __post_init__(self):
-        if self.residual < 0:
-            raise InvariantViolationError("residual must be non-negative")
+        # Concrete types, not the numbers ABCs, which cost more on every solve.
+        residual, dim = self.residual, self.fp_space_dim
+        real = isinstance(residual, (float, int, np.floating, np.integer))
+        if isinstance(residual, bool) or not real or not 0 <= residual < np.inf:   # NaN fails
+            raise InvariantViolationError(f"invalid residual {residual!r}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise InvariantViolationError(f"invalid fixed-point space dimension {dim!r}")
         if self.method not in ("spectral", "chain"):
             raise InvariantViolationError(f"unknown solve method {self.method!r}")
 

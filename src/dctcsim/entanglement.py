@@ -4,10 +4,11 @@ tests, and the four-qubit bound-entangled Smolin state.
 Every measure is read from one primitive, :func:`_pt_spectra`: the spectra
 of the partial transposes of a stack of states across one or more cuts, from
 one ``eigvalsh``; the spectra of the constant states the experiments report
-(the Smolin state's cuts and phi+) are taken once per process, on first
-use.  PPT is necessary for separability, so outputs say "PPT",
-never "separable".  E_N upper-bounds distillable entanglement, so 0 across a
-cut certifies that LOCC distils nothing across it.
+(the Smolin state's cuts and the four Bell pairs) are taken once per
+process, on first use, never at import.  PPT is necessary for separability,
+so outputs say "PPT", never "separable".  E_N upper-bounds distillable
+entanglement, so 0 across a cut certifies that LOCC distils nothing across
+it.
 """
 
 import functools
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import InvariantViolationError
 from .qmath import (
     BELL_VECTORS,
-    PHI_PLUS,
     DensityOperator,
     RegisterLayout,
     _readonly,
@@ -126,12 +126,13 @@ def _smolin_spectra() -> np.ndarray:
 
 
 @functools.cache
-def _phi_plus_spectra() -> np.ndarray:
-    """:func:`_pt_spectra` of phi+ across A:B (1 x 4), its density check
-    included: taken once per process, on first use, and read-only."""
-    return _readonly(_pt_spectra((DensityOperator.from_state_vector(PHI_PLUS),),
-                                 RegisterLayout(("A", "B")),
-                                 (BipartiteCut(("A",), ("B",)),))[0])
+def _bell_spectra() -> np.ndarray:
+    """:func:`_pt_spectra` of the four Bell pairs (phi+, phi-, psi+, psi-, the
+    ``BellLabel`` order) across their 1:1 cut (4 x 1 x 4), their density
+    checks included: taken once per process, on first use, and read-only."""
+    return _readonly(_pt_spectra([DensityOperator.from_state_vector(v)
+                                  for v in BELL_VECTORS.values()],
+                                 RegisterLayout(("A", "B")), (BipartiteCut(("A",), ("B",)),)))
 
 
 def smolin_layout() -> RegisterLayout:

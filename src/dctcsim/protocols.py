@@ -17,15 +17,17 @@ each CR register is read out.  A single input is a stack of one.  Bob's
 factors come from the one teleportation step, :func:`teleport_and_correct`,
 which takes the same stack: every input's pair factor is measured and
 corrected in one call, and its n x 2 x k output is the CTC stage's input.
-The spectra of the constant states (the Smolin baseline) are taken once per
-process, on first use (:mod:`dctcsim.entanglement`).
 
-The CTC stage is simulated branch-wise: the self-consistency map is
-nonlinear in the CR input, so convex mixtures cannot be pushed through the
-solver; each pure branch is solved on its own.  An improper-mixture run
-(one input whose factor holds every branch as a column) is an experimental
-variant with no correctness claim; it shows how the nonlinearity breaks
-when the branch identity is discarded.
+The self-consistency map is nonlinear in the CR input, so a convex mixture
+cannot be pushed through the solver branch by branch and summed: which
+Deutsch reading a run uses is the shape of the stage's input.  The two
+experiments here read branch-wise, one pure input per branch.  Handing the
+stage one input that holds every branch as a column solves Deutsch on the
+actual state instead; ``dctc-sim smolin --improper-mixture`` does so for
+the Smolin AB marginal (:data:`_SMOLIN_AB_FACTOR`), an experimental run
+with no correctness claim.  The spectra of the constant states (the Smolin
+baseline and the four C:D Bell pairs) are taken once per process, on first
+use (:mod:`dctcsim.entanglement`).
 """
 
 import enum
@@ -38,21 +40,13 @@ import numpy as np
 
 from .circuits import AmplitudePair, BLOCK_CODES, _PAULI_ERRORS, block_outputs
 from .deutsch import FixedPointResult, SolverConfig, apply_label_chains
-from .entanglement import (
-    PPT_ATOL,
-    BipartiteCut,
-    _log_negativities,
-    _pt_spectra,
-    _smolin_spectra,
-    smolin_cuts,
-)
+from .entanglement import PPT_ATOL, _bell_spectra, _log_negativities, _smolin_spectra, smolin_cuts
 from .errors import DegenerateAmplitudesError, InvariantViolationError
 from .qmath import (
     BELL_VECTORS,
     DensityOperator,
     I2,
     PSD_ATOL,
-    RegisterLayout,
     TRACE_ATOL,
     X,
     Y,
@@ -107,12 +101,11 @@ ALICE_OUTCOME_BITS = {label: (k & 1, k >> 1) for k, label in enumerate(_OUTCOMES
 _CORRECTIONS = (I2, Z, X, Y)
 
 # Each Bell pair as a 1 x 4 factor, in BellLabel order; Alice's Bell measurement
-# (row k: the conjugated Bell vector of outcome k).
+# (row k: the conjugated Bell vector of outcome k); and the Smolin AB marginal,
+# sum_k |B_k><B_k| / 4, as one input of one 4-row factor with rows B_k / 2.
 _BELL_KETS = _readonly(np.array([[label.state_vector()] for label in _OUTCOMES]))
 _BELL_BRAS = _BELL_KETS[:, 0].conj()
-_CD_LOG_NEGATIVITIES = _log_negativities(_pt_spectra(    # each C:D Bell pair, in BellLabel order
-    [DensityOperator.from_state_vector(ket) for ket in _BELL_KETS[:, 0]],
-    RegisterLayout(("C", "D")), (BipartiteCut(("C",), ("D",)),)))[:, 0].tolist()
+_SMOLIN_AB_FACTOR = _readonly(_BELL_KETS.transpose(1, 0, 2) / 2)
 
 
 def pauli_residual(bell: BellLabel) -> np.ndarray:
@@ -209,7 +202,12 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
     its block outputs, and raises as it does.
     Returns one ``(distribution, b1b2, probability, fixed_point)`` per input:
     the :func:`modal_readout` triple of the CR output and its
-    :class:`FixedPointResult`.  Degeneracy is the caller's to check."""
+    :class:`FixedPointResult`.  Degeneracy is the caller's to check.
+
+    The Deutsch reading of an ensemble {(p_i, K_i)} is the shape of ``kets``:
+    n inputs, each one K_i, solve every branch on its own (branch-wise); one
+    input whose columns are the sqrt(p_i) K_i side by side solves one fixed
+    point for the actual state sum_i p_i K_i K_i^dag."""
     _require(amps, AmplitudePair, "amplitude pair")
     kets = _complex_array(kets, "Bob's factors")
     if kets.ndim != 3 or kets.shape[1] != 2:
@@ -302,15 +300,15 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     theirs through the CTC circuit and broadcast the label, leaving Charlie
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
-    balanced cuts of the Smolin state, from their spectra, taken once per
-    process on first use; the four C:D log-negativities are computed once,
-    at import."""
+    balanced cuts of the Smolin state, and each branch's C:D log-negativity,
+    from spectra taken once per process, on first use."""
     records = discriminate_bells(_OUTCOMES, amps, config, seed=seed)
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
         cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
         cd_log_negativity=en,
-    ) for branch, record, en in zip(_OUTCOMES, records, _CD_LOG_NEGATIVITIES))
+    ) for branch, record, en in zip(_OUTCOMES, records,
+                                    _log_negativities(_bell_spectra())[:, 0].tolist()))
     cuts, spectra = smolin_cuts(), _smolin_spectra()
     return DistillationReport(
         branches=branches,
@@ -319,36 +317,3 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
         all_identified=all(b.message is b.branch for b in branches),
     )
 
-
-@dataclass(frozen=True)
-class ImproperMixtureRecord:
-    """Result of pushing the unconditioned AB marginal through the CTC stage.
-    Experimental, no correctness claim: discarding the branch identity hands
-    the solver the maximally mixed Bob qubit, and the CR readout carries no
-    information about the original pair."""
-
-    alice_outcome: tuple
-    bob_state: DensityOperator
-    cr_distribution: tuple
-    modal_b1b2: tuple
-    modal_probability: float
-    fixed_point: FixedPointResult
-
-
-def run_improper_mixture(amps: AmplitudePair, config: SolverConfig | None = None,
-                         seed=None) -> ImproperMixtureRecord:
-    """Teleport psi through the Smolin AB marginal as its four Bell branches,
-    sum_k |B_k><B_k| / 4 (Alice's outcome drawn from ``seed``), and run Bob's
-    four-column factor through :func:`ctc_readouts` as one input: a stack
-    of one for :func:`teleport_and_correct` and the CTC stage."""
-    _require(amps, AmplitudePair, "amplitude pair")
-    if amps.is_degenerate:
-        raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
-    (outcome,), kets = teleport_and_correct(_BELL_KETS.transpose(1, 0, 2) / 2, amps, seed)
-    distribution, b1b2, probability, fixed = ctc_readouts(amps, kets, config)[0]
-    return ImproperMixtureRecord(
-        alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=DensityOperator(kets[0] @ kets[0].conj().T),
-        cr_distribution=distribution, modal_b1b2=b1b2, modal_probability=probability,
-        fixed_point=fixed,
-    )

@@ -204,6 +204,14 @@ def _density_errors(a: np.ndarray) -> list:
             for i, (h, t, low) in enumerate(zip(herm.tolist(), traces.tolist(), lowest.tolist()))]
 
 
+def _label_set(labels, what: str) -> frozenset:
+    """The iterable ``labels`` as a frozenset; an unhashable label is a typed error."""
+    try:
+        return frozenset(_require(labels, Iterable, what))
+    except TypeError:
+        raise InvariantViolationError(f"invalid {what} {reprlib.repr(labels)}") from None
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered qubit labels, each assigned to the chronology-respecting (CR)
@@ -214,12 +222,12 @@ class RegisterLayout:
 
     def __init__(self, labels: Iterable[str], ctc: Iterable[str] = ()):
         labels = tuple(_require(labels, Iterable, "qubit labels"))
-        ctc = frozenset(_require(ctc, Iterable, "CTC labels"))
+        distinct, ctc = _label_set(labels, "qubit labels"), _label_set(ctc, "CTC labels")
         if not labels:
             raise InvariantViolationError("layout needs at least one qubit label")
-        if len(set(labels)) != len(labels):
+        if len(distinct) != len(labels):
             raise InvariantViolationError(f"duplicate qubit labels in {labels}")
-        unknown = ctc - set(labels)
+        unknown = ctc - distinct
         if unknown:
             raise InvariantViolationError(f"CTC labels {sorted(unknown)} not in layout")
         object.__setattr__(self, "labels", labels)

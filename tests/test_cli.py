@@ -193,11 +193,13 @@ class TestJsonEmitter:
         with pytest.raises(InvariantViolationError, match="^cannot emit "):
             serialize(doc, "json")
 
-    def test_float_quantized_past_the_largest_is_refused(self):
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_float_quantized_past_the_largest_is_refused(self, output_format):
         # 15 significant digits round the largest float up to inf: the document
-        # is refused, not written with a bare Infinity, which is not JSON.
-        with pytest.raises(InvariantViolationError):
-            serialize(make_document("demo", {}, [{"max": 1.7976931348623157e308}], {}), "json")
+        # is refused, in every format, not written with inf or a bare Infinity.
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            serialize(make_document("demo", {}, [{"max": 1.7976931348623157e308}], {}),
+                      output_format)
 
 
 class TestMeasures:
@@ -225,10 +227,9 @@ class TestMeasures:
 
 class TestLinearAlgebraCalls:
     """Steady-state LAPACK calls per run.  ``measures``: none, as the spectra
-    of the Smolin cuts and of phi+ (with phi+'s density check) are taken on
-    the first run only.  ``smolin``: the CTC stage's two; the Smolin
-    baseline's spectrum is taken on the first run, and the four C:D Bell
-    states' spectrum once, at import."""
+    of the Smolin cuts and of the Bell states (with their density checks)
+    are taken on the first run only.  ``smolin``: the CTC stage's two; it
+    reads the same two cached spectra, for its baseline and its C:D pairs."""
 
     NAMES = ("eigvalsh", "svd", "eigh", "eig", "solve")
 
@@ -310,6 +311,9 @@ class TestSmolinExperiment:
         for key in ("p00", "p01", "p10", "p11"):
             assert abs(row[key] - 0.25) <= 1e-9
         assert "no correctness claim" in doc["diagnostics"]["note"]
+        # Bob's qubit is maximally mixed, and the one fixed point solves exactly.
+        assert abs(doc["diagnostics"]["bob_purity"] - 0.5) <= 1e-12
+        assert row["fp_residual"] < 1e-12
 
     def test_improper_mixture_tie_reads_lowest_label(self, capsys):
         # the CR distribution is uniform, so the modal outcome is a tie
@@ -361,10 +365,11 @@ class TestExitCodes:
         assert code == 0
 
     def test_runtime_degeneracy_is_4(self, capsys):
-        code, _, err = run_cli(capsys, "discriminate",
-                               "--alpha", str(1 / np.sqrt(2)), "--allow-degenerate")
-        assert code == 4
-        assert "degenerate" in err.lower()
+        for argv in (["discriminate"], ["smolin", "--improper-mixture"]):
+            code, out, err = run_cli(capsys, *argv, "--alpha", str(1 / np.sqrt(2)),
+                                     "--allow-degenerate")
+            assert (code, out) == (4, ""), argv
+            assert "degenerate" in err.lower()
 
     def test_invariant_violation_during_run_is_4(self, capsys, monkeypatch):
         def violate(*args, **kwargs):

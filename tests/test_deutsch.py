@@ -22,6 +22,7 @@ from dctcsim import (
     candidate_states,
     ctc_map,
     kron,
+    register_swap,
     solve_fixed_point,
     trace_norm,
 )
@@ -727,7 +728,7 @@ class TestLabelChain:
             deutsch.apply_label_chains(outputs[None])
 
 
-# Rows of a factor of the Smolin AB marginal: the improper-mixture run's pair factor.
+# Rows of a factor of the Smolin AB marginal: one input of the actual-state reading.
 _IMPROPER_PAIRS = ensemble(ptrace_brute(smolin_pauli_form(), 4, (0, 1))).T
 _STACK_PAIRS = (AmplitudePair.from_alpha(0.3), AmplitudePair.from_alpha(0.6),
                 _pair_at_distance(1.01e-6), _pair_at_distance(-1.01e-6), _pair_at_distance(1e-2))
@@ -910,6 +911,15 @@ class TestConfigAndResult:
             FixedPointResult(rho, residual=-1.0, fp_space_dim=1)
         with pytest.raises(InvariantViolationError):
             FixedPointResult(rho, residual=0.0, fp_space_dim=1, method="iterative")
+        for residual, dim, what in ((float("nan"), 1, "residual"), ("0", 1, "residual"),
+                                    (float("inf"), 1, "residual"),
+                                    (0.0, "x", "fixed-point space dimension"),
+                                    (0.0, 0, "fixed-point space dimension"),
+                                    (0.0, True, "fixed-point space dimension"),
+                                    (0.0, 1.0, "fixed-point space dimension")):
+            with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):
+                FixedPointResult(rho, residual=residual, fp_space_dim=dim)
+        assert FixedPointResult(rho, residual=np.float64(0.0), fp_space_dim=np.int64(1)).unique
         assert FixedPointResult(rho, residual=0.0, fp_space_dim=1).unique
         assert not FixedPointResult(rho, residual=0.0, fp_space_dim=2).unique
 
@@ -942,6 +952,13 @@ class TestConfigAndResult:
         (circuits.block_unitary, ((0, 0), 0.6), "amplitude pair"),
         (RegisterLayout, (5,), "qubit labels"),
         (RegisterLayout, (("a",), 5), "CTC labels"),
+        (RegisterLayout, ([["a"]],), "qubit labels"),
+        (RegisterLayout, (("a",), [["a"]]), "CTC labels"),
+        (register_swap, ("2",), "block size"),
+        (register_swap, (1.5,), "block size"),
+        (register_swap, (True,), "block size"),
+        (AmplitudePair, (0.7071067811865476, 0.7071067811865475, "no"), "allow_degenerate flag"),
+        (AmplitudePair.from_alpha, (0.6, 1), "allow_degenerate flag"),
     ])
     def test_malformed_argument_is_typed_error(self, call, args, what):
         with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):

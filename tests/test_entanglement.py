@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import dctcsim
 from dctcsim import (
+    BellLabel,
     BipartiteCut,
     DensityOperator,
     InvariantViolationError,
@@ -24,7 +26,7 @@ from dctcsim import (
     trace_norm,
 )
 from dctcsim.cli import run_measures
-from dctcsim.entanglement import _phi_plus_spectra, _pt_spectra, _smolin_spectra
+from dctcsim.entanglement import _bell_spectra, _pt_spectra, _smolin_spectra
 from dctcsim.qmath import PHI_PLUS
 
 from oracles import pt_brute, ptrace_brute, qubit_swap, random_density, smolin_pauli_form
@@ -203,31 +205,45 @@ class TestPtSpectra:
 class TestCachedSpectra:
     """The constant states' spectra, taken once per process on first use."""
 
-    @pytest.mark.parametrize("cached, states, layout, cuts", [
-        (_smolin_spectra, lambda: (smolin_state(),), smolin_layout(),
-         tuple(smolin_cuts().values())),
-        (_phi_plus_spectra, lambda: (DensityOperator.from_state_vector(PHI_PLUS),), TWO_QUBITS,
-         (CUT_AB,)),
-    ], ids=["smolin", "phi+"])
-    def test_read_only_and_equal_to_a_fresh_call(self, cached, states, layout, cuts):
+    @pytest.mark.parametrize("cached, fresh", [
+        (_smolin_spectra, lambda: _pt_spectra((smolin_state(),), smolin_layout(),
+                                              tuple(smolin_cuts().values()))[0]),
+        (_bell_spectra, lambda: _pt_spectra(
+            [DensityOperator.from_state_vector(label.state_vector()) for label in BellLabel],
+            TWO_QUBITS, (CUT_AB,))),
+    ], ids=["smolin", "bell"])
+    def test_read_only_and_equal_to_a_fresh_call(self, cached, fresh):
         spectra = cached()
         assert spectra is cached()
         assert not spectra.flags.writeable
         with pytest.raises(ValueError):
             spectra[0, 0] = 1.0
-        fresh = _pt_spectra(states(), layout, cuts)[0]
-        assert spectra.shape == fresh.shape
-        assert spectra.tobytes() == fresh.tobytes()
+        expected = fresh()
+        assert spectra.shape == expected.shape
+        assert spectra.tobytes() == expected.tobytes()
 
     def test_not_filled_at_import(self):
-        # The caches fill on first use, so importing the package and its CLI takes no spectrum.
-        code = ("import dctcsim, dctcsim.cli; from dctcsim import entanglement as e; "
-                "print(e._smolin_spectra.cache_info().currsize, "
-                "e._phi_plus_spectra.cache_info().currsize)")
+        # The caches fill on first use, so importing the package and its CLI
+        # takes no spectrum and makes no numpy.linalg call at all.
+        code = textwrap.dedent("""
+            import numpy.linalg as la
+            calls = []
+            for name in la.__all__:
+                fn = getattr(la, name)
+                if callable(fn) and not isinstance(fn, type):
+                    def counted(*args, _name=name, _fn=fn, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    setattr(la, name, counted)
+            import dctcsim, dctcsim.cli
+            from dctcsim import entanglement as e
+            print(e._smolin_spectra.cache_info().currsize,
+                  e._bell_spectra.cache_info().currsize, len(calls), *calls)
+        """)
         src = str(Path(dctcsim.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.split() == ["0", "0", "0"]
 
 
 class TestSmolinState:

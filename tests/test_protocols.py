@@ -27,7 +27,6 @@ from dctcsim.protocols import (
     ALICE_OUTCOME_BITS,
     ctc_readouts,
     modal_readout,
-    run_improper_mixture,
     teleport_and_correct,
 )
 from dctcsim.qmath import BELL_VECTORS, KET_0, X, Z, pure_fidelity
@@ -108,7 +107,7 @@ class TestTeleportAndCorrect:
         amps, rng = AmplitudePair.from_alpha(alpha), np.random.default_rng(181)
         factors = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
         stacks = [np.array([bell.state_vector()[None] for bell in list(BellLabel) * 3]),
-                  np.concatenate([protocols._BELL_KETS.transpose(1, 0, 2) / 2,
+                  np.concatenate([protocols._SMOLIN_AB_FACTOR,
                                   factors / np.linalg.norm(factors, axis=(1, 2))[:, None, None]])]
         for pairs in stacks:
             runs = [{"seed": seed} for seed in range(8)]
@@ -341,8 +340,7 @@ class TestDiscriminateBell:
     @pytest.mark.parametrize("run", [
         lambda seed: discriminate_bell(BellLabel.PHI_PLUS, AMPS, seed=seed),
         lambda seed: distill_smolin(AMPS, seed=seed),
-        lambda seed: run_improper_mixture(AMPS, seed=seed),
-    ], ids=["discriminate_bell", "distill_smolin", "run_improper_mixture"])
+    ], ids=["discriminate_bell", "distill_smolin"])
     def test_bad_seed_is_typed_error(self, run, seed):
         with pytest.raises(InvariantViolationError, match="seed"):
             run(seed)
@@ -355,9 +353,8 @@ class TestDiscriminateBell:
     @pytest.mark.parametrize("run", [
         lambda amps, config: discriminate_bell(BellLabel.PHI_PLUS, amps, config),
         lambda amps, config: distill_smolin(amps, config),
-        lambda amps, config: run_improper_mixture(amps, config),
         lambda amps, config: ctc_readouts(amps, np.array([[[1.0], [0.0]]]), config),
-    ], ids=["discriminate_bell", "distill_smolin", "run_improper_mixture", "ctc_readouts"])
+    ], ids=["discriminate_bell", "distill_smolin", "ctc_readouts"])
     @pytest.mark.parametrize("amps, config, message", [
         (0.3, None, "invalid amplitude pair"),
         ((0.6, 0.8), None, "invalid amplitude pair"),
@@ -411,26 +408,14 @@ class TestDistillSmolin:
 
 
 class TestImproperMixture:
-    def test_mixture_destroys_discrimination(self):
-        record = run_improper_mixture(AMPS, seed=0)
-        np.testing.assert_allclose(record.bob_state.matrix, np.eye(2) / 2, atol=1e-12)
-        for probability in record.cr_distribution:
-            assert abs(probability - 0.25) <= 1e-9
-        assert record.fixed_point.residual < 1e-12
-
-    def test_degenerate_amplitudes_rejected(self):
-        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
-        with pytest.raises(DegenerateAmplitudesError):
-            run_improper_mixture(amps)
-
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
     def test_matches_three_qubit_projector_reference(self, alpha):
         amps = AmplitudePair.from_alpha(alpha)
         rho_ab = ptrace_brute(smolin_pauli_form(), 4, (0, 1))
 
         def run(seed):
-            record = run_improper_mixture(amps, seed=seed)
-            return record.alice_outcome, record.bob_state.matrix
+            (outcome,), (kets,) = teleport_and_correct(protocols._SMOLIN_AB_FACTOR, amps, seed)
+            return ALICE_OUTCOME_BITS[outcome], kets @ kets.conj().T
         _assert_runs_match_reference(run, amps, rho_ab, range(200))
 
     def test_generic_marginal_matches_reference(self):
