@@ -29,6 +29,7 @@ that conserve ctc2: a two-dimensional fixed-point space, whose solve from I/4
 reads the right label with probability 0.5.  The NOT fixes |10> and |11>.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -77,6 +78,14 @@ _LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].copy())
 _PAULI_ERRORS = (I2, Z, X, _readonly(X @ Z))
 
 
+def _is_real(value) -> bool:
+    """True for a real number, False for a complex one or a non-number.  A float
+    or an int is answered before the ``numbers.Real`` ABC check, which costs far
+    more on a cold cache, and every discrimination builds a pair."""
+    return isinstance(value, (float, int)) or (
+        not isinstance(value, complex) and isinstance(value, numbers.Real))
+
+
 @dataclass(frozen=True)
 class AmplitudePair:
     """Real amplitude pair (alpha, beta) with alpha^2 + beta^2 = 1.
@@ -95,7 +104,7 @@ class AmplitudePair:
             raise InvariantViolationError(
                 f"invalid allow_degenerate flag {self.allow_degenerate!r}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if isinstance(value, complex) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise InvariantViolationError(f"{name} must be a real number")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
@@ -114,12 +123,12 @@ class AmplitudePair:
 
     @classmethod
     def from_alpha(cls, alpha: float, allow_degenerate: bool = False) -> "AmplitudePair":
-        if isinstance(alpha, complex) or not isinstance(alpha, numbers.Real):
+        if not _is_real(alpha):
             raise InvariantViolationError("alpha must be a real number")
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise InvariantViolationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-        return cls(alpha, float(np.sqrt(1.0 - alpha * alpha)), allow_degenerate)
+        return cls(alpha, math.sqrt(1.0 - alpha * alpha), allow_degenerate)
 
     @property
     def is_degenerate(self) -> bool:

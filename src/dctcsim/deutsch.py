@@ -37,7 +37,9 @@ CR input, since each block's ancilla-|0> columns are two columns of a
 permutation layer.  Following the escapes, every label reaches one cycle,
 on which the flow p_c e_c is the same for every c, so p_c goes as 1/e_c:
 nothing is subtracted, however small the chain's gap.  The chain solve
-takes a stack of CR inputs and solves them in one call.
+takes a stack of CR inputs and solves them in one call, whose one LAPACK
+call, an ``eigvalsh``, serves both the density checks and the residuals:
+Phi(sigma) - sigma is Hermitian, so its trace norm is sum |eigenvalues|.
 """
 
 import numbers
@@ -266,8 +268,9 @@ def _cesaro_limit(P: list) -> tuple:
             total[m] += lowest[m] / rate[c]
     p = [reach[m] / n * (lowest[m] / rate[c] / total[m]) if m < n else 0.0
          for c, m in enumerate(cycle)]
-    closed = (sum(r <= UNIT_EIGENVALUE_ATOL for r in rate)
-              + sum(low > UNIT_EIGENVALUE_ATOL for low, k in zip(lowest, reach) if k))
+    closed = 0                          # a label's tiny escape, a key's escape-free cycle
+    for r, low, k in zip(rate, lowest, reach):
+        closed += (r <= UNIT_EIGENVALUE_ATOL) + (k > 0 and low > UNIT_EIGENVALUE_ATOL)
     return p, closed
 
 
@@ -278,7 +281,10 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     Input i's rho_CR = K K^dag comes as ``outputs[i, c] = U_c K``, so
     M[c', c] = sum_j |outputs[i, c, c', j]|^2, p is the Cesaro limit of M^n on
     the uniform distribution (solved on every escape), and the CR output is
-    sigma* times the Gram matrix of the blocks, entrywise.  ``fp_space_dim``
+    sigma* times the Gram matrix of the blocks, entrywise.  One ``eigvalsh``
+    of every sigma*, CR output and Phi(sigma*) - sigma* gives the lowest
+    eigenvalues for the density checks and each residual, the sum of the
+    |eigenvalues| of Phi(sigma*) - sigma*.  ``fp_space_dim``
     counts closed classes, an escape of at most ``UNIT_EIGENVALUE_ATOL`` (the
     spectral eigenvalue window) counted as absent.  Returns one
     ``(cr_out, FixedPointResult)`` per input.
@@ -298,13 +304,14 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
         raise InvariantViolationError("block outputs must have shape (inputs, labels, labels, "
                                       f"vectors), got {outputs.shape}")
     with np.errstate(over="ignore"):                # a huge entry gives inf, which fails the trace
-        P = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=3)     # P[i, c, c'] = M_i[c', c]
-        traces = P.sum(axis=2).tolist()             # row c: ||U_c K||_F^2 = Tr(rho_CR)
+        P = np.add.reduce(outputs.real ** 2 + outputs.imag ** 2, axis=3)  # P[i, c, c'] = M_i[c', c]
+        traces = np.add.reduce(P, axis=2).tolist()  # row c: ||U_c K||_F^2 = Tr(rho_CR)
     for i, trace in enumerate(traces):
-        if not all(abs(t - 1.0) <= TRACE_ATOL for t in trace):     # fails on NaN or inf too
-            raise InvariantViolationError(f"CR input has trace {trace}, not 1"
-                                          if np.isfinite(outputs[i]).all()
-                                          else "block outputs must be finite")
+        for t in trace:
+            if not abs(t - 1.0) <= TRACE_ATOL:      # fails on NaN or inf too
+                raise InvariantViolationError(f"CR input has trace {trace}, not 1"
+                                              if np.isfinite(outputs[i]).all()
+                                              else "block outputs must be finite")
     walks = [_cesaro_limit(rows) for rows in P.tolist()]
     n, d = outputs.shape[:2]
     conj = outputs.conj()
@@ -313,19 +320,19 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     sigma = (np.array([[p] for p, _ in walks]) @ taus).reshape(n, d, d)
     sigma = sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
     step = (sigma.diagonal(axis1=1, axis2=2).real[:, None] @ taus).reshape(n, d, d)
-    try:
-        residuals = np.linalg.svd(step - sigma, compute_uv=False).sum(axis=1).tolist()
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointConvergenceError(np.inf, config.tolerance, str(exc)) from exc
-    states = _readonly(np.concatenate([sigma, sigma * gram]))     # each sigma*, each CR output
-    errors = _density_errors(states)
+    # Each sigma*, each CR output, each Phi(sigma*) - sigma*: one eigvalsh.  The last
+    # is a real-weighted sum of Hermitian tau_c minus sigma*, so its trace norm is
+    # the sum of its |eigenvalues|.
+    stack = _readonly(np.concatenate([sigma, sigma * gram, step - sigma]))
+    spectra = np.linalg.eigvalsh(stack)
+    residuals = np.add.reduce(np.abs(spectra[2 * n:]), axis=1).tolist()
+    errors = _density_errors(stack[:2 * n], spectra[:2 * n, 0])
     results = []
     for i, (residual, (_, closed)) in enumerate(zip(residuals, walks)):
         if errors[i] is not None or not residual < config.tolerance:   # sigma*, then the residual
             raise FixedPointConvergenceError(residual, config.tolerance, errors[i] or "")
         if errors[n + i] is not None:
             raise InvariantViolationError(errors[n + i])
-        fixed = FixedPointResult(DensityOperator._checked(states[i]), residual, closed, "chain")
-        results.append((DensityOperator._checked(states[n + i]), fixed))
+        fixed = FixedPointResult(DensityOperator._checked(stack[i]), residual, closed, "chain")
+        results.append((DensityOperator._checked(stack[n + i]), fixed))
     return results
-

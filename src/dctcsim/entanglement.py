@@ -21,6 +21,7 @@ from .qmath import (
     BELL_VECTORS,
     DensityOperator,
     RegisterLayout,
+    _label_set,
     _readonly,
     _require,
     kron,
@@ -37,11 +38,8 @@ class BipartiteCut:
     side_b: frozenset
 
     def __init__(self, side_a, side_b):
-        try:
-            object.__setattr__(self, "side_a", frozenset(side_a))
-            object.__setattr__(self, "side_b", frozenset(side_b))
-        except TypeError as exc:
-            raise InvariantViolationError(f"cut sides must be label sets: {exc}") from None
+        object.__setattr__(self, "side_a", _label_set(side_a, "cut side labels"))
+        object.__setattr__(self, "side_b", _label_set(side_b, "cut side labels"))
         if not self.side_a or not self.side_b:
             raise InvariantViolationError("both sides of a cut must be non-empty")
         if self.side_a & self.side_b:

@@ -124,7 +124,9 @@ def modal_readout(cr_out: DensityOperator) -> tuple:
         raise InvariantViolationError(f"CR register must be two qubits, got dimension {cr_out.dim}")
     distribution = tuple(cr_out.matrix.diagonal().real.tolist())
     top = max(distribution)
-    modal = next(i for i, p in enumerate(distribution) if p >= top - READOUT_TIE_ATOL)
+    for modal, p in enumerate(distribution):
+        if p >= top - READOUT_TIE_ATOL:
+            break
     return distribution, BLOCK_CODES[modal], distribution[modal]
 
 
@@ -147,7 +149,7 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
     branches = _BELL_BRAS @ full
     # np.linalg.norm(branches, axis=-1) ** 2, the same operations without its dispatch
-    return branches, np.sqrt((branches.conj() * branches).real.sum(axis=-1)) ** 2
+    return branches, np.sqrt(np.add.reduce((branches.conj() * branches).real, axis=-1)) ** 2
 
 
 def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
@@ -155,7 +157,7 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     a stack of pair states in one call.
 
     Input i's rho_AB = sum_j f_j f_j^dag for the rows f_j of the k x 4 factor
-    ``pairs[i]`` (``pairs`` is n x k x 4), Alice's qubit first.  Its outcome,
+    ``pairs[i]`` (``pairs`` is n x k x 4, n >= 1), Alice's qubit first.  Its outcome,
     unless ``alice_outcome`` (a :class:`BellLabel`) pins every outcome, is
     drawn with probability p_k = sum_j |b_jk|^2, input by input from one
     generator made from ``seed``.  Returns ``(outcomes, kets)``: the n
@@ -168,18 +170,18 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     """
     _require(amps, AmplitudePair, "amplitude pair")
     pairs = _complex_array(pairs, "pair factors")
-    if pairs.ndim != 3 or pairs.shape[2] != 4:
+    if pairs.ndim != 3 or pairs.shape[2] != 4 or not len(pairs):
         raise InvariantViolationError(
-            f"pair factors must be an n x k x 4 array, got shape {pairs.shape}")
+            f"pair factors must be an n x k x 4 array with n >= 1, got shape {pairs.shape}")
     for i, factor in enumerate(pairs):
         trace = float(np.vdot(factor, factor).real)    # NaN or inf for a non-finite entry
         if not abs(trace - 1.0) <= TRACE_ATOL:
             raise InvariantViolationError(f"pair factor {i} has trace {trace!r}, not 1")
     branches, probabilities = _alice_branches(pairs, amps)
-    p = probabilities.sum(axis=1)
+    p = np.add.reduce(probabilities, axis=1)
     if alice_outcome is None:
         rng = _generator(seed)
-        ks = [rng.choice(4, p=row / row.sum()) for row in p]
+        ks = [rng.choice(4, p=row / np.add.reduce(row)) for row in p]
     else:
         ks = [_OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))] * len(p)
     kets = np.empty((len(p), 2, pairs.shape[1]), dtype=complex)
@@ -248,22 +250,26 @@ def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None =
     ``alice_outcome`` pins them all.  Each record reports the most probable
     CR value (:func:`modal_readout`) and its probability, not an assumed one."""
     _require(amps, AmplitudePair, "amplitude pair")
-    if isinstance(bells, str):          # iterable, but of characters, not labels
+    labels = []
+    if not isinstance(bells, str):          # a str iterates characters, not labels
+        if not isinstance(bells, tuple):    # a tuple skips the ABC check, slow on a cold cache
+            _require(bells, Iterable, "Bell label sequence")
+        for bell in bells:
+            labels.append(_require(bell, BellLabel, "Bell label"))
+    if not labels:
         raise InvariantViolationError(f"invalid Bell label sequence {reprlib.repr(bells)}")
-    bells = tuple(_require(bell, BellLabel, "Bell label")
-                  for bell in _require(bells, Iterable, "Bell label sequence"))
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    pairs = _BELL_KETS.take([_OUTCOMES.index(bell) for bell in bells], axis=0)
+    pairs = _BELL_KETS.take([_OUTCOMES.index(bell) for bell in labels], axis=0)
     outcomes, kets = teleport_and_correct(pairs, amps, seed, alice_outcome)
     return [DiscriminationRecord(
         input_bell=bell, alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=as_state_vector(ket[:, 0]), identified=BellLabel.from_b1b2(*b1b2),
+        bob_state=as_state_vector(ket[:, 0]), identified=_OUTCOMES[BLOCK_CODES.index(b1b2)],
         outcome_probability=probability, fixed_point=fixed,
     ) for bell, outcome, ket, (_, b1b2, probability, fixed)
-        in zip(bells, outcomes, kets, ctc_readouts(amps, kets, config))]
+        in zip(labels, outcomes, kets, ctc_readouts(amps, kets, config))]
 
 
 def discriminate_bell(bell: BellLabel, amps: AmplitudePair,

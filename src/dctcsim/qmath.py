@@ -10,6 +10,7 @@ All values are immutable after construction; stored arrays are marked
 read-only and every function is pure.
 """
 
+import math
 import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -75,7 +76,7 @@ def as_state_vector(v) -> np.ndarray:
     dim = a.size
     if dim < 1 or dim & (dim - 1):
         raise InvariantViolationError(f"state dimension {dim} is not a power of 2")
-    norm = np.linalg.norm(a)
+    norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))     # np.linalg.norm's sum
     if not abs(norm - 1.0) <= STATE_NORM_ATOL:        # NaN fails too
         raise InvariantViolationError(f"state vector norm {norm!r} deviates from 1")
     return _readonly(a)
@@ -163,7 +164,7 @@ class DensityOperator(_CheckedOperator):
 
     def __init__(self, matrix):
         a = _square_matrix(matrix, "density matrix")
-        error = _density_errors(a[None])[0]
+        error = _density_errors(a[None], np.linalg.eigvalsh(a)[:1])[0]
         if error is not None:
             raise InvariantViolationError(error)
         self._matrix = _readonly(a.copy())
@@ -181,20 +182,17 @@ class DensityOperator(_CheckedOperator):
         return cls(np.outer(a, a.conj()))
 
 
-def _density_errors(a: np.ndarray) -> list:
-    """For each matrix of the stack ``a`` (n x d x d), the message of the first
-    density-operator check it fails, or None.  In order: finite, a power-of-2
-    dimension, Hermitian, trace, and the lowest eigenvalue, from one
-    ``eigvalsh`` of the whole stack."""
-    if not np.isfinite(a).all():        # only a finite matrix goes on to the later checks
-        return [_density_errors(m[None])[0] if np.isfinite(m).all()
-                else "density matrix contains non-finite entries" for m in a]
+def _density_errors(a: np.ndarray, lowest: np.ndarray) -> list:
+    """For each matrix of the finite stack ``a`` (n x d x d), the message of
+    the first density-operator check it fails, or None.  In order: a
+    power-of-2 dimension, Hermitian, trace, and the lowest eigenvalue,
+    ``lowest[i]`` for ``a[i]``, which the caller takes (``eigvalsh``), so that
+    one call can serve more than these checks."""
     n, dim = a.shape[:2]
     if dim < 1 or dim & (dim - 1):
         return [f"density dimension {dim} is not a power of 2"] * n
-    herm = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    herm = np.maximum.reduce(np.abs(a - a.conj().transpose(0, 2, 1)), axis=(1, 2))
     traces = a.trace(axis1=1, axis2=2)
-    lowest = np.linalg.eigvalsh(a)[:, 0]
     return [f"density matrix not Hermitian: max |rho - rho^dag| = {herm[i]:.3e}"
             if h > HERMITICITY_ATOL else
             f"density matrix trace {traces[i]!r} deviates from 1"
@@ -204,10 +202,18 @@ def _density_errors(a: np.ndarray) -> list:
             for i, (h, t, low) in enumerate(zip(herm.tolist(), traces.tolist(), lowest.tolist()))]
 
 
+def _label_tuple(labels, what: str) -> tuple:
+    """The iterable ``labels`` as a tuple; a bare str, which iterates
+    characters, not labels, is a typed error."""
+    if isinstance(labels, str) or not isinstance(labels, Iterable):
+        raise InvariantViolationError(f"invalid {what} {reprlib.repr(labels)}")
+    return tuple(labels)
+
+
 def _label_set(labels, what: str) -> frozenset:
-    """The iterable ``labels`` as a frozenset; an unhashable label is a typed error."""
+    """:func:`_label_tuple` as a frozenset; an unhashable label is a typed error."""
     try:
-        return frozenset(_require(labels, Iterable, what))
+        return frozenset(_label_tuple(labels, what))
     except TypeError:
         raise InvariantViolationError(f"invalid {what} {reprlib.repr(labels)}") from None
 
@@ -221,7 +227,7 @@ class RegisterLayout:
     ctc: frozenset
 
     def __init__(self, labels: Iterable[str], ctc: Iterable[str] = ()):
-        labels = tuple(_require(labels, Iterable, "qubit labels"))
+        labels = _label_tuple(labels, "qubit labels")
         distinct, ctc = _label_set(labels, "qubit labels"), _label_set(ctc, "CTC labels")
         if not labels:
             raise InvariantViolationError("layout needs at least one qubit label")

@@ -228,14 +228,21 @@ class TestMeasures:
 class TestLinearAlgebraCalls:
     """Steady-state LAPACK calls per run.  ``measures``: none, as the spectra
     of the Smolin cuts and of the Bell states (with their density checks)
-    are taken on the first run only.  ``smolin``: the CTC stage's two; it
-    reads the same two cached spectra, for its baseline and its C:D pairs."""
+    are taken on the first run only.  Every other experiment: the CTC
+    stage's one ``eigvalsh``, which checks every sigma* and CR output and
+    takes every residual; ``smolin`` reads the same two cached spectra, for
+    its baseline and its C:D pairs, and ``smolin --improper-mixture`` checks
+    Bob's state as a ``DensityOperator`` for its purity, a second
+    ``eigvalsh``."""
 
     NAMES = ("eigvalsh", "svd", "eigh", "eig", "solve")
 
-    @pytest.mark.parametrize("argv, most", [(["measures"], 0), (["smolin"], 2)],
-                             ids=["measures", "smolin"])
-    def test_calls_per_run(self, argv, most, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, expected", [
+        (["measures"], []), (["smolin"], ["eigvalsh"]), (["discriminate"], ["eigvalsh"]),
+        (["table1"], ["eigvalsh"]), (["fixed-point"], ["eigvalsh"]),
+        (["smolin", "--improper-mixture"], ["eigvalsh"] * 2),
+    ], ids=["measures", "smolin", "discriminate", "table1", "fixed-point", "smolin-improper"])
+    def test_calls_per_run(self, argv, expected, capsys, monkeypatch):
         run_cli(capsys, *argv)                  # builds the parser and the Smolin state
         calls = []
         for name in self.NAMES:
@@ -244,7 +251,7 @@ class TestLinearAlgebraCalls:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         assert run_cli(capsys, *argv)[0] == 0
-        assert len(calls) <= most, calls
+        assert calls == expected
 
 
 class TestTeleportationCalls:

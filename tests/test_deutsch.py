@@ -466,6 +466,20 @@ def _chain_inputs(blocks, ket):
     return outputs[:, :, None]
 
 
+# Values of alpha on both sides of 1/sqrt(2), for the closed-form checks of the chain.
+_CLOSED_FORM_ALPHAS = (0.1, 0.3, 0.45, 0.6, 0.69, 0.75, 0.9)
+
+
+def _mixed_factors(rng, count):
+    """``count`` seeded 2 x k factors K (k from 1 to 3) with Tr(K K^dag) = 1."""
+    factors = []
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        factor = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+        factors.append(factor / np.linalg.norm(factor))
+    return factors
+
+
 class TestLabelChain:
     def test_chain_state_is_fixed_point_of_full_channel(self):
         # The chain state solves the 16x16 channel it never builds: every
@@ -534,9 +548,9 @@ class TestLabelChain:
         assert record.fixed_point.method == "chain"
 
     def test_pinned_discrimination_stays_within_its_call_budget(self, monkeypatch):
-        # One stacked solve checks every sigma* and CR output with one eigvalsh and
-        # takes every residual's trace norm with one svd, for one input or four;
-        # the DensityOperators it returns are not checked a second time.
+        # One stacked solve checks every sigma* and CR output and takes every
+        # residual's trace norm with one eigvalsh and no svd, for one input or
+        # four; the DensityOperators it returns are not checked a second time.
         calls = {"DensityOperator": 0, "svd": 0, "eigvalsh": 0}
 
         def counted(name, fn):
@@ -550,11 +564,49 @@ class TestLabelChain:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         record = discriminate_bell(BellLabel.PSI_PLUS, AMPS, alice_outcome=BellLabel.PHI_MINUS)
         assert record.identified is BellLabel.PSI_PLUS
-        assert calls == {"DensityOperator": 0, "svd": 1, "eigvalsh": 1}
+        assert calls == {"DensityOperator": 0, "svd": 0, "eigvalsh": 1}
         calls.update(dict.fromkeys(calls, 0))
         records = protocols.discriminate_bells(tuple(BellLabel), AMPS, seed=0)    # table1
         assert [r.identified for r in records] == list(BellLabel)
-        assert calls == {"DensityOperator": 0, "svd": 1, "eigvalsh": 1}
+        assert calls == {"DensityOperator": 0, "svd": 0, "eigvalsh": 1}
+
+    def test_residual_is_trace_norm_of_one_channel_step(self):
+        # The residual is the sum of |eigenvalues| of Phi(sigma*) - sigma*, taken in
+        # the density checks' eigvalsh; for that Hermitian matrix it is the trace
+        # norm, here from an svd, of the step rebuilt as the solve takes it.
+        rng = np.random.default_rng(191)
+        nonzero = 0
+        for alpha in _CLOSED_FORM_ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            for factor in _mixed_factors(rng, 20):
+                outputs = circuits.block_outputs(amps, factor)
+                fixed = deutsch.apply_label_chains(outputs[None])[0][1]
+                sigma = fixed.fixed_point.matrix
+                stacked = outputs[None]
+                taus = (stacked @ stacked.conj().transpose(0, 1, 3, 2)).reshape(1, 4, 16)
+                step = (sigma.diagonal().real[None, None] @ taus).reshape(4, 4)
+                want = trace_norm(step - sigma)
+                assert abs(fixed.residual - want) <= 1e-15 * want
+                nonzero += want > 0
+        assert nonzero >= 100
+
+    def test_readout_matches_closed_form_of_the_overlaps(self):
+        # With F_c = <psi_c|rho_Bob|psi_c> for the candidates psi_c = E_c psi, the
+        # readout is (1 - F_c)^-1 / sum_c' (1 - F_c')^-1 and sum_c F_c = 2.  The
+        # walk solves the chain on its own, so this checks it against a formula.
+        # 1/(1 - F) amplifies the rounding of F, hence the absolute tolerance.
+        rng = np.random.default_rng(193)
+        for alpha in _CLOSED_FORM_ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            candidates = np.array(list(candidate_states(amps).values()))
+            for factor in _mixed_factors(rng, 20):
+                overlaps = np.einsum("ci,ij,cj->c", candidates.conj(), factor @ factor.conj().T,
+                                     candidates).real
+                assert abs(overlaps.sum() - 2.0) <= 1e-14
+                weights = 1.0 / (1.0 - overlaps)
+                distribution = ctc_readouts(amps, factor[None])[0][0]
+                np.testing.assert_allclose(distribution, weights / weights.sum(), rtol=0,
+                                           atol=1e-14)
 
     def test_spectral_solve_reports_its_method(self):
         assert solve_fixed_point(*worked_instance()).method == "spectral"
@@ -759,7 +811,7 @@ def _same_solve(stacked, alone):
 
 class TestStackedChain:
     def test_stack_matches_stacks_of_one_bit_for_bit(self):
-        # Stacked matmul, trace, svd and eigvalsh give each input the bits it
+        # Stacked matmul, trace and eigvalsh give each input the bits it
         # gets alone: pure, improper-mixture and mixed inputs, pairs mixed in
         # one stack, next to the degeneracy window and clear of it.
         rng = np.random.default_rng(181)
@@ -821,8 +873,8 @@ class TestStackedChain:
                                       "sigma 1"),
                                      ({1: "sigma 1", 2: "output 0"}, InvariantViolationError,
                                       "output 0")):
-            monkeypatch.setattr(deutsch, "_density_errors", lambda states, planted=planted: [
-                planted.get(i, found) for i, found in enumerate(checks(states))])
+            monkeypatch.setattr(deutsch, "_density_errors", lambda *args, planted=planted: [
+                planted.get(i, found) for i, found in enumerate(checks(*args))])
             with pytest.raises(error, match=text):
                 deutsch.apply_label_chains(np.array(pure))
 
@@ -947,6 +999,8 @@ class TestConfigAndResult:
         (protocols.modal_readout, (np.eye(4) / 4,), "CR state"),
         (protocols.discriminate_bells, (BellLabel.PHI_PLUS, AMPS), "Bell label sequence"),
         (protocols.discriminate_bells, ("phi+", AMPS), "Bell label sequence"),
+        (protocols.discriminate_bells, ((), AMPS), "Bell label sequence"),
+        (protocols.discriminate_bells, ([], AMPS), "Bell label sequence"),
         (bhw_interaction, (0.6,), "amplitude pair"),
         (candidate_states, (0.6,), "amplitude pair"),
         (circuits.block_unitary, ((0, 0), 0.6), "amplitude pair"),
@@ -954,6 +1008,8 @@ class TestConfigAndResult:
         (RegisterLayout, (("a",), 5), "CTC labels"),
         (RegisterLayout, ([["a"]],), "qubit labels"),
         (RegisterLayout, (("a",), [["a"]]), "CTC labels"),
+        (RegisterLayout, ("ab",), "qubit labels"),
+        (RegisterLayout, (("cr1", "cr2", "ctc1", "ctc2"), "ctc1"), "CTC labels"),
         (register_swap, ("2",), "block size"),
         (register_swap, (1.5,), "block size"),
         (register_swap, (True,), "block size"),

@@ -44,9 +44,13 @@ class TestBipartiteCut:
         with pytest.raises(InvariantViolationError):
             BipartiteCut((), ("A",))
 
-    def test_side_that_is_not_a_label_set_is_typed_error(self):
-        with pytest.raises(InvariantViolationError, match="label sets"):
-            BipartiteCut(None, ("A",))
+    @pytest.mark.parametrize("side_a, side_b", [(None, ("A",)), ([["A"]], ("B",)),
+                                                ("cr1", "cr2"), (("A",), "B")],
+                             ids=["none", "unhashable", "str", "str-side-b"])
+    def test_side_that_is_not_a_label_set_is_typed_error(self, side_a, side_b):
+        # A bare str iterates characters: "cr1" would be the labels c, r and 1.
+        with pytest.raises(InvariantViolationError, match="^invalid cut side labels "):
+            BipartiteCut(side_a, side_b)
 
     def test_must_cover_register(self):
         rho = DensityOperator(np.eye(8) / 8)

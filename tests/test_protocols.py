@@ -130,11 +130,11 @@ class TestTeleportAndCorrect:
     @pytest.mark.parametrize("pinned", [None, BellLabel.PHI_PLUS], ids=["drawn", "pinned"])
     @pytest.mark.parametrize("pairs", [
         None, "phi+", np.zeros(4), BellLabel.PHI_PLUS.state_vector()[None], np.zeros((1, 1, 3)),
-        np.zeros((1, 0, 4)), np.zeros((1, 1, 4)), np.ones((1, 1, 4)),
+        np.zeros((1, 0, 4)), np.zeros((0, 1, 4)), np.zeros((1, 1, 4)), np.ones((1, 1, 4)),
         np.full((1, 1, 4), np.nan), np.full((1, 1, 4), np.inf),
         np.stack([BellLabel.PHI_PLUS.state_vector()[None], np.full((1, 4), np.nan)]),
-    ], ids=["none", "str", "flat", "kx4", "1x3", "0x4", "zero", "trace4", "nan", "inf",
-            "second-nan"])
+    ], ids=["none", "str", "flat", "kx4", "1x3", "0x4", "empty-stack", "zero", "trace4", "nan",
+            "inf", "second-nan"])
     def test_malformed_pair_factor_rejected(self, pairs, pinned):
         with pytest.raises(InvariantViolationError, match="pair factor"):
             teleport_and_correct(pairs, AMPS, seed=0, alice_outcome=pinned)
