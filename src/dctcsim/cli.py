@@ -59,7 +59,6 @@ from .protocols import (
     distill_smolin,
     teleport_and_correct,
 )
-from .qmath import DensityOperator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -261,7 +260,7 @@ def run_smolin(args, amps, config):
             raise DegenerateAmplitudesError("improper-mixture run requires a non-degenerate pair")
         (outcome,), kets = teleport_and_correct(_SMOLIN_AB_FACTOR, amps, args.seed)
         [(distribution, b1b2, probability, fixed)] = ctc_readouts(amps, kets, config)
-        bob = DensityOperator(kets[0] @ kets[0].conj().T).matrix
+        bob = kets[0] @ kets[0].conj().T     # the stage's trace test checked ||K||^2 = 1
         rows = [{
             "alice_outcome": _bits_str(ALICE_OUTCOME_BITS[outcome]),
             **dict(zip(("p00", "p01", "p10", "p11"), distribution)),
@@ -377,7 +376,12 @@ def _write_replacing(path: str, text: str) -> None:
     but never a half-written one.  The sibling is named by process and
     thread, so no other live writer owns it, and a file already there, left
     by a killed run, is removed first; it is then created exclusively, so a
-    symlink planted at that predictable name is refused, never followed."""
+    symlink planted at that predictable name is refused, never followed.
+    An existing ``path`` that is no regular file (a FIFO, a device) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        return
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     with contextlib.suppress(FileNotFoundError):
         os.unlink(tmp)

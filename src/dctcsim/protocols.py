@@ -33,7 +33,6 @@ use (:mod:`dctcsim.entanglement`).
 import enum
 import math
 import reprlib
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,9 @@ from .qmath import (
     Y,
     Z,
     _complex_array,
+    _label_tuple,
     _readonly,
     _require,
-    as_state_vector,
     pure_fidelity,
 )
 
@@ -78,14 +77,6 @@ class BellLabel(enum.Enum):
             return cls(name)
         except ValueError:
             raise InvariantViolationError(f"unknown Bell label {name!r}") from None
-
-    @classmethod
-    def from_b1b2(cls, b1: int, b2: int) -> "BellLabel":
-        if not (isinstance(b1, (int, np.integer)) and isinstance(b2, (int, np.integer))
-                and not isinstance(b1, bool) and not isinstance(b2, bool)
-                and (b1, b2) in BLOCK_CODES):
-            raise InvariantViolationError(f"invalid CR outcome {(b1, b2)!r}")
-        return _OUTCOMES[BLOCK_CODES.index((b1, b2))]
 
     def state_vector(self) -> np.ndarray:
         return BELL_VECTORS[self.value]
@@ -244,29 +235,26 @@ class DiscriminationRecord:
 def discriminate_bells(bells, amps: AmplitudePair, config: SolverConfig | None = None,
                        seed=None, alice_outcome=None) -> list:
     """The full discrimination protocol for each shared Bell pair of the
-    sequence ``bells``, with one teleportation step and one CTC stage for all
-    of them; the labels and the pair are checked first.  Alice's outcomes are
-    drawn in order from one generator made from ``seed``, unless
-    ``alice_outcome`` pins them all.  Each record reports the most probable
-    CR value (:func:`modal_readout`) and its probability, not an assumed one."""
+    sequence ``bells`` (any iterable of labels but a str), with one
+    teleportation step and one CTC stage for all of them; the sequence, the
+    labels and the pair are checked first.  Alice's outcomes are drawn in
+    order from one generator made from ``seed``, unless ``alice_outcome``
+    pins them all.  Each record reports the most probable CR value
+    (:func:`modal_readout`) and its probability, not an assumed one."""
     _require(amps, AmplitudePair, "amplitude pair")
-    labels = []
-    if not isinstance(bells, str):          # a str iterates characters, not labels
-        if not isinstance(bells, tuple):    # a tuple skips the ABC check, slow on a cold cache
-            _require(bells, Iterable, "Bell label sequence")
-        for bell in bells:
-            labels.append(_require(bell, BellLabel, "Bell label"))
+    labels = _label_tuple(bells, "Bell label sequence")
     if not labels:
         raise InvariantViolationError(f"invalid Bell label sequence {reprlib.repr(bells)}")
+    indices = [_OUTCOMES.index(_require(bell, BellLabel, "Bell label")) for bell in labels]
     if amps.is_degenerate:
         raise DegenerateAmplitudesError(
             "discrimination requires alpha != beta and both clear of 0; the four "
             "candidate states coalesce pairwise at alpha = beta and as alpha or beta -> 0")
-    pairs = _BELL_KETS.take([_OUTCOMES.index(bell) for bell in labels], axis=0)
-    outcomes, kets = teleport_and_correct(pairs, amps, seed, alice_outcome)
+    outcomes, kets = teleport_and_correct(_BELL_KETS.take(indices, axis=0), amps, seed,
+                                          alice_outcome)
     return [DiscriminationRecord(
         input_bell=bell, alice_outcome=ALICE_OUTCOME_BITS[outcome],
-        bob_state=as_state_vector(ket[:, 0]), identified=_OUTCOMES[BLOCK_CODES.index(b1b2)],
+        bob_state=_readonly(ket[:, 0].copy()), identified=_OUTCOMES[BLOCK_CODES.index(b1b2)],
         outcome_probability=probability, fixed_point=fixed,
     ) for bell, outcome, ket, (_, b1b2, probability, fixed)
         in zip(labels, outcomes, kets, ctc_readouts(amps, kets, config))]

@@ -339,23 +339,6 @@ def discrimination_chain(alpha: float, beta: float, cr_qubit: np.ndarray) -> np.
     return M
 
 
-def expected_blend(alpha: float, beta: float, cr_qubit: np.ndarray,
-                   steps: int = 20000) -> np.ndarray:
-    """Fixed point the iteration-from-maximally-mixed lands on, computed from
-    the label chain: propagate the uniform label distribution to stationarity
-    and mix the corresponding output projectors."""
-    blocks = four_blocks(alpha, beta)
-    vin = np.kron(np.asarray(cr_qubit, dtype=complex), np.array([1, 0], dtype=complex))
-    M = discrimination_chain(alpha, beta, cr_qubit)
-    q = np.full(4, 0.25)
-    q = np.linalg.matrix_power(M, steps) @ q
-    sigma = np.zeros((4, 4), dtype=complex)
-    for c, code in enumerate(sorted(blocks)):
-        out = blocks[code] @ vin
-        sigma += q[c] * np.outer(out, out.conj())
-    return sigma
-
-
 def smolin_pauli_form() -> np.ndarray:
     """Smolin state as (I + X^4 + Y^4 + Z^4) / 16."""
     total = np.eye(16, dtype=complex)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import threading
 
 import numpy as np
@@ -231,16 +232,15 @@ class TestLinearAlgebraCalls:
     are taken on the first run only.  Every other experiment: the CTC
     stage's one ``eigvalsh``, which checks every sigma* and CR output and
     takes every residual; ``smolin`` reads the same two cached spectra, for
-    its baseline and its C:D pairs, and ``smolin --improper-mixture`` checks
-    Bob's state as a ``DensityOperator`` for its purity, a second
-    ``eigvalsh``."""
+    its baseline and its C:D pairs, and ``smolin --improper-mixture`` reads
+    Bob's purity from K K^dag, whose trace the stage has checked."""
 
     NAMES = ("eigvalsh", "svd", "eigh", "eig", "solve")
 
     @pytest.mark.parametrize("argv, expected", [
         (["measures"], []), (["smolin"], ["eigvalsh"]), (["discriminate"], ["eigvalsh"]),
         (["table1"], ["eigvalsh"]), (["fixed-point"], ["eigvalsh"]),
-        (["smolin", "--improper-mixture"], ["eigvalsh"] * 2),
+        (["smolin", "--improper-mixture"], ["eigvalsh"]),
     ], ids=["measures", "smolin", "discriminate", "table1", "fixed-point", "smolin-improper"])
     def test_calls_per_run(self, argv, expected, capsys, monkeypatch):
         run_cli(capsys, *argv)                  # builds the parser and the Smolin state
@@ -522,6 +522,25 @@ class TestOutputFile:
         assert code == 2
         assert "cannot write" in err
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, capsys):
+        # A path that is not a regular file gets the bytes in place; the reader
+        # is opened first and non-blocking, so a replaced FIFO fails, not hangs.
+        target = tmp_path / "fifo"
+        os.mkfifo(target)
+        reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
+                                   "--output", str(target))
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        assert received == expected.encode("utf-8")
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
 
 
 class TestDiscriminate:

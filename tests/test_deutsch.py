@@ -39,11 +39,11 @@ from dctcsim.qmath import KET_0
 from oracles import (
     closed_classes,
     cycle_shares,
+    discrimination_chain,
     eigen_fixed_point,
     ensemble,
     exact_cesaro_limit,
     exact_chain_readout,
-    expected_blend,
     four_blocks,
     haar_unitary,
     interaction,
@@ -215,9 +215,18 @@ class TestSolveFixedPoint:
         assert not result.unique
 
     def test_interaction_limit_matches_chain_blend(self):
+        # The blend of the block images weighted by the exact Cesaro limit of
+        # the uniform label distribution under the same chain.
         u, rho_cr, layout = worked_instance()
         result = solve_fixed_point(u, rho_cr, layout)
-        blend = expected_blend(0.6, 0.8, np.array([0.8, 0.6]))
+        cr_qubit = np.array([0.8, 0.6])
+        P = [[Fraction(x) for x in row] for row in discrimination_chain(0.6, 0.8, cr_qubit).T]
+        for i, row in enumerate(P):
+            row[i] = 1 - sum(x for j, x in enumerate(row) if j != i)
+        blocks = four_blocks(0.6, 0.8)
+        taus = [blocks[code] @ kron(cr_qubit, KET_0) for code in sorted(blocks)]
+        blend = sum(float(q) * np.outer(tau, tau.conj())
+                    for q, tau in zip(exact_cesaro_limit(P), taus))
         assert trace_norm(result.fixed_point.matrix - blend) <= 1e-8
         # the consistent label state is itself a fixed point of the map
         label = DensityOperator.from_state_vector(ket("10"))
@@ -371,6 +380,22 @@ class TestSolveFixedPoint:
         result = solve_fixed_point(*worked_instance())
         assert result.fp_space_dim == 1
         assert calls == {"eig": 0, "eigvals": 1}
+
+
+def _one_over_e_readout(outputs) -> list:
+    """The CR diagonal of the label chain by the 1/e law, in exact rationals
+    of the float block outputs ``outputs[c, c', j] = (U_c K)[c', j]``.  As
+    U_c maps psi_c (x) |0> to |c>, label c keeps F_c = <psi_c|rho_Bob|psi_c>,
+    the weight of U_c K on c, and escapes to one other label with the rest
+    of n_c = ||U_c K||_F^2, which is 1 up to rounding.  When the escapes close
+    one cycle, p_c is proportional to 1/(n_c - F_c) and entry c is
+    n_c^2 (n_c - F_c)^-1 / sum_c' n_c' (n_c' - F_c')^-1: at n = 1, the law
+    (1 - F_c)^-1 / sum_c' (1 - F_c')^-1."""
+    weight = [[sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in row) for row in block]
+              for block in outputs]
+    n = [sum(row) for row in weight]
+    inverse = [n[c] / (n[c] - weight[c][c]) for c in range(len(n))]
+    return [n[c] * inverse[c] / sum(inverse) for c in range(len(n))]
 
 
 def _pair_at_distance(delta):
@@ -702,6 +727,8 @@ class TestLabelChain:
         # the chain by exact linear algebra on its closed classes, not by the
         # 1/e law.  A pure input's CR diagonal is within 1e-20 of it next to the
         # window; a mixed input, whose labels share the mass, within a few ulp.
+        # On a mixed input every label escapes, along one cycle, and the oracle
+        # equals the 1/e law exactly.
         third = Fraction(1, 3)      # 0 is transient and drains into 1; 1 and 2 absorb
         drain = [[1 - third, third, 0], [0, 1, 0], [0, 0, 1]]
         assert exact_cesaro_limit(drain) == [0, 2 * third, third]
@@ -710,8 +737,10 @@ class TestLabelChain:
             cycle[i][i], cycle[i][(i + 1) % 4] = 1 - Fraction(escape, 10), Fraction(escape, 10)
         assert exact_cesaro_limit(cycle) == [Fraction(n, 25) for n in (12, 6, 4, 3)]
 
-        def errors(amps, kets):
-            exact = exact_chain_readout(circuits.block_outputs(amps, kets))
+        def errors(amps, kets, one_cycle=False):
+            outputs = circuits.block_outputs(amps, kets)
+            exact = exact_chain_readout(outputs)
+            assert not one_cycle or _one_over_e_readout(outputs) == exact
             distribution = ctc_readouts(amps, kets[None])[0][0]
             return [(abs(Fraction(x) - e), e) for x, e in zip(distribution, exact)]
         mixed = ensemble(ptrace_brute(smolin_pauli_form(), 4, (0, 1))).T     # improper mixture
@@ -723,12 +752,12 @@ class TestLabelChain:
                                                     alice_outcome=outcome)[1][0]
                         assert max(error for error, _ in errors(amps, kets)) <= 1e-20
                     kets = teleport_and_correct(mixed[None], amps, alice_outcome=outcome)[1][0]
-                    assert all(error <= 2e-15 * e for error, e in errors(amps, kets))
+                    assert all(error <= 2e-15 * e for error, e in errors(amps, kets, True))
         rng = np.random.default_rng(131)
         for _ in range(20):
             amps = AmplitudePair.from_alpha(rng.uniform(0.05, 0.95))
             kets = ensemble(random_density(2, rng))
-            assert all(error <= 2e-15 * e for error, e in errors(amps, kets))
+            assert all(error <= 2e-15 * e for error, e in errors(amps, kets, True))
 
     def test_closed_classes_match_reachability_oracle(self):
         # Escapes at 1/2, 1 and 2 times the window: the count drops those at or
@@ -1019,3 +1048,19 @@ class TestConfigAndResult:
     def test_malformed_argument_is_typed_error(self, call, args, what):
         with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):
             call(*args)
+
+    @pytest.mark.parametrize("make", [list, lambda labels: (bell for bell in labels)],
+                             ids=["list", "generator"])
+    def test_label_iterable_runs_as_the_tuple(self, make):
+        labels = tuple(BellLabel)
+        expected = protocols.discriminate_bells(labels, AMPS, seed=4)
+        records = protocols.discriminate_bells(make(labels), AMPS, seed=4)
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert (got.input_bell, got.alice_outcome, got.identified, got.outcome_probability,
+                    got.fixed_point.residual, got.fixed_point.fp_space_dim) == (
+                want.input_bell, want.alice_outcome, want.identified, want.outcome_probability,
+                want.fixed_point.residual, want.fixed_point.fp_space_dim)
+            assert got.bob_state.tobytes() == want.bob_state.tobytes()
+            assert (got.fixed_point.fixed_point.matrix.tobytes()
+                    == want.fixed_point.fixed_point.matrix.tobytes())
