@@ -46,6 +46,7 @@ from .qmath import (
     UnitaryOperator,
     X,
     Z,
+    _is_real,
     _readonly,
     _require,
     kron,
@@ -76,14 +77,6 @@ _LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].copy())
 # E_c: the Pauli error that turns psi into candidate c, in BLOCK_CODES order.  It is also
 # the residual error Bob's corrected qubit carries when the shared pair is BellLabel c.
 _PAULI_ERRORS = (I2, Z, X, _readonly(X @ Z))
-
-
-def _is_real(value) -> bool:
-    """True for a real number, False for a complex one or a non-number.  A float
-    or an int is answered before the ``numbers.Real`` ABC check, which costs far
-    more on a cold cache, and every discrimination builds a pair."""
-    return isinstance(value, (float, int)) or (
-        not isinstance(value, complex) and isinstance(value, numbers.Real))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ seed) produce byte-identical JSON: floats are quantized to 15 significant
 digits when the document is built, so serialization round-trips exactly.
 The JSON text is emitted in one walk of the document, byte-identical to
 ``json.dumps(doc, indent=2, sort_keys=True)``, and ``--output`` writes the
-text's UTF-8 bytes, the bytes the same command prints.
+text's UTF-8 bytes, the bytes the same command prints, through a short
+temporary file beside the target (:func:`_write_replacing`), so any file
+name the filesystem accepts can be written.
 
 Every experiment that runs the CTC stage makes one stacked call of
 :func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
 and ``smolin --improper-mixture`` have one); the fixed points come from the
 circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no iteration
 budget.  Every experiment that teleports makes one stacked
-:func:`dctcsim.protocols.teleport_and_correct` call over its inputs too.
+:func:`dctcsim.protocols.teleport_and_correct` call over its inputs too; a
+seeded run draws all of Alice's outcomes there from one block of uniform
+doubles, the outcomes ``Generator.choice`` would draw input by input.
 ``smolin --improper-mixture`` is that pair of calls on one input, the
 Smolin AB marginal's four Bell branches as the columns of one factor: the
 Deutsch reading on the actual state.  ``measures`` and ``smolin`` read the
@@ -29,12 +33,12 @@ fixed point fails its residual check, 4 invariant violation during the run.
 """
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
 import math
 import os
+import stat
 import sys
 import threading
 from json.encoder import encode_basestring_ascii as _json_string
@@ -369,28 +373,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write ``text``, UTF-8 encoded, to a new sibling file (mode as
-    ``open(path, "w")`` gives), unlink ``path`` and rename the file to it, or
-    on failure remove the file.  Unlinking first spares the flush ext4 forces
-    on a rename over a file; a reader may briefly find no file at ``path``,
-    but never a half-written one.  The sibling is named by process and
-    thread, so no other live writer owns it, and a file already there, left
-    by a killed run, is removed first; it is then created exclusively, so a
-    symlink planted at that predictable name is refused, never followed.
-    An existing ``path`` that is no regular file (a FIFO, a device) is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    """Write ``text``, UTF-8 encoded, to a new file in ``path``'s directory
+    (mode as ``open(path, "w")`` gives), unlink ``path`` and rename the file
+    to it, or on failure remove the file.  Unlinking first spares the flush
+    ext4 forces on a rename over a file; a reader may briefly find no file at
+    ``path``, but never a half-written one.  The new file's name,
+    ``.dctc-sim.<pid>.<thread id>.tmp``, is the process's and thread's, so no
+    other live writer owns it, and it is short whatever ``path``'s name is,
+    so any name the filesystem takes can be written.  It is created
+    exclusively, so a symlink planted at that predictable name is refused,
+    never followed; a file already there, left by a killed run, is removed
+    and the create tried once more.  ``path`` is looked up once: one that
+    exists but is no regular file (a FIFO, a device) is written in place,
+    and only a regular file found there is unlinked."""
+    data = text.encode("utf-8")
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:             # as os.path.exists: no file to replace
+        regular = None
+    if regular is False:
         with open(path, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+            handle.write(data)
         return
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    with contextlib.suppress(FileNotFoundError):
+    tmp = os.path.join(os.path.dirname(path),
+                       f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        handle = open(tmp, "xb")
+    except FileExistsError:
         os.unlink(tmp)
-    handle = open(tmp, "xb")
+        handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(text.encode("utf-8"))
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
+            handle.write(data)
+        if regular:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:   # another writer's unlink came first
+                pass
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -42,7 +42,6 @@ call, an ``eigvalsh``, serves both the density checks and the residuals:
 Phi(sigma) - sigma is Hermitian, so its trace norm is sum |eigenvalues|.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,7 @@ from .qmath import (
     UnitaryOperator,
     _complex_array,
     _density_errors,
+    _is_real,
     _readonly,
     _require,
     kron,
@@ -70,7 +70,7 @@ class SolverConfig:
     tolerance: float = 1e-12          # trace-norm residual ||Phi(s) - s||_1
 
     def __post_init__(self):
-        if (isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real)
+        if (isinstance(self.tolerance, bool) or not _is_real(self.tolerance)
                 or not 0 < self.tolerance < np.inf):
             raise InvariantViolationError("tolerance must be a finite positive real number")
 

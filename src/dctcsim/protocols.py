@@ -150,9 +150,12 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     Input i's rho_AB = sum_j f_j f_j^dag for the rows f_j of the k x 4 factor
     ``pairs[i]`` (``pairs`` is n x k x 4, n >= 1), Alice's qubit first.  Its outcome,
     unless ``alice_outcome`` (a :class:`BellLabel`) pins every outcome, is
-    drawn with probability p_k = sum_j |b_jk|^2, input by input from one
-    generator made from ``seed``.  Returns ``(outcomes, kets)``: the n
-    outcomes as a tuple of :class:`BellLabel`, and the n x 2 x k ``kets``,
+    drawn with probability p_k = sum_j |b_jk|^2.  The n draws are one block
+    of ``Generator.random`` doubles from the generator made from ``seed``,
+    input i's read through the inverse CDF of its p_k: each outcome is the
+    one ``Generator.choice`` picks input by input from that generator.
+    Returns ``(outcomes, kets)``: the n outcomes as a tuple of
+    :class:`BellLabel`, and the n x 2 x k ``kets``,
     input i's Bob's corrected b_jk / sqrt(p_k) as the columns of ``kets[i]``,
     so his state is ``kets[i] @ kets[i].conj().T``; ``kets`` is the input of
     :func:`ctc_readouts`.  Each ``pairs[i]`` must be finite, with trace
@@ -171,8 +174,11 @@ def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=No
     branches, probabilities = _alice_branches(pairs, amps)
     p = np.add.reduce(probabilities, axis=1)
     if alice_outcome is None:
-        rng = _generator(seed)
-        ks = [rng.choice(4, p=row / np.add.reduce(row)) for row in p]
+        # Generator.choice(4, p=row / sum(row)) for each row, from one block of
+        # draws: the count of CDF entries at or below the row's uniform draw.
+        cdf = np.add.accumulate(p / np.add.reduce(p, axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        ks = np.add.reduce(cdf <= _generator(seed).random(len(p))[:, None], axis=1).tolist()
     else:
         ks = [_OUTCOMES.index(_require(alice_outcome, BellLabel, "Alice outcome"))] * len(p)
     kets = np.empty((len(p), 2, pairs.shape[1]), dtype=complex)

@@ -11,6 +11,7 @@ read-only and every function is pure.
 """
 
 import math
+import numbers
 import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -53,6 +54,15 @@ def _require(value, kind, what: str):
     if not isinstance(value, kind):
         raise InvariantViolationError(f"invalid {what} {reprlib.repr(value)}")
     return value
+
+
+def _is_real(value) -> bool:
+    """True for a real number, False for a complex one or a non-number.  A float
+    or an int is answered before the ``numbers.Real`` ABC check, which costs far
+    more on a cold cache; every discrimination builds an ``AmplitudePair`` and
+    every CLI run a ``SolverConfig``."""
+    return isinstance(value, (float, int)) or (
+        not isinstance(value, complex) and isinstance(value, numbers.Real))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

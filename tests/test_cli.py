@@ -429,6 +429,18 @@ class TestOutputFile:
         doc = json.loads(target.read_text())
         assert doc["experiment"] == "measures"
 
+    def test_long_file_name_is_written_and_replaced(self, tmp_path, capsys):
+        # The temporary file's name does not grow with the target's, so a name
+        # near NAME_MAX (255) is written new and then replaced.
+        target = tmp_path / ("d" * 245 + ".json")        # 250 characters
+        _, expected, _ = run_cli(capsys, "measures", "--output-format", "json")
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "measures", "--output-format", "json",
+                                     "--output", str(target))
+            assert (code, out, err) == (0, "", "")
+            assert target.read_text() == expected
+            assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
     def test_replaces_longer_file_with_new_document_only(self, tmp_path, capsys):
         target, fresh = tmp_path / "doc.json", tmp_path / "fresh.json"
         target.write_text("x" * 100_000)
@@ -449,7 +461,7 @@ class TestOutputFile:
         # A run killed after opening its temporary file leaves it behind, and a
         # later run with the same PID must not trip over it.
         target = tmp_path / "doc.json"
-        (tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp").write_text("x" * 1000)
+        (tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp").write_text("x" * 1000)
         code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
                                "--output", str(target))
         assert (code, out) == (0, "")
@@ -483,7 +495,7 @@ class TestOutputFile:
         # stale file: the file it points at keeps its bytes.
         target, victim = tmp_path / "doc.json", tmp_path / "victim"
         victim.write_text("victim")
-        (tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp").symlink_to(victim)
+        (tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp").symlink_to(victim)
         code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
                                "--output", str(target))
         assert (code, out) == (0, "")
@@ -499,7 +511,7 @@ class TestOutputFile:
         # open: exclusive creation refuses it, where O_TRUNC would write through.
         target, victim = tmp_path / "doc.json", tmp_path / "victim"
         victim.write_text("victim")
-        tmp = tmp_path / f"doc.json.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp = tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp"
         tmp.symlink_to(victim)
         unlink = os.unlink
 

@@ -206,6 +206,34 @@ class TestAliceMeasurement:
                 expected = ALICE_OUTCOME_BITS[BellLabel.from_string(outcomes[drawn])]
                 assert discriminate_bell(bell, amps, seed=seed).alice_outcome == expected
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7071])
+    def test_stacked_draws_equal_row_by_row_choice(self, alpha):
+        # One call draws each input's outcome as Generator.choice does, row by
+        # row from one generator, and takes one double per input from it.
+        amps, rng = AmplitudePair.from_alpha(alpha), np.random.default_rng(197)
+        a, b = amps.alpha, amps.beta
+        # Rows with Alice's half (b, -a) give phi+ probability 0, and (b, a) phi-.
+        zero = np.array([[[b, 0, -a, 0], [0, b, 0, -a]], [[b, 0, a, 0], [0, b, 0, a]]]) / np.sqrt(2)
+        zero_p = np.add.reduce(protocols._alice_branches(zero, amps)[1], axis=1)
+        assert zero_p[0, 0] <= 1e-30 and zero_p[1, 1] <= 1e-30
+        # The four-Bell stack of table1 and smolin, the Smolin AB marginal,
+        # random stacks of 1 to 5, and five inputs of which two have a zero.
+        stacks = [protocols._BELL_KETS, protocols._SMOLIN_AB_FACTOR, zero]
+        for n, k in [(1, 1), (2, 4), (3, 2), (4, 3), (5, 4), (3, 2)]:
+            factors = rng.normal(size=(n, k, 4)) + 1j * rng.normal(size=(n, k, 4))
+            stacks.append(factors / np.linalg.norm(factors, axis=(1, 2))[:, None, None])
+        stacks[-1] = np.concatenate([stacks[-1], zero])
+        for pairs in stacks:
+            p = np.add.reduce(protocols._alice_branches(pairs, amps)[1], axis=1)
+            for seed in range(50):
+                reference = np.random.default_rng(seed)
+                drawn = tuple(list(BellLabel)[reference.choice(4, p=row / row.sum())]
+                              for row in p)
+                generator = np.random.default_rng(seed)
+                assert teleport_and_correct(pairs, amps, seed)[0] == drawn
+                assert teleport_and_correct(pairs, amps, generator)[0] == drawn
+                assert generator.random() == reference.random()
+
 
 class TestDecompositionIdentities:
     def test_all_four_identities(self):
