@@ -3,12 +3,15 @@
 Each subcommand runs one named experiment and emits a result document as a
 human-readable table, JSON, or CSV.  Identical parameters (including the
 seed) produce byte-identical JSON: floats are quantized to 15 significant
-digits when the document is built, so serialization round-trips exactly.
-The JSON text is emitted in one walk of the document, byte-identical to
-``json.dumps(doc, indent=2, sort_keys=True)``, and ``--output`` writes the
-text's UTF-8 bytes, the bytes the same command prints, through a short
-temporary file beside the target (:func:`_write_replacing`), so any file
-name the filesystem accepts can be written.
+digits, so serialization round-trips exactly.  A JSON run quantizes each
+float as it writes it, in one walk of the document as the experiment
+assembled it (:func:`_json_text`), byte-identical to ``json.dumps(doc,
+indent=2, sort_keys=True)`` of the quantized document; CSV and table read
+the cells of one quantized copy (:func:`_clean`).  ``--output`` writes the
+text's UTF-8 bytes, the bytes the same command prints, with bare
+``os.write`` calls to a short temporary file beside the target
+(:func:`_write_replacing`), so any file name the filesystem accepts can be
+written.
 
 Every experiment that runs the CTC stage makes one stacked call of
 :func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
@@ -34,6 +37,7 @@ fixed point fails its residual check, 4 invariant violation during the run.
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import math
@@ -70,17 +74,24 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INVARIANT = 4
 
 
+def _quantized(value) -> float:
+    """``value`` rounded to 15 significant digits; refused if it is not finite
+    once rounded (the largest floats round up to inf)."""
+    quantized = float(f"{float(value):.15g}")
+    if not math.isfinite(quantized):
+        raise InvariantViolationError(f"non-finite value {value!r} in result document")
+    return quantized
+
+
 def _clean(value):
-    """Quantize floats and reject any that is not finite once quantized."""
+    """``value`` with floats quantized (:func:`_quantized`), numpy integers
+    as ints, tuples as lists, and keys and any other value as strings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        quantized = float(f"{float(value):.15g}")   # the largest floats round up to inf
-        if not math.isfinite(quantized):
-            raise InvariantViolationError(f"non-finite value {value!r} in result document")
-        return quantized
+        return _quantized(value)
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -88,13 +99,17 @@ def _clean(value):
     return str(value)
 
 
+def _document(experiment: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
+    """The result document as the experiment assembled it, which a JSON run
+    emits as it is (:func:`_json_text` quantizes as it writes)."""
+    return {"experiment": experiment, "parameters": parameters, "rows": rows,
+            "diagnostics": diagnostics}
+
+
 def make_document(experiment: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
-    return {
-        "experiment": experiment,
-        "parameters": _clean(parameters),
-        "rows": _clean(rows),
-        "diagnostics": _clean(diagnostics),
-    }
+    """:func:`_document` with every value cleaned by :func:`_clean`, as a CSV
+    or table run emits it; its JSON text is the JSON run's."""
+    return _clean(_document(experiment, parameters, rows, diagnostics))
 
 
 def _cell(value) -> str:
@@ -106,13 +121,17 @@ def _cell(value) -> str:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
-    nested at ``indent`` (a newline, then two spaces a level), in one walk.
+    """``value``'s cleaned copy (:func:`_clean`) as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes it, nested at ``indent`` (a newline,
+    then two spaces a level), in one walk: each float is quantized as it is
+    written (:func:`_quantized`), so a document and its cleaned copy give the
+    same text, and no copy is built.
 
-    It takes only what :func:`_clean` builds: dicts (keys in sorted order),
-    lists, strings, booleans and finite ints and floats; any other value
-    raises ``InvariantViolationError``, and a key that is not a string a
-    ``TypeError``."""
+    It takes dicts (keys in sorted order), lists, strings, booleans, ints and
+    finite floats, numpy float64 among them.  A float that rounds past the
+    largest is refused as :func:`_clean` refuses it; any other value, nan and
+    the infinities included, raises ``InvariantViolationError`` ("cannot
+    emit ..."), and a key that is not a string a ``TypeError``."""
     if isinstance(value, str):
         return _json_string(value)
     if value is True:           # before int: bool is an int
@@ -122,7 +141,7 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
+        return float.__repr__(_quantized(value))
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -139,6 +158,9 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def serialize(doc: dict, output_format: str) -> str:
+    """``doc`` as ``output_format`` text.  JSON takes a document as assembled
+    or as :func:`make_document` cleans it, with the same text for both; CSV
+    and table read the cells of a cleaned document."""
     rows = doc["rows"]
     if output_format == "json":
         try:
@@ -372,6 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write ``data`` to the descriptor ``fd`` in as many ``os.write`` calls
+    as it takes, then close ``fd``."""
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])     # data[0:] is data: no copy
+    finally:
+        os.close(fd)
+
+
 def _write_replacing(path: str, text: str) -> None:
     """Write ``text``, UTF-8 encoded, to a new file in ``path``'s directory
     (mode as ``open(path, "w")`` gives), unlink ``path`` and rename the file
@@ -385,26 +418,32 @@ def _write_replacing(path: str, text: str) -> None:
     never followed; a file already there, left by a killed run, is removed
     and the create tried once more.  ``path`` is looked up once: one that
     exists but is no regular file (a FIFO, a device) is written in place,
-    and only a regular file found there is unlinked."""
+    and only a regular file found there is unlinked.  A ``path`` that no
+    file can have (a NUL byte, a lone surrogate) raises ``OSError``
+    (``EINVAL``).
+
+    Each file is written through its bare descriptor (:func:`_write_all`),
+    with no buffered file object."""
     data = text.encode("utf-8")
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:             # as os.path.exists: no file to replace
         regular = None
+    except ValueError as exc:   # a NUL byte, or a character the filesystem encoding lacks
+        raise OSError(errno.EINVAL, str(exc), path) from None
     if regular is False:
-        with open(path, "wb") as handle:
-            handle.write(data)
+        _write_all(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), data)
         return
     tmp = os.path.join(os.path.dirname(path),
                        f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp")
+    create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        handle = open(tmp, "xb")
+        fd = os.open(tmp, create, 0o666)
     except FileExistsError:
         os.unlink(tmp)
-        handle = open(tmp, "xb")
+        fd = os.open(tmp, create, 0o666)
     try:
-        with handle:
-            handle.write(data)
+        _write_all(fd, data)
         if regular:
             try:
                 os.unlink(path)
@@ -432,8 +471,9 @@ def main(argv=None) -> int:
 
     try:
         rows, diagnostics, violations = _RUNNERS[args.experiment](args, amps, config)
-        document = make_document(args.experiment, _base_parameters(args, amps),
-                                 rows, diagnostics)
+        # JSON quantizes as it writes; CSV and table read cleaned cells.
+        assemble = _document if args.output_format == "json" else make_document
+        document = assemble(args.experiment, _base_parameters(args, amps), rows, diagnostics)
         text = serialize(document, args.output_format)
     except FixedPointConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)

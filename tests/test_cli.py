@@ -158,6 +158,8 @@ class TestJsonEmitter:
 
     @staticmethod
     def _check_run(capsys, monkeypatch, argv):
+        # A JSON run hands serialize the document as assembled, floats
+        # unquantized: its text is json.dumps's text of the cleaned copy.
         documents = []
 
         def recording(doc, output_format):
@@ -167,7 +169,9 @@ class TestJsonEmitter:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         [doc] = documents
-        assert out == serialize(doc, "json") == dumps(doc)
+        cleaned = make_document(doc["experiment"], doc["parameters"], doc["rows"],
+                                doc["diagnostics"])
+        assert out == serialize(doc, "json") == serialize(cleaned, "json") == dumps(cleaned)
 
     @pytest.mark.parametrize("doc", [
         make_document("demo", {}, [], {}),
@@ -182,6 +186,40 @@ class TestJsonEmitter:
     ], ids=["empty", "nested", "text", "numbers"])
     def test_hand_built_documents_match_json_dumps(self, doc):
         assert serialize(doc, "json") == dumps(doc)
+
+    def test_floats_are_quantized_as_they_are_written(self):
+        parts = ("demo", {"alpha": 0.1234567890123456789, "beta": np.float64(2 / 3)},
+                 [{"x": 1 / 3, "tiny": 5e-324, "whole": 1e15 + 0.3, "n": [-0.0, 7]}],
+                 {"big": 1.7976931348623e308})
+        doc = dict(zip(("experiment", "parameters", "rows", "diagnostics"), parts))
+        text = serialize(doc, "json")
+        assert text == serialize(make_document(*parts), "json") == dumps(make_document(*parts))
+        assert json.loads(text)["rows"][0]["x"] == 0.333333333333333
+
+    def test_each_float_is_written_as_its_quantization(self):
+        # Floats of every magnitude and of 1 to 17 significant digits, next to
+        # powers of ten and subnormal: short and long reprs alike.
+        rng = np.random.default_rng(2015)
+        raw = rng.integers(0, 2 ** 63, 4000, dtype=np.uint64).view(np.float64)
+        digits = [float(f"{m:.{k}f}e{e}") for m, k, e in zip(
+            rng.uniform(1, 10, 4000).tolist(), rng.integers(0, 17, 4000).tolist(),
+            rng.integers(-330, 309, 4000).tolist())]
+        tens = [10.0 ** e for e in range(-300, 300)]
+        edges = [*np.nextafter(tens, 0).tolist(), *np.nextafter(tens, np.inf).tolist(),
+                 5e-324, 2.2250738585072014e-308, 1.7976931348623e308]
+        values = [x for x in (*raw.tolist(), *digits, *tens, *edges)
+                  if abs(x) < 1.797693134862315e308]   # finite, and not rounded up to inf
+        values += [-x for x in values]
+        assert len(values) > 17_000
+        for value in values:
+            assert cli._json_text(value) == repr(cli._clean(value)), value
+
+    def test_float_rounding_past_the_largest_is_refused_as_clean_refuses_it(self):
+        doc = {"experiment": "demo", "parameters": {}, "diagnostics": {},
+               "rows": [{"max": 1.7976931348623157e308}]}
+        with pytest.raises(InvariantViolationError,
+                           match=r"^non-finite value 1\.7976931348623157e\+308 in result"):
+            serialize(doc, "json")
 
     @pytest.mark.parametrize("value", [
         None, (1, 2), {1, 2}, b"x", 1j, np.int64(1), np.array([1.0]),
@@ -252,6 +290,34 @@ class TestLinearAlgebraCalls:
             monkeypatch.setattr(np.linalg, name, counted)
         assert run_cli(capsys, *argv)[0] == 0
         assert calls == expected
+
+
+class TestCleanCalls:
+    """A JSON run quantizes each float as it writes it and cleans no copy of
+    its document; a CSV or table run reads the cells of one cleaned copy."""
+
+    @pytest.mark.parametrize("argv", [["table1"], ["fixed-point"], ["discriminate"], ["smolin"],
+                                      ["smolin", "--improper-mixture"], ["measures"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_documents_cleaned_per_run(self, argv, output_format, capsys, monkeypatch):
+        cleaned, depth = [], []
+
+        def counted(value, _fn=cli._clean):
+            if not depth:               # the outermost call of a recursive clean
+                cleaned.append(value)
+            depth.append(value)
+            try:
+                return _fn(value)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(cli, "_clean", counted)
+        assert run_cli(capsys, *argv, "--output-format", output_format)[0] == 0
+        if output_format == "json":
+            assert cleaned == []
+        else:
+            [document] = cleaned
+            assert list(document) == ["experiment", "parameters", "rows", "diagnostics"]
 
 
 class TestTeleportationCalls:
@@ -526,6 +592,51 @@ class TestOutputFile:
         assert err.startswith("cannot write output: [Errno 17] File exists")
         assert victim.read_text() == "victim"
         assert not target.exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("a\x00b", "embedded null byte"),
+        ("a\ud800b", "'utf-8' codec can't encode character '\\ud800'"),
+    ], ids=["nul", "lone-surrogate"])
+    def test_path_no_file_can_have_is_usage_error(self, name, message, tmp_path, capsys,
+                                                  monkeypatch):
+        # Only a Python caller can pass such a path: an OS argv holds no NUL,
+        # and Python decodes an undecodable argv byte to a surrogate it can encode.
+        monkeypatch.chdir(tmp_path)
+        for path in (name, str(tmp_path / name)):
+            code, out, err = run_cli(capsys, "measures", "--output", path)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"cannot write output: [Errno 22] {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_writes_are_continued(self, tmp_path, capsys, monkeypatch):
+        # os.write may take fewer bytes than it is given: the rest follows.
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, data[:1000])
+        monkeypatch.setattr(cli.os, "write", short_write)
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        target = tmp_path / "doc.json"
+        for _ in range(2):          # written new, then replaced
+            assert run_cli(capsys, "table1", "--output-format", "json",
+                           "--output", str(target)) == (0, "", "")
+            assert target.read_text() == expected
+        assert len(sizes) == 2 * -(-len(expected) // 1000) > 2
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "doc.json"
+        target.write_text("old")
+
+        def full(fd, data):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.os, "write", full)
+        code, out, err = run_cli(capsys, "measures", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write output: [Errno 28] No space left on device")
+        assert target.read_text() == "old"
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
