@@ -29,7 +29,8 @@ and the Bell pairs), which are taken once per process, on first use.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
-built on the first call and reused, and parsing never changes it.
+built on the first call and reused, and parsing never changes it.  A run
+names its experiment first and is parsed once, by that experiment's parser.
 
 Exit codes: 0 success, 2 usage error (an empty ``--output`` is one), 3 the
 fixed point fails its residual check, 4 invariant violation during the run.
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` and ``error`` leave a parser unchanged, so every call of
     :func:`main` can reuse it; no caller may add arguments, set defaults or
-    otherwise change the returned object.
+    otherwise change the returned object.  Its ``subcommands`` is what
+    ``add_subparsers`` returned; ``choices`` maps each experiment to its parser.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=0.6,
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dctc-sim",
         description="Simulate closed-timelike-curve circuits: fixed points, "
                     "Bell-state discrimination, and Smolin-state experiments.")
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.subcommands = parser.add_subparsers(dest="experiment", required=True)
     sub.add_parser("fixed-point", parents=[common],
                    help="fixed-point diagnostics for the four candidate inputs")
     p_disc = sub.add_parser("discriminate", parents=[common],
@@ -455,9 +457,22 @@ def _write_replacing(path: str, text: str) -> None:
         raise
 
 
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, in one pass when ``argv`` names an
+    experiment first: that experiment's own parser reads the rest."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in parser.subcommands.choices:
+        return parser.parse_args(argv)
+    args, extras = parser.subcommands.choices[argv[0]].parse_known_args(argv[1:])
+    if extras:      # the error parse_args reports, in the same words
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.experiment = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.output == "":

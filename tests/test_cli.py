@@ -1,8 +1,10 @@
 """Experiment runner: documents, serialization, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -701,6 +703,124 @@ class TestParserReuse:
         assert run_alone(capsys, to_stdout + ["--output", str(target)]) == (0, "", "")
         assert run_any(capsys, to_stdout) == expected
         assert target.read_text() == expected[1]
+
+    def test_run_with_every_option_leaves_every_default(self, tmp_path, capsys):
+        parser = build_parser()
+        experiments = parser.subcommands.choices
+
+        def defaults():
+            return {name: vars(experiment.parse_args([]))
+                    for name, experiment in experiments.items()}
+        before = defaults()
+        every = ["--alpha", "0.3", "--tolerance", "1e-10", "--max-iterations", "7",
+                 "--seed", "4", "--output-format", "csv", "--allow-degenerate"]
+        extra = {"discriminate": ["--bell", "psi-"], "smolin": ["--improper-mixture"]}
+        for name in experiments:
+            target = tmp_path / f"{name}.csv"
+            argv = [name, *every, *extra.get(name, []), "--output", str(target)]
+            assert run_cli(capsys, *argv)[0] == 0 and target.read_text()
+        assert build_parser() is parser and defaults() == before
+        assert before["table1"] == {
+            "alpha": 0.6, "tolerance": 1e-12, "max_iterations": None, "seed": 0,
+            "output_format": "table", "output": None, "allow_degenerate": False}
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace as a dict, or None on exit; exit code; stdout; stderr)."""
+    try:
+        args, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return args, code, captured.out, captured.err
+
+
+class TestOnePassParse:
+    """A run that names its experiment first is parsed by that experiment's
+    parser alone, to the namespace and the errors of the nested parse."""
+
+    ARGVS = [
+        [], ["fixed-point"], ["discriminate"], ["table1"], ["smolin"], ["measures"],
+        ["fixed-point", "--alpha", "0.7071067811865475", "--allow-degenerate"],
+        ["discriminate", "--bell=psi-", "--seed=7", "--alpha=0.45", "--output=doc.json"],
+        ["table1", "--alph", "0.3", "--tol", "1e-10", "--output-f", "csv", "--allow"],
+        ["smolin", "--improper", "--seed", "2", "--max-iterations", "20000"],
+        ["measures", "--alpha", "0.3", "--alpha", "0.4", "--seed", "1", "--seed", "5"],
+        ["table1", "--output-format", "json", "--output-format", "table", "--output", ""],
+        ["discriminate", "--"], ["table1", "--alpha", "0.3", "--"], ["smolin", "--", "x"],
+        ["table1", "--", "--alpha", "0.3"], ["table1", "--circuit", "literal"],
+        ["table1", "x", "--seed", "1", "y"], ["table1", "--alpha", "abc"], ["table1", "--seed"],
+        ["discriminate", "--bell", "xx"], ["measures", "--improper-mixture"], ["table1", "--h"],
+        ["smolin", "-h"], ["fixed-point", "--help"], ["-h"], ["--", "table1"],
+        ["--alpha", "0.3", "table1"], ["no-such-experiment"], ["TABLE1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_same_outcome_as_parse_args(self, argv, capsys):
+        parser = build_parser()
+        one_pass = parse_outcome(lambda a: cli._parse(parser, a), argv, capsys)
+        assert one_pass == parse_outcome(parser.parse_args, argv, capsys)
+        if argv in self.ARGVS[1:6]:
+            assert one_pass[0]["experiment"] == argv[0]
+
+    @pytest.mark.parametrize("argv", [["fixed-point"], ["discriminate", "--bell", "phi-"],
+                                      ["table1", "--alpha=0.3"], ["smolin", "--improper"],
+                                      ["measures", "--seed", "2"]], ids=" ".join)
+    def test_valid_run_parses_once(self, argv, capsys, monkeypatch):
+        calls = []
+
+        def counted(self, *args, _fn=argparse.ArgumentParser.parse_known_args, **kwargs):
+            calls.append(self.prog)
+            return _fn(self, *args, **kwargs)
+        run_cli(capsys, *argv)                  # builds the parser
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [f"dctc-sim {argv[0]}"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["table1", "--circuit", "literal"],
+         "dctc-sim: error: unrecognized arguments: --circuit literal"),
+        (["no-such-experiment"],
+         "dctc-sim: error: argument experiment: invalid choice: 'no-such-experiment' "
+         "(choose from 'fixed-point', 'discriminate', 'table1', 'smolin', 'measures')"),
+        ([], "dctc-sim: error: the following arguments are required: experiment"),
+        (["--alpha", "0.3", "table1"],
+         "dctc-sim: error: argument experiment: invalid choice: '0.3' "
+         "(choose from 'fixed-point', 'discriminate', 'table1', 'smolin', 'measures')"),
+    ], ids=["unrecognized", "unknown-experiment", "no-argv", "option-first"])
+    def test_usage_error_message(self, argv, line, capsys):
+        code, out, err = run_any(capsys, argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", line)
+
+
+class TestEntryPaths:
+    """``main(None)`` reads ``sys.argv[1:]``, as the installed and module
+    entry points call it; any iterable of strings is an argv."""
+
+    def test_none_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["measures", "--output-format", "json"]
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["dctc-sim", *argv])
+        assert main(None) == 0
+        captured = capsys.readouterr()
+        assert (0, captured.out, captured.err) == expected
+
+    @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: dctc-sim [-h]"),
+                                             (["table1", "--help"], "usage: dctc-sim table1")])
+    def test_none_reads_help_from_sys_argv(self, argv, usage, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["dctc-sim", *argv])
+        with pytest.raises(SystemExit) as info:
+            main(None)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+    def test_tuple_and_generator_argv(self, capsys):
+        argv = ("discriminate", "--bell", "psi+", "--output-format", "json")
+        expected = run_cli(capsys, *argv)
+        for given in (argv, (token for token in argv)):
+            assert main(given) == 0
+            captured = capsys.readouterr()
+            assert (0, captured.out, captured.err) == expected
 
 
 def recording(fn, results):
