@@ -76,8 +76,12 @@ def _pt_spectra(states, layout: RegisterLayout, cuts) -> np.ndarray:
 
 
 def _log_negativities(spectra: np.ndarray) -> np.ndarray:
-    """E_N = log2 sum |eigenvalues|: the trace norm of a Hermitian matrix."""
-    return np.log2(np.abs(spectra).sum(axis=-1))
+    """E_N = log2 ||rho^T_A||_1 = log1p(2N) / ln 2, N the sum of |negative
+    eigenvalues|: a partial transpose has trace 1, so its trace norm, the
+    sum of |eigenvalues|, is 1 + 2N.  Read from N alone, E_N is never below
+    0, and it is exactly 0 for a spectrum with no negative eigenvalue, where
+    log2 of the sum could read rounding dust below 1 as a negative E_N."""
+    return np.log1p(2.0 * np.abs(np.minimum(spectra, 0.0)).sum(axis=-1)) / np.log(2.0)
 
 
 def partial_transpose(rho: DensityOperator, layout: RegisterLayout,

@@ -26,7 +26,7 @@ from dctcsim import (
     trace_norm,
 )
 from dctcsim.cli import run_measures
-from dctcsim.entanglement import _bell_spectra, _pt_spectra, _smolin_spectra
+from dctcsim.entanglement import _bell_spectra, _log_negativities, _pt_spectra, _smolin_spectra
 from dctcsim.qmath import PHI_PLUS
 
 from oracles import pt_brute, ptrace_brute, qubit_swap, random_density, smolin_pauli_form
@@ -123,7 +123,28 @@ class TestLogNegativity:
         rng = np.random.default_rng(127)
         for _ in range(100):
             rho = DensityOperator(random_density(4, rng))
-            assert log_negativity(rho, TWO_QUBITS, CUT_AB) >= -1e-10
+            assert log_negativity(rho, TWO_QUBITS, CUT_AB) >= 0.0
+
+    @pytest.mark.parametrize("dim, layout, cuts", [
+        (4, TWO_QUBITS, (CUT_AB,)),
+        (16, smolin_layout(), (*smolin_cuts().values(), BipartiteCut(("A",), ("B", "C", "D")))),
+    ], ids=["two-qubit", "four-qubit"])
+    def test_is_log2_of_the_trace_norm_of_the_same_spectrum(self, dim, layout, cuts):
+        # E_N is read from the negative eigenvalues alone: log1p(2N) / ln 2.
+        rng = np.random.default_rng(139)
+        states = [DensityOperator(random_density(dim, rng)) for _ in range(100)]
+        kets = rng.normal(size=(20, dim)) + 1j * rng.normal(size=(20, dim))
+        states += [DensityOperator.from_state_vector(v / np.linalg.norm(v)) for v in kets]
+        spectra = _pt_spectra(states, layout, cuts)
+        got = _log_negativities(spectra)
+        assert (got >= 0.0).all()
+        np.testing.assert_allclose(got, np.log2(np.abs(spectra).sum(axis=-1)), rtol=0, atol=1e-15)
+
+    def test_constant_states_read_zero_and_one(self):
+        # log2 of the summed |eigenvalues| read -6.4e-16 for the Smolin cuts.
+        smolin = _log_negativities(_smolin_spectra())
+        assert smolin.tolist() == [0.0, 0.0, 0.0] and not np.signbit(smolin).any()
+        np.testing.assert_allclose(_log_negativities(_bell_spectra()), 1.0, rtol=0, atol=1e-15)
 
     def test_zero_iff_ppt(self):
         rng = np.random.default_rng(131)
@@ -163,7 +184,6 @@ class TestDistillableUpperBound:
             assert rows[("smolin", cut)]["distillable_upper_bound"] == 0.0
 
     def test_never_negative(self):
-        # The Smolin cuts' E_N may be float noise on either side of 0.
         for row in measures_rows().values():
             assert row["distillable_upper_bound"] >= 0.0
 
