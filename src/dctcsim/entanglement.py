@@ -80,7 +80,8 @@ def _log_negativities(spectra: np.ndarray) -> np.ndarray:
     eigenvalues|: a partial transpose has trace 1, so its trace norm, the
     sum of |eigenvalues|, is 1 + 2N.  Read from N alone, E_N is never below
     0, and it is exactly 0 for a spectrum with no negative eigenvalue, where
-    log2 of the sum could read rounding dust below 1 as a negative E_N."""
+    log2 of the sum could read rounding dust below 1 as a negative E_N.
+    N sums |min(eigenvalue, 0)|: its negation would make that 0 a -0.0."""
     return np.log1p(2.0 * np.abs(np.minimum(spectra, 0.0)).sum(axis=-1)) / np.log(2.0)
 
 

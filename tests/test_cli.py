@@ -720,9 +720,6 @@ class TestParserReuse:
             argv = [name, *every, *extra.get(name, []), "--output", str(target)]
             assert run_cli(capsys, *argv)[0] == 0 and target.read_text()
         assert build_parser() is parser and defaults() == before
-        assert before["table1"] == {
-            "alpha": 0.6, "tolerance": 1e-12, "max_iterations": None, "seed": 0,
-            "output_format": "table", "output": None, "allow_degenerate": False}
 
 
 def parse_outcome(parse, argv, capsys):
@@ -760,8 +757,6 @@ class TestOnePassParse:
         parser = build_parser()
         one_pass = parse_outcome(lambda a: cli._parse(parser, a), argv, capsys)
         assert one_pass == parse_outcome(parser.parse_args, argv, capsys)
-        if argv in self.ARGVS[1:6]:
-            assert one_pass[0]["experiment"] == argv[0]
 
     @pytest.mark.parametrize("argv", [["fixed-point"], ["discriminate", "--bell", "phi-"],
                                       ["table1", "--alpha=0.3"], ["smolin", "--improper"],
