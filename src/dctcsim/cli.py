@@ -3,11 +3,11 @@
 Each subcommand runs one named experiment and emits a result document as a
 human-readable table, JSON, or CSV.  Identical parameters (including the
 seed) produce byte-identical JSON: floats are quantized to 15 significant
-digits, so serialization round-trips exactly.  A JSON run quantizes each
-float as it writes it, in one walk of the document as the experiment
-assembled it (:func:`_json_text`), byte-identical to ``json.dumps(doc,
-indent=2, sort_keys=True)`` of the quantized document; CSV and table read
-the cells of one quantized copy (:func:`_clean`).  ``--output`` writes the
+digits, so serialization round-trips exactly.  Every format writes the
+document as the experiment assembled it and quantizes each float as it
+writes it: JSON in one walk (:func:`_json_text`), byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)`` of the quantized document,
+CSV and table cell by cell (:func:`_cell`).  ``--output`` writes the
 text's UTF-8 bytes, the bytes the same command prints, with bare
 ``os.write`` calls to a short temporary file beside the target
 (:func:`_write_replacing`), so any file name the filesystem accepts can be
@@ -84,55 +84,39 @@ def _quantized(value) -> float:
     return quantized
 
 
-def _clean(value):
-    """``value`` with floats quantized (:func:`_quantized`), numpy integers
-    as ints, tuples as lists, and keys and any other value as strings."""
-    if isinstance(value, bool):
+def _scalar(value):
+    """``value`` as CSV and table write it: a string, bool or int as it is, a
+    finite float quantized (:func:`_quantized`).  Any other value raises
+    ``InvariantViolationError`` ("cannot emit ..."), as :func:`_json_text`
+    refuses it."""
+    if isinstance(value, (str, int)):       # bool is an int
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) and math.isfinite(value):
         return _quantized(value)
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return str(value)
-
-
-def _document(experiment: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
-    """The result document as the experiment assembled it, which a JSON run
-    emits as it is (:func:`_json_text` quantizes as it writes)."""
-    return {"experiment": experiment, "parameters": parameters, "rows": rows,
-            "diagnostics": diagnostics}
-
-
-def make_document(experiment: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
-    """:func:`_document` with every value cleaned by :func:`_clean`, as a CSV
-    or table run emits it; its JSON text is the JSON run's."""
-    return _clean(_document(experiment, parameters, rows, diagnostics))
+    raise InvariantViolationError(f"cannot emit {value!r} in a result document")
 
 
 def _cell(value) -> str:
+    """A CSV cell or a table field: ``true`` or ``false``, an int's digits, a
+    float quantized to 15 significant digits, a string as it is
+    (:func:`_scalar`)."""
+    value = _scalar(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
+    return f"{value:.15g}" if isinstance(value, float) else str(value)
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``value``'s cleaned copy (:func:`_clean`) as ``json.dumps(...,
-    indent=2, sort_keys=True)`` writes it, nested at ``indent`` (a newline,
-    then two spaces a level), in one walk: each float is quantized as it is
-    written (:func:`_quantized`), so a document and its cleaned copy give the
-    same text, and no copy is built.
+    """``value`` with its floats quantized (:func:`_quantized`) as
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes it, nested at
+    ``indent`` (a newline, then two spaces a level), in one walk: each float
+    is quantized as it is written, and no copy is built.
 
     It takes dicts (keys in sorted order), lists, strings, booleans, ints and
     finite floats, numpy float64 among them.  A float that rounds past the
-    largest is refused as :func:`_clean` refuses it; any other value, nan and
-    the infinities included, raises ``InvariantViolationError`` ("cannot
-    emit ..."), and a key that is not a string a ``TypeError``."""
+    largest raises ``InvariantViolationError`` ("non-finite value ..."); any
+    other value, nan and the infinities included, raises it as "cannot
+    emit ...", and a key that is not a string raises ``TypeError``."""
     if isinstance(value, str):
         return _json_string(value)
     if value is True:           # before int: bool is an int
@@ -159,37 +143,33 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def serialize(doc: dict, output_format: str) -> str:
-    """``doc`` as ``output_format`` text.  JSON takes a document as assembled
-    or as :func:`make_document` cleans it, with the same text for both; CSV
-    and table read the cells of a cleaned document."""
-    rows = doc["rows"]
+    """``doc``, as the experiment assembled it, as ``output_format`` text.
+    JSON takes what :func:`_json_text` takes.  CSV and table write each
+    parameter, row cell and diagnostic with :func:`_cell`, and a diagnostic
+    that is a flat dict of such values as its ``repr``, floats quantized.
+    CSV writes only the header and rows, but reads the rest as the table
+    does, so the two refuse the same documents."""
     if output_format == "json":
         try:
             return _json_text(doc) + "\n"
         except TypeError as exc:        # a key that is not a string
             raise InvariantViolationError(f"cannot emit a result document key: {exc}") from exc
+    rows = doc["rows"]
+    parameters = "  ".join(f"{k}={_cell(v)}" for k, v in doc["parameters"].items())
+    grid = [list(rows[0])] if rows else []      # the header, then a line of cells a row
+    grid += [[_cell(row[key]) for key in grid[0]] for row in rows]
+    diagnostics = [f"{key} = " + (repr({k: _scalar(v) for k, v in value.items()})
+                                  if isinstance(value, dict) else _cell(value))
+                   for key, value in doc["diagnostics"].items()]
     if output_format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        if rows:
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(row[key]) for key in header])
+        csv.writer(buffer, lineterminator="\n").writerows(grid)
         return buffer.getvalue()
     if output_format == "table":
-        lines = [f"experiment: {doc['experiment']}"]
-        lines.append("  ".join(f"{k}={_cell(v)}" for k, v in doc["parameters"].items()))
-        if rows:
-            header = list(rows[0].keys())
-            cells = [[_cell(row[key]) for key in header] for row in rows]
-            widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
-            lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            for row_cells in cells:
-                lines.append("  ".join(c.ljust(w) for c, w in zip(row_cells, widths)))
-        for key, value in doc["diagnostics"].items():
-            lines.append(f"{key} = {_cell(value) if not isinstance(value, dict) else value}")
-        return "\n".join(lines) + "\n"
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in grid]
+        return "\n".join([f"experiment: {doc['experiment']}", parameters, *lines,
+                          *diagnostics]) + "\n"
     raise InvariantViolationError(f"unknown output format {output_format!r}")
 
 
@@ -335,7 +315,7 @@ def run_measures(args, amps, config):
                 "state": state_name,
                 "cut": cut_name,
                 "log_negativity": en,
-                "distillable_upper_bound": max(0.0, en),
+                "distillable_upper_bound": en,
                 "ppt": lowest >= -PPT_ATOL,
                 "min_pt_eigenvalue": lowest,
             })
@@ -486,9 +466,8 @@ def main(argv=None) -> int:
 
     try:
         rows, diagnostics, violations = _RUNNERS[args.experiment](args, amps, config)
-        # JSON quantizes as it writes; CSV and table read cleaned cells.
-        assemble = _document if args.output_format == "json" else make_document
-        document = assemble(args.experiment, _base_parameters(args, amps), rows, diagnostics)
+        document = {"experiment": args.experiment, "parameters": _base_parameters(args, amps),
+                    "rows": rows, "diagnostics": diagnostics}
         text = serialize(document, args.output_format)
     except FixedPointConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ traces are done by explicit index loops, the channel superoperator is built
 from a Kraus decomposition instead of basis images, fixed points come from a
 spectral projector instead of iteration, the four-block circuit is
 reconstructed from its raw matrix formulas, and the label chain is solved
-in exact rational arithmetic.
+in exact rational arithmetic.  A result document's expected JSON is
+``json.dumps`` of a copy with its floats rounded by string formatting.
 """
 
 from collections import Counter
@@ -360,3 +361,16 @@ def qubit_swap(n_qubits: int, i: int, j: int) -> np.ndarray:
         m = k & ~(1 << si) & ~(1 << sj) | (bj << si) | (bi << sj)
         P[m, k] = 1.0
     return P
+
+
+def rounded(value):
+    """A copy of a result document (or of any value in it) with every float
+    rounded to 15 significant digits, the precision a ``dctc-sim`` document
+    carries: ``json.dumps`` of the copy is the text the CLI writes."""
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    return value

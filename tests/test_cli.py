@@ -19,8 +19,9 @@ from dctcsim import (
     InvariantViolationError,
     candidate_states,
 )
-from dctcsim.cli import build_parser, main, make_document, serialize
+from dctcsim.cli import build_parser, main, serialize
 from dctcsim.entanglement import PPT_ATOL
+from oracles import rounded
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,12 @@ def run_json(capsys, *argv):
 def dumps(doc) -> str:
     """The JSON text ``json.dumps`` writes for ``doc``, as the CLI prints it."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def document(experiment, parameters, rows, diagnostics) -> dict:
+    """A result document as ``main`` assembles it."""
+    return {"experiment": experiment, "parameters": parameters, "rows": rows,
+            "diagnostics": diagnostics}
 
 
 def misidentifying(discriminate):
@@ -120,25 +127,27 @@ class TestDeterminism:
         assert len(bells) > 1
 
     def test_json_round_trip(self):
-        doc = make_document("demo", {"alpha": 0.6}, [{"x": 1 / 3, "ok": True}],
-                            {"note": "n"})
+        doc = document("demo", {"alpha": 0.6}, [{"x": 1 / 3, "ok": True}], {"note": "n"})
         parsed = json.loads(serialize(doc, "json"))
-        assert parsed == doc
+        assert parsed == rounded(doc)
+        assert json.loads(serialize(parsed, "json")) == parsed
 
     def test_floats_quantized_to_15_digits(self):
-        doc = make_document("demo", {}, [{"value": 0.1234567890123456789}], {})
-        value = doc["rows"][0]["value"]
-        assert value == float(f"{value:.15g}")
+        doc = document("demo", {}, [{"value": 0.1234567890123456789}], {})
+        value = json.loads(serialize(doc, "json"))["rows"][0]["value"]
+        assert value == float(f"{value:.15g}") == 0.123456789012346
+        assert serialize(doc, "csv") == "value\n0.123456789012346\n"
 
-    def test_non_finite_rejected(self):
-        from dctcsim import InvariantViolationError
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_non_finite_rejected(self, output_format):
         with pytest.raises(InvariantViolationError):
-            make_document("demo", {}, [{"value": float("nan")}], {})
+            serialize(document("demo", {}, [{"value": float("nan")}], {}), output_format)
 
     def test_empty_rows_serialize(self):
-        doc = make_document("demo", {}, [], {})
+        doc = document("demo", {}, [], {})
         assert json.loads(serialize(doc, "json"))["rows"] == []
         assert serialize(doc, "csv") == ""
+        assert serialize(doc, "table") == "experiment: demo\n\n"
 
 
 class TestJsonEmitter:
@@ -161,7 +170,7 @@ class TestJsonEmitter:
     @staticmethod
     def _check_run(capsys, monkeypatch, argv):
         # A JSON run hands serialize the document as assembled, floats
-        # unquantized: its text is json.dumps's text of the cleaned copy.
+        # unrounded: its text is json.dumps's text of the rounded copy.
         documents = []
 
         def recording(doc, output_format):
@@ -171,31 +180,28 @@ class TestJsonEmitter:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         [doc] = documents
-        cleaned = make_document(doc["experiment"], doc["parameters"], doc["rows"],
-                                doc["diagnostics"])
-        assert out == serialize(doc, "json") == serialize(cleaned, "json") == dumps(cleaned)
+        assert out == serialize(doc, "json") == dumps(rounded(doc))
 
     @pytest.mark.parametrize("doc", [
-        make_document("demo", {}, [], {}),
-        make_document("demo", {"nested": {"b": [1, {"c": [], "d": {}}], "a": {"x": [[]]}}},
-                      [{"x": 1}], {"flags": [True, False]}),
-        make_document("caf\u00e9 \u2203\U0001d11e", {"k\u00ebY": "\u00e9", "\"q\"": "\\"},
-                      [{"text": "tab\t nl\n nul\x00 us\x1f del\x7f quote\" slash/ back\\"}],
-                      {"\u0000key": "\ud83d\ude00 \ufeff"}),
-        make_document("numbers", {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2 ** 80,
-                                  "negative": -7, "third": 1 / 3, "whole": 2.0},
-                      [{"int": np.int64(-3), "float": np.float64(5e-324), "max": 1.79e308}], {}),
+        document("demo", {}, [], {}),
+        document("demo", {"nested": {"b": [1, {"c": [], "d": {}}], "a": {"x": [[]]}}},
+                 [{"x": 1}], {"flags": [True, False]}),
+        document("caf\u00e9 \u2203\U0001d11e", {"k\u00ebY": "\u00e9", "\"q\"": "\\"},
+                 [{"text": "tab\t nl\n nul\x00 us\x1f del\x7f quote\" slash/ back\\"}],
+                 {"\u0000key": "\ud83d\ude00 \ufeff"}),
+        document("numbers", {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2 ** 80,
+                             "negative": -7, "third": 1 / 3, "whole": 2.0},
+                 [{"int": -3, "float": np.float64(5e-324), "max": 1.79e308}], {}),
     ], ids=["empty", "nested", "text", "numbers"])
     def test_hand_built_documents_match_json_dumps(self, doc):
-        assert serialize(doc, "json") == dumps(doc)
+        assert serialize(doc, "json") == dumps(rounded(doc))
 
     def test_floats_are_quantized_as_they_are_written(self):
-        parts = ("demo", {"alpha": 0.1234567890123456789, "beta": np.float64(2 / 3)},
-                 [{"x": 1 / 3, "tiny": 5e-324, "whole": 1e15 + 0.3, "n": [-0.0, 7]}],
-                 {"big": 1.7976931348623e308})
-        doc = dict(zip(("experiment", "parameters", "rows", "diagnostics"), parts))
+        doc = document("demo", {"alpha": 0.1234567890123456789, "beta": np.float64(2 / 3)},
+                       [{"x": 1 / 3, "tiny": 5e-324, "whole": 1e15 + 0.3, "n": [-0.0, 7]}],
+                       {"big": 1.7976931348623e308})
         text = serialize(doc, "json")
-        assert text == serialize(make_document(*parts), "json") == dumps(make_document(*parts))
+        assert text == dumps(rounded(doc))
         assert json.loads(text)["rows"][0]["x"] == 0.333333333333333
 
     def test_each_float_is_written_as_its_quantization(self):
@@ -214,33 +220,81 @@ class TestJsonEmitter:
         values += [-x for x in values]
         assert len(values) > 17_000
         for value in values:
-            assert cli._json_text(value) == repr(cli._clean(value)), value
+            assert cli._json_text(value) == repr(cli._quantized(value)), value
 
-    def test_float_rounding_past_the_largest_is_refused_as_clean_refuses_it(self):
-        doc = {"experiment": "demo", "parameters": {}, "diagnostics": {},
-               "rows": [{"max": 1.7976931348623157e308}]}
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_float_rounding_past_the_largest_names_the_value(self, output_format):
+        doc = document("demo", {}, [{"max": 1.7976931348623157e308}], {})
         with pytest.raises(InvariantViolationError,
                            match=r"^non-finite value 1\.7976931348623157e\+308 in result"):
-            serialize(doc, "json")
+            serialize(doc, output_format)
 
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
     @pytest.mark.parametrize("value", [
         None, (1, 2), {1, 2}, b"x", 1j, np.int64(1), np.array([1.0]),
         float("nan"), float("inf"), -float("inf"), {1: "int key"}, {"a": 1, 2: "mixed keys"},
     ], ids=["none", "tuple", "set", "bytes", "complex", "np-int", "array", "nan", "inf", "-inf",
             "int-key", "mixed-keys"])
-    def test_value_clean_cannot_build_is_invariant_violation(self, value):
-        doc = {"experiment": "demo", "parameters": {}, "rows": [{"value": value}],
-               "diagnostics": {}}
+    def test_value_outside_the_rule_is_invariant_violation(self, value, output_format):
+        doc = document("demo", {}, [{"value": value}], {})
         with pytest.raises(InvariantViolationError, match="^cannot emit "):
-            serialize(doc, "json")
+            serialize(doc, output_format)
 
+    @pytest.mark.parametrize("where", ["parameters", "rows", "diagnostics"])
     @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
-    def test_float_quantized_past_the_largest_is_refused(self, output_format):
+    def test_float_quantized_past_the_largest_is_refused(self, output_format, where):
         # 15 significant digits round the largest float up to inf: the document
-        # is refused, in every format, not written with inf or a bare Infinity.
+        # is refused, in every format, not written with inf or a bare Infinity,
+        # wherever the float is (CSV writes neither parameters nor diagnostics).
+        doc = document("demo", {}, [{"x": 1}], {})
+        if where == "rows":
+            doc["rows"] = [{"max": 1.7976931348623157e308}]
+        else:
+            doc[where] = {"max": 1.7976931348623157e308}
         with pytest.raises(InvariantViolationError, match="non-finite"):
-            serialize(make_document("demo", {}, [{"max": 1.7976931348623157e308}], {}),
-                      output_format)
+            serialize(doc, output_format)
+
+
+class TestCellRule:
+    """CSV and table write a string, bool, int or finite float, each float
+    rounded to 15 significant digits, and a table diagnostic may be a flat
+    dict of those; the table and CSV refuse what falls outside the rule."""
+
+    DOC = document("demo", {"alpha": 0.1234567890123456789, "seed": 3, "flag": False},
+                   [{"s": "a b", "f": 1 / 3, "n": -7, "ok": True, "whole": 2.0},
+                    {"s": "x", "f": 1e-300, "n": 2 ** 80, "ok": False, "whole": -0.0}],
+                   {"all": True, "worst": 2 / 3,
+                    "baseline": {"AB:CD": 1 / 3, "ppt": True, "n": 1, "s": "t"}})
+
+    def test_csv(self):
+        assert serialize(self.DOC, "csv") == (
+            "s,f,n,ok,whole\n"
+            "a b,0.333333333333333,-7,true,2\n"
+            "x,1e-300,1208925819614629174706176,false,-0\n")
+
+    def test_table(self):
+        assert serialize(self.DOC, "table") == (
+            "experiment: demo\n"
+            "alpha=0.123456789012346  seed=3  flag=false\n"
+            "s    f                  n                          ok     whole\n"
+            "a b  0.333333333333333  -7                         true   2    \n"
+            "x    1e-300             1208925819614629174706176  false  -0   \n"
+            "all = true\n"
+            "worst = 0.666666666666667\n"
+            "baseline = {'AB:CD': 0.333333333333333, 'ppt': True, 'n': 1, 's': 't'}\n")
+
+    @pytest.mark.parametrize("output_format", ["csv", "table"])
+    @pytest.mark.parametrize("where, value", [
+        ("parameters", [1.0]), ("parameters", {"a": 1}), ("diagnostics", [True]),
+        ("diagnostics", {"nested": {"a": 1}}), ("diagnostics", {"list": [1]}),
+        ("diagnostics", {"nan": float("nan")}), ("diagnostics", None),
+    ], ids=["parameter-list", "parameter-dict", "diagnostic-list", "diagnostic-nested",
+            "diagnostic-dict-list", "diagnostic-dict-nan", "diagnostic-none"])
+    def test_outside_the_rule_is_refused(self, where, value, output_format):
+        doc = document("demo", {}, [{"x": 1}], {})
+        doc[where] = {"value": value}
+        with pytest.raises(InvariantViolationError, match="^cannot emit "):
+            serialize(doc, output_format)
 
 
 class TestMeasures:
@@ -294,32 +348,33 @@ class TestLinearAlgebraCalls:
         assert calls == expected
 
 
-class TestCleanCalls:
-    """A JSON run quantizes each float as it writes it and cleans no copy of
-    its document; a CSV or table run reads the cells of one cleaned copy."""
+class TestSerializeCalls:
+    """Every format is handed the document as the experiment assembled it:
+    the rows and diagnostics its runner returned, the same objects, with no
+    copy of them built on the way."""
 
     @pytest.mark.parametrize("argv", [["table1"], ["fixed-point"], ["discriminate"], ["smolin"],
                                       ["smolin", "--improper-mixture"], ["measures"]],
                              ids=" ".join)
     @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
-    def test_documents_cleaned_per_run(self, argv, output_format, capsys, monkeypatch):
-        cleaned, depth = [], []
+    def test_runner_rows_reach_serialize(self, argv, output_format, capsys, monkeypatch):
+        returned, handed = [], []
 
-        def counted(value, _fn=cli._clean):
-            if not depth:               # the outermost call of a recursive clean
-                cleaned.append(value)
-            depth.append(value)
-            try:
-                return _fn(value)
-            finally:
-                depth.pop()
-        monkeypatch.setattr(cli, "_clean", counted)
+        def runner(*args, _fn=cli._RUNNERS[argv[0]]):
+            returned.append(_fn(*args))
+            return returned[-1]
+
+        def recording(doc, fmt, _fn=serialize):
+            handed.append((doc, fmt))
+            return _fn(doc, fmt)
+        monkeypatch.setitem(cli._RUNNERS, argv[0], runner)
+        monkeypatch.setattr(cli, "serialize", recording)
         assert run_cli(capsys, *argv, "--output-format", output_format)[0] == 0
-        if output_format == "json":
-            assert cleaned == []
-        else:
-            [document] = cleaned
-            assert list(document) == ["experiment", "parameters", "rows", "diagnostics"]
+        [(rows, diagnostics, _)] = returned
+        [(doc, fmt)] = handed
+        assert fmt == output_format
+        assert list(doc) == ["experiment", "parameters", "rows", "diagnostics"]
+        assert doc["rows"] is rows and doc["diagnostics"] is diagnostics
 
 
 class TestTeleportationCalls:
