@@ -31,11 +31,11 @@ reads the right label with probability 0.5.  The NOT fixes |10> and |11>.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAmplitudesError, InvariantViolationError
+from .errors import InvariantViolationError
 from .qmath import (
     BELL_VECTORS,
     I2,
@@ -81,21 +81,15 @@ _PAULI_ERRORS = (I2, Z, X, _readonly(X @ Z))
 
 @dataclass(frozen=True)
 class AmplitudePair:
-    """Real amplitude pair (alpha, beta) with alpha^2 + beta^2 = 1.
+    """Real amplitude pair (alpha, beta) with 0 < alpha, beta < 1 and alpha^2 + beta^2 = 1.
 
-    The discrimination protocol requires 0 < alpha != beta < 1; construction
-    rejects near-degenerate pairs (alpha ~ beta or alpha, beta ~ 0) unless
-    ``allow_degenerate`` is set, which is meant for fixed-point exploration.
-    """
+    ``is_degenerate`` says whether the four candidate states merge in pairs
+    (alpha ~ beta, or alpha or beta ~ 0); the protocols that need alpha != beta refuse it."""
 
     alpha: float
     beta: float
-    allow_degenerate: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.allow_degenerate, bool):
-            raise InvariantViolationError(
-                f"invalid allow_degenerate flag {self.allow_degenerate!r}")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not _is_real(value):
                 raise InvariantViolationError(f"{name} must be a real number")
@@ -108,20 +102,15 @@ class AmplitudePair:
         if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > NORMALIZATION_ATOL:
             raise InvariantViolationError(
                 f"alpha^2 + beta^2 = {self.alpha ** 2 + self.beta ** 2!r} deviates from 1")
-        if self.is_degenerate and not self.allow_degenerate:
-            raise DegenerateAmplitudesError(
-                f"({self.alpha}, {self.beta}): the CTC fixed point is not unique; the "
-                f"protocol needs |alpha - beta| > ~{np.sqrt(UNIT_EIGENVALUE_ATOL / 2):.0e} "
-                f"and alpha, beta > ~{np.sqrt(UNIT_EIGENVALUE_ATOL) / 2:.3g}")
 
     @classmethod
-    def from_alpha(cls, alpha: float, allow_degenerate: bool = False) -> "AmplitudePair":
+    def from_alpha(cls, alpha: float) -> "AmplitudePair":
         if not _is_real(alpha):
             raise InvariantViolationError("alpha must be a real number")
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise InvariantViolationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-        return cls(alpha, math.sqrt(1.0 - alpha * alpha), allow_degenerate)
+        return cls(alpha, math.sqrt(1.0 - alpha * alpha))
 
     @property
     def is_degenerate(self) -> bool:

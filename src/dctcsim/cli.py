@@ -32,8 +32,10 @@ suite, a benchmark or a scripted sweep does so); the argument parser is
 built on the first call and reused, and parsing never changes it.  A run
 names its experiment first and is parsed once, by that experiment's parser.
 
-Exit codes: 0 success, 2 usage error (an empty ``--output`` is one), 3 the
-fixed point fails its residual check, 4 invariant violation during the run.
+Exit codes: 0 success, 2 usage error (a degenerate pair without
+``--allow-degenerate``, a ``--tolerance`` that rounds to inf at 15 digits,
+an empty ``--output``), 3 the fixed point fails its residual check, 4
+invariant violation during the run.
 """
 
 import argparse
@@ -148,7 +150,8 @@ def serialize(doc: dict, output_format: str) -> str:
     parameter, row cell and diagnostic with :func:`_cell`, and a diagnostic
     that is a flat dict of such values as its ``repr``, floats quantized.
     CSV writes only the header and rows, but reads the rest as the table
-    does, so the two refuse the same documents."""
+    does, so the two refuse the same documents; each row must have the
+    first row's keys."""
     if output_format == "json":
         try:
             return _json_text(doc) + "\n"
@@ -157,6 +160,8 @@ def serialize(doc: dict, output_format: str) -> str:
     rows = doc["rows"]
     parameters = "  ".join(f"{k}={_cell(v)}" for k, v in doc["parameters"].items())
     grid = [list(rows[0])] if rows else []      # the header, then a line of cells a row
+    if any(row.keys() != rows[0].keys() for row in rows):
+        raise InvariantViolationError(f"cannot emit rows whose keys differ from {grid[0]}")
     grid += [[_cell(row[key]) for key in grid[0]] for row in rows]
     diagnostics = [f"{key} = " + (repr({k: _scalar(v) for k, v in value.items()})
                                   if isinstance(value, dict) else _cell(value))
@@ -459,9 +464,13 @@ def main(argv=None) -> int:
         parser.error("--output must be a path, got an empty string")
 
     try:
-        amps = AmplitudePair.from_alpha(args.alpha, allow_degenerate=args.allow_degenerate)
+        amps = AmplitudePair.from_alpha(args.alpha)
+        if amps.is_degenerate and not args.allow_degenerate:
+            parser.error(f"{amps} is degenerate, its CTC fixed point not unique; "
+                         "pass --allow-degenerate to run it")
         config = SolverConfig(tolerance=args.tolerance)
-    except (DegenerateAmplitudesError, InvariantViolationError) as exc:
+        _quantized(args.tolerance)      # the document must hold it
+    except InvariantViolationError as exc:
         parser.error(str(exc))  # exits with status 2
 
     try:

@@ -1,10 +1,13 @@
 """Block unitaries, the full interaction, and Bell projectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dctcsim import (
     AmplitudePair,
+    BellLabel,
     DegenerateAmplitudesError,
     InvariantViolationError,
     UnitaryOperator,
@@ -13,6 +16,7 @@ from dctcsim import (
     bhw_layout,
     block_unitary,
     candidate_states,
+    discriminate_bell,
     kron,
     register_swap,
 )
@@ -49,24 +53,30 @@ class TestAmplitudePair:
         with pytest.raises(InvariantViolationError):
             AmplitudePair(0.6 + 0j, 0.8)
 
-    def test_rejects_degenerate_by_default(self):
-        with pytest.raises(DegenerateAmplitudesError):
-            AmplitudePair.from_alpha(1 / np.sqrt(2))
-
-    def test_degenerate_toggle(self):
-        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
-        assert amps.is_degenerate
-
-    def test_near_degenerate_counts(self):
-        with pytest.raises(DegenerateAmplitudesError):
-            AmplitudePair.from_alpha(0.70710678)  # |alpha - beta| ~ 1e-9
+    @pytest.mark.parametrize("amps", [
+        AmplitudePair.from_alpha(1 / np.sqrt(2)),
+        AmplitudePair.from_alpha(0.70710678),       # |alpha - beta| ~ 1e-9
         # alpha -> 0 or beta -> 0: the candidates coalesce pairwise there too
-        for small in (1e-7, 6e-7):
-            with pytest.raises(DegenerateAmplitudesError):
-                AmplitudePair.from_alpha(small)
-            with pytest.raises(DegenerateAmplitudesError):
-                AmplitudePair(float(np.sqrt(1 - small * small)), small)
-        assert not AmplitudePair.from_alpha(7.2e-7).is_degenerate
+        AmplitudePair.from_alpha(1e-7), AmplitudePair(float(np.sqrt(1 - 1e-14)), 1e-7),
+        AmplitudePair.from_alpha(6e-7), AmplitudePair(float(np.sqrt(1 - 36e-14)), 6e-7),
+    ], ids=["half", "near-half", "alpha-1e-7", "beta-1e-7", "alpha-6e-7", "beta-6e-7"])
+    def test_degenerate_pair_is_valid_and_reported(self, amps):
+        # The pair itself is valid; the discrimination refuses it.
+        assert amps.is_degenerate
+        with pytest.raises(DegenerateAmplitudesError):
+            discriminate_bell(BellLabel.PHI_PLUS, amps, seed=0)
+
+    def test_clear_of_the_window_is_not_degenerate(self):
+        for amps in (AmplitudePair.from_alpha(7.2e-7),
+                     AmplitudePair(float(np.sqrt(1 - 7.2e-7 ** 2)), 7.2e-7)):
+            assert not amps.is_degenerate
+            for bell in BellLabel:
+                assert discriminate_bell(bell, amps, seed=0).identified is bell
+
+    def test_has_two_fields(self):
+        amps = AmplitudePair.from_alpha(0.6)
+        assert [f.name for f in dataclasses.fields(amps)] == ["alpha", "beta"]
+        assert amps == AmplitudePair(0.6, 0.8) and repr(amps) == "AmplitudePair(alpha=0.6, beta=0.8)"
 
 
 class TestBlockUnitaries:
@@ -105,7 +115,7 @@ class TestBlockUnitaries:
     def test_unitarity_including_degenerate(self):
         rng = np.random.default_rng(43)
         pairs = [random_amps(rng) for _ in range(100)]
-        pairs.append(AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True))
+        pairs.append(AmplitudePair.from_alpha(1 / np.sqrt(2)))
         for amps in pairs:
             for code in BLOCK_CODES:
                 u = block_unitary(code, amps).matrix
@@ -191,7 +201,7 @@ class TestCandidateStates:
         # Pinned apart from the Pauli table they are derived from.
         rng = np.random.default_rng(53)
         pairs = [random_amps(rng) for _ in range(50)]
-        pairs.append(AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True))
+        pairs.append(AmplitudePair.from_alpha(1 / np.sqrt(2)))
         for amps in pairs:
             a, b = amps.alpha, amps.beta
             expected = {(0, 0): [a, b], (0, 1): [a, -b], (1, 0): [b, a], (1, 1): [-b, a]}

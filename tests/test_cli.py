@@ -284,6 +284,17 @@ class TestCellRule:
             "baseline = {'AB:CD': 0.333333333333333, 'ppt': True, 'n': 1, 's': 't'}\n")
 
     @pytest.mark.parametrize("output_format", ["csv", "table"])
+    @pytest.mark.parametrize("rows", [[{"a": 1}, {"b": 2}], [{"a": 1}, {"a": 2, "b": 3}],
+                                      [{"a": 1, "b": 2}, {"a": 3}]],
+                             ids=["other-key", "extra-key", "missing-key"])
+    def test_rows_with_different_keys_are_refused(self, rows, output_format):
+        # JSON writes each row's own keys; a grid cannot.
+        doc = document("demo", {}, rows, {})
+        with pytest.raises(InvariantViolationError, match="^cannot emit rows whose keys differ"):
+            serialize(doc, output_format)
+        assert json.loads(serialize(doc, "json"))["rows"] == rows
+
+    @pytest.mark.parametrize("output_format", ["csv", "table"])
     @pytest.mark.parametrize("where, value", [
         ("parameters", [1.0]), ("parameters", {"a": 1}), ("diagnostics", [True]),
         ("diagnostics", {"nested": {"a": 1}}), ("diagnostics", {"list": [1]}),
@@ -404,10 +415,13 @@ class TestFixedPointExperiment:
             assert row["fp_space_dim"] == 1
             assert row["unique"] is True
 
-    def test_degenerate_rejected_in_strict_mode(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["fixed-point", "--alpha", "0.70710678"])
-        assert info.value.code == 2
+    @pytest.mark.parametrize("experiment", ["fixed-point", "discriminate", "table1", "smolin",
+                                            "measures"])
+    @pytest.mark.parametrize("alpha", ["0.70710678", "1e-7"])
+    def test_degenerate_rejected_in_strict_mode(self, capsys, experiment, alpha):
+        code, out, err = run_any(capsys, [experiment, "--alpha", alpha])
+        assert (code, out) == (2, "")
+        assert f"alpha={float(alpha)}" in err and "--allow-degenerate" in err
 
     def test_degenerate_allowed_with_flag(self, capsys):
         code, doc, _ = run_json(capsys, "fixed-point",
@@ -478,6 +492,18 @@ class TestExitCodes:
         assert out == ""
         assert "tolerance must be a finite positive real number" in err
 
+    @pytest.mark.parametrize("output_format", ["json", "csv", "table"])
+    def test_tolerance_the_document_cannot_hold_is_usage_error(self, capsys, monkeypatch,
+                                                               output_format):
+        # Finite, but 15 significant digits round it up to inf: refused before the run.
+        def never(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr(cli, "discriminate_bells", never)
+        code, out, err = run_any(capsys, ["table1", "--tolerance", "1.7976931348623157e308",
+                                          "--output-format", output_format])
+        assert (code, out) == (2, "")
+        assert "non-finite value 1.7976931348623157e+308" in err
+
     def test_non_convergence_is_3(self, capsys, monkeypatch):
         # A chain solve can be exact (residual 0.0), which no tolerance fails,
         # so the failure is planted in the one solve every experiment runs.
@@ -495,7 +521,7 @@ class TestExitCodes:
         assert code == 0
 
     def test_runtime_degeneracy_is_4(self, capsys):
-        for argv in (["discriminate"], ["smolin", "--improper-mixture"]):
+        for argv in (["discriminate"], ["table1"], ["smolin"], ["smolin", "--improper-mixture"]):
             code, out, err = run_cli(capsys, *argv, "--alpha", str(1 / np.sqrt(2)),
                                      "--allow-degenerate")
             assert (code, out) == (4, ""), argv

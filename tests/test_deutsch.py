@@ -259,7 +259,7 @@ class TestSolveFixedPoint:
         assert trace_norm(parasite.matrix - label.matrix) > 1.0
 
     def test_degenerate_amplitudes_converge_with_larger_fixed_space(self):
-        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
+        amps = AmplitudePair.from_alpha(1 / np.sqrt(2))
         u, layout = literal(amps.alpha, amps.beta), bhw_layout()
         vec = kron(np.array([amps.beta, amps.alpha], dtype=complex), KET_0)
         rho_cr = DensityOperator.from_state_vector(vec)
@@ -401,14 +401,14 @@ def _one_over_e_readout(outputs) -> list:
 def _pair_at_distance(delta):
     """Real amplitude pair with alpha - beta = delta."""
     root = np.sqrt(2.0 - delta * delta)
-    return AmplitudePair((root + delta) / 2, (root - delta) / 2, allow_degenerate=True)
+    return AmplitudePair((root + delta) / 2, (root - delta) / 2)
 
 
 def _pair_with_small(small, small_alpha):
     """Real amplitude pair whose alpha (or else beta) equals ``small``."""
     big = np.sqrt(1.0 - small * small)
     pair = (small, big) if small_alpha else (big, small)
-    return AmplitudePair(*pair, allow_degenerate=True)
+    return AmplitudePair(*pair)
 
 
 def _discrimination_inputs(amps):
@@ -1042,8 +1042,6 @@ class TestConfigAndResult:
         (register_swap, ("2",), "block size"),
         (register_swap, (1.5,), "block size"),
         (register_swap, (True,), "block size"),
-        (AmplitudePair, (0.7071067811865476, 0.7071067811865475, "no"), "allow_degenerate flag"),
-        (AmplitudePair.from_alpha, (0.6, 1), "allow_degenerate flag"),
     ])
     def test_malformed_argument_is_typed_error(self, call, args, what):
         with pytest.raises(InvariantViolationError, match=f"^invalid {what} "):

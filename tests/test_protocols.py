@@ -14,12 +14,14 @@ from dctcsim import (
     InvariantViolationError,
     SolverConfig,
     UnitaryOperator,
+    bhw_interaction,
     bhw_layout,
     candidate_states,
     discriminate_bell,
     distill_smolin,
     kron,
     pauli_residual,
+    solve_fixed_point,
     trace_norm,
 )
 from dctcsim.circuits import BLOCK_CODES
@@ -373,10 +375,29 @@ class TestDiscriminateBell:
         with pytest.raises(InvariantViolationError, match="seed"):
             run(seed)
 
-    def test_degenerate_amplitudes_rejected(self):
-        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
-        with pytest.raises(DegenerateAmplitudesError):
-            discriminate_bell(BellLabel.PHI_PLUS, amps, seed=0)
+    def test_degenerate_pair_is_refused_by_the_protocols_and_solved_by_the_stage(self):
+        # At alpha = beta the pair is valid: every protocol that claims a
+        # discrimination refuses it, and the CTC stage and the solver report
+        # the larger fixed-point space.
+        amps = AmplitudePair.from_alpha(1 / np.sqrt(2))
+        assert amps.is_degenerate
+        for refuse in (lambda: discriminate_bell(BellLabel.PHI_PLUS, amps, seed=0),
+                       lambda: protocols.discriminate_bells(tuple(BellLabel), amps, seed=0),
+                       lambda: distill_smolin(amps, seed=0)):
+            with pytest.raises(DegenerateAmplitudesError):
+                refuse()
+        config = SolverConfig()
+        states = np.array(list(candidate_states(amps).values()))[:, :, None]
+        fixed = [result for *_, result in ctc_readouts(amps, states, config)]
+        u = bhw_interaction(amps)
+        for state in states[:, :, 0]:
+            rho_cr = DensityOperator(kron(np.outer(state, state.conj()), np.diag([1.0, 0.0])))
+            fixed.append(solve_fixed_point(u, rho_cr, bhw_layout(), config))
+        assert len(fixed) == 8
+        for result in fixed:
+            assert isinstance(result.fixed_point, DensityOperator)
+            assert result.residual <= config.tolerance
+            assert result.fp_space_dim >= 2 and not result.unique
 
     @pytest.mark.parametrize("run", [
         lambda amps, config: discriminate_bell(BellLabel.PHI_PLUS, amps, config),
@@ -531,7 +552,7 @@ class TestCtcReadout:
     def test_degenerate_pair_is_solved_not_rejected(self):
         # The degeneracy check belongs to the callers; the stage itself
         # reports the larger fixed-point space.
-        amps = AmplitudePair.from_alpha(1 / np.sqrt(2), allow_degenerate=True)
+        amps = AmplitudePair.from_alpha(1 / np.sqrt(2))
         state = candidate_states(amps)[(0, 0)]
         _, _, _, fixed = ctc_readouts(amps, ensemble(np.outer(state, state.conj()))[None])[0]
         assert fixed.fp_space_dim >= 2
