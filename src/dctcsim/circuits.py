@@ -31,6 +31,7 @@ reads the right label with probability 0.5.  The NOT fixes |10> and |11>.
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,17 @@ _LAYERS_ON_ANCILLA_0 = _readonly(_LAYERS[:, :, ::2].copy())
 _PAULI_ERRORS = (I2, Z, X, _readonly(X @ Z))
 
 
+def _amplitude(value, name: str) -> float:
+    """``value`` as a float; a non-real, or a real past the float range, is a typed error."""
+    if not _is_real(value):
+        raise InvariantViolationError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvariantViolationError(
+            f"{name} must lie strictly between 0 and 1, got {reprlib.repr(value)}") from None
+
+
 @dataclass(frozen=True)
 class AmplitudePair:
     """Real amplitude pair (alpha, beta) with 0 < alpha, beta < 1 and alpha^2 + beta^2 = 1.
@@ -90,11 +102,8 @@ class AmplitudePair:
     beta: float
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not _is_real(value):
-                raise InvariantViolationError(f"{name} must be a real number")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", _amplitude(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _amplitude(self.beta, "beta"))
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
             raise InvariantViolationError(
                 f"amplitudes must lie strictly between 0 and 1, got "
@@ -105,9 +114,7 @@ class AmplitudePair:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "AmplitudePair":
-        if not _is_real(alpha):
-            raise InvariantViolationError("alpha must be a real number")
-        alpha = float(alpha)
+        alpha = _amplitude(alpha, "alpha")
         if not 0.0 < alpha < 1.0:
             raise InvariantViolationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
         return cls(alpha, math.sqrt(1.0 - alpha * alpha))
@@ -157,8 +164,9 @@ def candidate_states(amps: AmplitudePair) -> dict:
 def register_swap(block_qubits: int) -> UnitaryOperator:
     """Unitary exchanging two adjacent registers of ``block_qubits`` qubits each."""
     if (isinstance(block_qubits, bool) or not isinstance(block_qubits, numbers.Integral)
-            or block_qubits < 1):
-        raise InvariantViolationError(f"invalid block size {block_qubits!r}: need an int >= 1")
+            or not 1 <= block_qubits <= 4):          # refused before any allocation
+        raise InvariantViolationError(
+            f"invalid block size {block_qubits!r}: need an int from 1 to 4")
     d = 2 ** block_qubits
     swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
     return UnitaryOperator(swap.reshape(d * d, d * d))

@@ -12,9 +12,9 @@ need not be unique.  Both solvers return the limit of the Cesaro average
 dimension of the fixed-point space as ``fp_space_dim``, and accept the
 answer only if it passes a trace-norm residual check.
 
-A layout puts every CR qubit first: that order makes each register one block
-of axes of U (rho_CR (x) sigma) U^dag, so :func:`ctc_map` and
-:func:`apply_dctc` each take one block trace, not a trace over qubit positions.
+A layout puts every CR qubit first, so each register is one pair of axes of
+the joint output U (rho_CR (x) sigma) U^dag: both solvers take the CR output
+and Phi(sigma) as its block traces, over ``_CTC_AXES`` and ``_CR_AXES``.
 
 The *spectral* solve (:func:`solve_fixed_point`, :func:`apply_dctc`) takes a
 general U.  It applies the eigenvalue-1 spectral projector of the vectorized
@@ -28,18 +28,17 @@ value can sit ~1.15x past the eigenvalue distance the window was set for.
 
 The *chain* solve (:func:`apply_label_chains`) takes a CTC that only serves
 as a classical label: U swaps the registers, then applies block U_c to the
-CTC register when the CR register reads c.  So Phi(sigma) =
-sum_c sigma_cc tau_c with tau_c = U_c rho_CR U_c^dag, and the fixed points
-are sum_c p_c tau_c for the stationary distributions p of the label chain
+CTC register when the CR register reads c.  So the joint output on axes
+(c, a, c', b) is sigma_cc' U_c rho_CR U_c'^dag, Phi(sigma) = sum_c sigma_cc
+tau_c with tau_c = U_c rho_CR U_c^dag, and the fixed points are
+sum_c p_c tau_c for the stationary distributions p of the label chain
 M[c', c] = <c'|tau_c|c'>.  Each label c must stay or escape to one other
 label, with probability e_c; the discrimination circuit meets this for any
 CR input, since each block's ancilla-|0> columns are two columns of a
 permutation layer.  Following the escapes, every label reaches one cycle,
 on which the flow p_c e_c is the same for every c, so p_c goes as 1/e_c:
-nothing is subtracted, however small the chain's gap.  The chain solve
-takes a stack of CR inputs and solves them in one call, whose one LAPACK
-call, an ``eigvalsh``, serves both the density checks and the residuals:
-Phi(sigma) - sigma is Hermitian, so its trace norm is sum |eigenvalues|.
+nothing is subtracted, however small the chain's gap.  One call solves a
+stack of CR inputs, with one LAPACK call, an ``eigvalsh``.
 """
 
 from dataclasses import dataclass
@@ -77,6 +76,7 @@ class SolverConfig:
 
 _DEFAULT_CONFIG = SolverConfig()
 STRADDLE_FACTOR = 100.0     # how much farther from 1 uncounted eigenvalues must lie
+_CR_AXES, _CTC_AXES = (-4, -2), (-3, -1)    # of a joint output's axes (CR, CTC, CR', CTC')
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,11 @@ def _interaction_dims(U: UnitaryOperator, rho_cr: DensityOperator,
 
 
 def _joint_output(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
-                  trace: str) -> DensityOperator:
-    """The partial trace ``trace`` of U (rho_CR (x) sigma) U^dag on axes (a, t, b, u):
-    ``"atbt->ab"`` for the CR output, ``"atau->tu"`` for the CTC image.  CR-first
-    order makes each register one block of axes, so one einsum traces it."""
+                  traced: tuple) -> DensityOperator:
+    """The block trace of U (rho_CR (x) sigma) U^dag over the axes ``traced``:
+    ``_CTC_AXES`` for the CR output, ``_CR_AXES`` for the CTC image."""
     big = U.matrix @ kron(rho_cr.matrix, sigma.matrix) @ U.matrix.conj().T
-    return DensityOperator(np.einsum(trace, big.reshape((rho_cr.dim, sigma.dim) * 2)))
+    return DensityOperator(big.reshape((rho_cr.dim, sigma.dim) * 2).trace(0, *traced))
 
 
 def ctc_map(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
@@ -146,7 +145,7 @@ def ctc_map(U: UnitaryOperator, rho_cr: DensityOperator, sigma: DensityOperator,
     if _require(sigma, DensityOperator, "CTC state").dim != d_ctc:
         raise InvariantViolationError(
             f"CTC state has dimension {sigma.dim}, layout expects {d_ctc}")
-    return _joint_output(U, rho_cr, sigma, "atau->tu")
+    return _joint_output(U, rho_cr, sigma, _CR_AXES)
 
 
 def superoperator_matrix(U: UnitaryOperator, rho_cr: DensityOperator,
@@ -227,7 +226,7 @@ def apply_dctc(U: UnitaryOperator, rho_cr: DensityOperator, layout: RegisterLayo
     sigma*, then return the CR output Tr_CTC(U (rho_CR (x) sigma*) U^dag)
     together with the solver diagnostics."""
     result = solve_fixed_point(U, rho_cr, layout, config)
-    return _joint_output(U, rho_cr, result.fixed_point, "atbt->ab"), result
+    return _joint_output(U, rho_cr, result.fixed_point, _CTC_AXES), result
 
 
 # --- classically controlled CTCs: the label chain ----------------------------
@@ -278,16 +277,18 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     """Solve a stack of label-chain CTCs (see the module docstring), one per
     CR input, in one call; only the walk of the escapes runs per input.
 
-    Input i's rho_CR = K K^dag comes as ``outputs[i, c] = U_c K``, so
-    M[c', c] = sum_j |outputs[i, c, c', j]|^2, p is the Cesaro limit of M^n on
-    the uniform distribution (solved on every escape), and the CR output is
-    sigma* times the Gram matrix of the blocks, entrywise.  One ``eigvalsh``
+    Input i's rho_CR = K K^dag comes as ``outputs[i, c] = U_c K``.  One
+    product gives G[(c, a), (c', b)] = (U_c K K^dag U_c'^dag)[a, b]: tau_c
+    is its (c, c) block and M[c', c] its diagonal.  p is the Cesaro limit of
+    M^n on the uniform distribution (solved on every escape), sigma* =
+    sum_c p_c tau_c, and sigma*_cc' G[(c, a), (c', b)] is the joint output,
+    whose block traces are the CR output and Phi(sigma*).  One ``eigvalsh``
     of every sigma*, CR output and Phi(sigma*) - sigma* gives the lowest
-    eigenvalues for the density checks and each residual, the sum of the
-    |eigenvalues| of Phi(sigma*) - sigma*.  ``fp_space_dim``
-    counts closed classes, an escape of at most ``UNIT_EIGENVALUE_ATOL`` (the
-    spectral eigenvalue window) counted as absent.  Returns one
-    ``(cr_out, FixedPointResult)`` per input.
+    eigenvalues for the density checks and each residual: Phi(sigma*) -
+    sigma* is Hermitian, so its trace norm is the sum of its |eigenvalues|.
+    ``fp_space_dim`` counts closed classes, an escape of at most
+    ``UNIT_EIGENVALUE_ATOL`` (the spectral eigenvalue window) counted as
+    absent.  Returns one ``(cr_out, FixedPointResult)`` per input.
 
     Checks, in order: the trace test on every input
     (``InvariantViolationError`` for non-finite outputs, or a row sum of the
@@ -303,8 +304,12 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     if outputs.ndim != 4 or 0 in outputs.shape[:2] or outputs.shape[1] != outputs.shape[2]:
         raise InvariantViolationError("block outputs must have shape (inputs, labels, labels, "
                                       f"vectors), got {outputs.shape}")
-    with np.errstate(over="ignore"):                # a huge entry gives inf, which fails the trace
-        P = np.add.reduce(outputs.real ** 2 + outputs.imag ** 2, axis=3)  # P[i, c, c'] = M_i[c', c]
+    n, d, _, k = outputs.shape
+    rows = outputs.reshape(n, d * d, k)             # row (c, a): row a of U_c K
+    with np.errstate(over="ignore", invalid="ignore"):   # inf, or inf * 0: fails the trace test
+        gram = (rows @ rows.conj().transpose(0, 2, 1)).reshape(n, d, d, d, d)
+        taus = gram.diagonal(axis1=1, axis2=3)      # taus[i, a, b, c] = tau_c[a, b]
+        P = taus.diagonal(axis1=1, axis2=2).real    # P[i, c, c'] = M_i[c', c]
         traces = np.add.reduce(P, axis=2).tolist()  # row c: ||U_c K||_F^2 = Tr(rho_CR)
     for i, trace in enumerate(traces):
         for t in trace:
@@ -312,18 +317,13 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
                 raise InvariantViolationError(f"CR input has trace {trace}, not 1"
                                               if np.isfinite(outputs[i]).all()
                                               else "block outputs must be finite")
-    walks = [_cesaro_limit(rows) for rows in P.tolist()]
-    n, d = outputs.shape[:2]
-    conj = outputs.conj()
-    taus = (outputs @ conj.transpose(0, 1, 3, 2)).reshape(n, d, d * d)
-    gram = outputs.reshape(n, d, -1) @ conj.reshape(n, d, -1).transpose(0, 2, 1)
-    sigma = (np.array([[p] for p, _ in walks]) @ taus).reshape(n, d, d)
+    walks = [_cesaro_limit(chain) for chain in P.tolist()]
+    sigma = (taus @ np.array([p for p, _ in walks])[:, None, :, None])[..., 0]
     sigma = sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
-    step = (sigma.diagonal(axis1=1, axis2=2).real[:, None] @ taus).reshape(n, d, d)
-    # Each sigma*, each CR output, each Phi(sigma*) - sigma*: one eigvalsh.  The last
-    # is a real-weighted sum of Hermitian tau_c minus sigma*, so its trace norm is
-    # the sum of its |eigenvalues|.
-    stack = _readonly(np.concatenate([sigma, sigma * gram, step - sigma]))
+    joint = sigma[:, :, None, :, None] * gram       # U (rho_CR (x) sigma*) U^dag, CR axes first
+    # Each sigma*, each CR output, each Phi(sigma*) - sigma*: one eigvalsh.
+    stack = _readonly(np.concatenate([sigma, joint.trace(0, *_CTC_AXES),
+                                      joint.trace(0, *_CR_AXES) - sigma]))
     spectra = np.linalg.eigvalsh(stack)
     residuals = np.add.reduce(np.abs(spectra[2 * n:]), axis=1).tolist()
     errors = _density_errors(stack[:2 * n], spectra[:2 * n, 0])

@@ -211,8 +211,10 @@ def ctc_readouts(amps: AmplitudePair, kets: np.ndarray,
     kets = _complex_array(kets, "Bob's factors")
     if kets.ndim != 3 or kets.shape[1] != 2:
         raise InvariantViolationError(f"Bob's factors must be n x 2 x k, got shape {kets.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):    # non-finite: the stage's trace test
+        outputs = block_outputs(amps, kets)
     return [(*modal_readout(cr_out), fixed)
-            for cr_out, fixed in apply_label_chains(block_outputs(amps, kets), config)]
+            for cr_out, fixed in apply_label_chains(outputs, config)]
 
 
 @dataclass(frozen=True, eq=False)

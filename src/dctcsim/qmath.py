@@ -86,7 +86,8 @@ def as_state_vector(v) -> np.ndarray:
     dim = a.size
     if dim < 1 or dim & (dim - 1):
         raise InvariantViolationError(f"state dimension {dim} is not a power of 2")
-    norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))     # np.linalg.norm's sum
+    with np.errstate(over="ignore"):                  # a huge entry gives inf: the check fails
+        norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))     # np.linalg.norm's sum
     if not abs(norm - 1.0) <= STATE_NORM_ATOL:        # NaN fails too
         raise InvariantViolationError(f"state vector norm {norm!r} deviates from 1")
     return _readonly(a)
@@ -156,8 +157,11 @@ class UnitaryOperator(_CheckedOperator):
 
     def __init__(self, matrix):
         a = _square_matrix(matrix, "unitary")
-        defect = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
-        if defect > UNITARITY_ATOL:
+        if not a.size:
+            raise InvariantViolationError(f"unitary must be at least 1 x 1, got shape {a.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN fails the check
+            defect = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
+        if not defect <= UNITARITY_ATOL:
             raise InvariantViolationError(
                 f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
         self._matrix = _readonly(a.copy())
@@ -205,7 +209,7 @@ def _density_errors(a: np.ndarray, lowest: np.ndarray) -> list:
     traces = a.trace(axis1=1, axis2=2)
     return [f"density matrix not Hermitian: max |rho - rho^dag| = {herm[i]:.3e}"
             if h > HERMITICITY_ATOL else
-            f"density matrix trace {traces[i]!r} deviates from 1"
+            f"density matrix trace {t!r} deviates from 1"
             if abs(t - 1.0) > TRACE_ATOL else
             f"density matrix not positive semidefinite: min eigenvalue {low:.3e}"
             if low < -PSD_ATOL else None
@@ -268,7 +272,7 @@ class RegisterLayout:
     def positions(self, labels: Iterable[str]) -> tuple:
         index = {lbl: i for i, lbl in enumerate(self.labels)}
         out = []
-        for lbl in labels:
+        for lbl in _label_tuple(labels, "qubit labels"):
             if lbl not in index:
                 raise InvariantViolationError(f"unknown qubit label {lbl!r}")
             out.append(index[lbl])

@@ -53,6 +53,18 @@ class TestAmplitudePair:
         with pytest.raises(InvariantViolationError):
             AmplitudePair(0.6 + 0j, 0.8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build, name", [
+        (lambda: AmplitudePair.from_alpha(10 ** 400), "alpha"),
+        (lambda: AmplitudePair(10 ** 400, 0), "alpha"),
+        (lambda: AmplitudePair(0.6, -10 ** 400), "beta"),
+    ], ids=["from_alpha", "alpha", "beta"])
+    def test_int_past_the_float_range_is_typed_error(self, build, name):
+        # float() of such an int raises OverflowError; the pair names the value.
+        with pytest.raises(InvariantViolationError,
+                           match=rf"^{name} must lie strictly between 0 and 1, got -?1000"):
+            build()
+
     @pytest.mark.parametrize("amps", [
         AmplitudePair.from_alpha(1 / np.sqrt(2)),
         AmplitudePair.from_alpha(0.70710678),       # |alpha - beta| ~ 1e-9
@@ -226,6 +238,17 @@ class TestRegisterSwap:
             np.testing.assert_array_equal(s, expected)
             np.testing.assert_array_equal(s @ s, np.eye(4 ** n))
 
+    @pytest.mark.parametrize("size", [5, 30])
+    def test_more_than_four_qubits_refused_before_allocation(self, size, monkeypatch):
+        # 5 qubits would ask for a 1024 x 1024 matrix, 30 for one numpy cannot make.
+        def no_eye(*args, **kwargs):
+            raise AssertionError("register_swap allocated its matrix")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        with pytest.raises(InvariantViolationError,
+                           match=f"^invalid block size {size}: need an int from 1 to 4$"):
+            register_swap(size)
+
 
 class TestBellProjectors:
     def test_completeness(self):
@@ -267,3 +290,7 @@ class TestUnitaryOperator:
     def test_rejects_non_square(self):
         with pytest.raises(InvariantViolationError):
             UnitaryOperator(np.zeros((2, 3)))
+
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(InvariantViolationError, match=r"at least 1 x 1, got shape \(0, 0\)"):
+            UnitaryOperator(np.zeros((0, 0)))

@@ -598,7 +598,9 @@ class TestLabelChain:
     def test_residual_is_trace_norm_of_one_channel_step(self):
         # The residual is the sum of |eigenvalues| of Phi(sigma*) - sigma*, taken in
         # the density checks' eigvalsh; for that Hermitian matrix it is the trace
-        # norm, here from an svd, of the step rebuilt as the solve takes it.
+        # norm, here from an svd, of the step rebuilt as the solve takes it: the
+        # block trace over the CR axes of sigma*_cc' G[(c, a), (c', b)], G the one
+        # Gram product of the block-output rows.
         rng = np.random.default_rng(191)
         nonzero = 0
         for alpha in _CLOSED_FORM_ALPHAS:
@@ -607,13 +609,36 @@ class TestLabelChain:
                 outputs = circuits.block_outputs(amps, factor)
                 fixed = deutsch.apply_label_chains(outputs[None])[0][1]
                 sigma = fixed.fixed_point.matrix
-                stacked = outputs[None]
-                taus = (stacked @ stacked.conj().transpose(0, 1, 3, 2)).reshape(1, 4, 16)
-                step = (sigma.diagonal().real[None, None] @ taus).reshape(4, 4)
+                rows = outputs.reshape(16, -1)
+                gram = (rows @ rows.conj().T).reshape(4, 4, 4, 4)
+                step = (sigma[:, None, :, None] * gram).trace(0, *deutsch._CR_AXES)
                 want = trace_norm(step - sigma)
                 assert abs(fixed.residual - want) <= 1e-15 * want
                 nonzero += want > 0
         assert nonzero >= 100
+
+    def test_block_traces_match_the_full_interaction(self, monkeypatch):
+        # The chain's joint output is U (rho_CR (x) sigma*) U^dag of the 16x16
+        # interaction it never builds: its CR output, and its Phi(sigma*) read
+        # from the one eigvalsh stack, are the general solver's block traces.
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or eigvalsh(a))
+        rng = np.random.default_rng(197)
+        ancilla = np.outer(KET_0, KET_0)
+        for alpha in _CLOSED_FORM_ALPHAS:
+            amps = AmplitudePair.from_alpha(alpha)
+            u = bhw_interaction(amps)
+            for factor in _mixed_factors(rng, 10):
+                stacks.clear()
+                outputs = circuits.block_outputs(amps, factor)[None]
+                cr_out, fixed = deutsch.apply_label_chains(outputs)[0]
+                sigma = fixed.fixed_point
+                image = stacks[0][2] + sigma.matrix         # Phi(sigma*) - sigma*, plus sigma*
+                rho_cr = DensityOperator(kron(factor @ factor.conj().T, ancilla))
+                for got, traced in ((cr_out.matrix, deutsch._CTC_AXES),
+                                    (image, deutsch._CR_AXES)):
+                    want = deutsch._joint_output(u, rho_cr, sigma, traced).matrix
+                    assert np.abs(got - want).max() <= 1e-14
 
     def test_readout_matches_closed_form_of_the_overlaps(self):
         # With F_c = <psi_c|rho_Bob|psi_c> for the candidates psi_c = E_c psi, the
@@ -976,6 +1001,19 @@ class TestApplyDctc:
         out, result = apply_dctc(u, rho_cr, layout)
         want = ptrace_brute(joint(result.fixed_point), n, range(n_cr))
         assert np.abs(out.matrix - want).max() <= 1e-14
+
+
+    def test_named_traces_are_the_einsum_traces(self):
+        # The CTC and CR block traces of a joint output (CR, CTC, CR', CTC'), with
+        # or without a leading stack axis, are the einsums that spell them out.
+        rng = np.random.default_rng(199)
+        for dims in ((2, 2), (4, 2), (2, 4), (4, 4), (2, 16), (3, 4, 4)):
+            shape = dims[:-2] + dims[-2:] * 2
+            joint = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(joint.trace(0, *deutsch._CTC_AXES),
+                                  np.einsum("...atbt->...ab", joint))
+            assert np.array_equal(joint.trace(0, *deutsch._CR_AXES),
+                                  np.einsum("...atau->...tu", joint))
 
 
 class TestConfigAndResult:

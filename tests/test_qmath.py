@@ -87,6 +87,21 @@ class TestFiniteness:
         with pytest.raises(InvariantViolationError, match="norm"):
             as_state_vector([bad, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ctc_readouts(AmplitudePair.from_alpha(0.6), [[[np.inf], [0]]]),
+         "block outputs must be finite"),
+        (lambda: DensityOperator.from_state_vector([1e200, 0]),
+         "state vector norm inf deviates from 1"),
+        (lambda: UnitaryOperator(np.full((2, 2), 1e200)),
+         "matrix is not unitary: max |U^dag U - I| = inf"),
+    ], ids=["ctc_readouts", "from_state_vector", "UnitaryOperator"])
+    def test_overflow_raises_its_error_without_warning(self, call, message):
+        # inf * 0 or an overflowing product warns in numpy; the check still fails.
+        with pytest.raises(InvariantViolationError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestNonNumericInput:
     # Every entry point that converts a caller's array with qmath._complex_array.
@@ -145,6 +160,12 @@ class TestDensityOperator:
         with pytest.raises(InvariantViolationError):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_trace_message_prints_the_python_value(self):
+        # The same text on every numpy: not numpy 2's np.complex128(...) repr.
+        with pytest.raises(InvariantViolationError) as info:
+            DensityOperator(np.full((2, 2), 1e200))
+        assert str(info.value) == "density matrix trace (2e+200+0j) deviates from 1"
+
     def test_matrix_is_readonly(self):
         rho = DensityOperator(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -171,6 +192,10 @@ class TestRegisterLayout:
         assert layout.positions(("c", "a")) == (2, 0)
         with pytest.raises(InvariantViolationError):
             layout.positions(("d",))
+
+    def test_positions_of_a_non_iterable_is_typed_error(self):
+        with pytest.raises(InvariantViolationError, match="^invalid qubit labels None$"):
+            RegisterLayout(("a", "b")).positions(None)
 
 
 class TestStateVector:
