@@ -8,24 +8,15 @@ document as the experiment assembled it and quantizes each float as it
 writes it: JSON in one walk (:func:`_json_text`), byte-identical to
 ``json.dumps(doc, indent=2, sort_keys=True)`` of the quantized document,
 CSV and table cell by cell (:func:`_cell`).  ``--output`` writes the
-text's UTF-8 bytes, the bytes the same command prints, with bare
-``os.write`` calls to a short temporary file beside the target
-(:func:`_write_replacing`), so any file name the filesystem accepts can be
-written.
+text's UTF-8 bytes, the bytes the same command prints, to a new file of a
+short random name beside the target and renames it over the target in one
+``os.replace`` (:func:`_write_replacing`), so a reader finds the old
+document or the new one, never part of one.
 
-Every experiment that runs the CTC stage makes one stacked call of
-:func:`dctcsim.protocols.ctc_readouts` over all its inputs (``discriminate``
-and ``smolin --improper-mixture`` have one); the fixed points come from the
-circuit's four-label chain (see :mod:`dctcsim.deutsch`), with no iteration
-budget.  Every experiment that teleports makes one stacked
-:func:`dctcsim.protocols.teleport_and_correct` call over its inputs too; a
-seeded run draws all of Alice's outcomes there from one block of uniform
-doubles, the outcomes ``Generator.choice`` would draw input by input.
-``smolin --improper-mixture`` is that pair of calls on one input, the
-Smolin AB marginal's four Bell branches as the columns of one factor: the
-Deutsch reading on the actual state.  ``measures`` and ``smolin`` read the
-partial-transpose spectra of their constant states (the Smolin state's cuts
-and the Bell pairs), which are taken once per process, on first use.
+The experiments run the stacked CTC stage and teleportation of
+:mod:`dctcsim.protocols`, whose docstring describes them; ``measures`` and
+``smolin`` read the partial-transpose spectra of their constant states,
+taken once per process, on first use.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
@@ -47,7 +38,6 @@ import math
 import os
 import stat
 import sys
-import threading
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -320,7 +310,6 @@ def run_measures(args, amps, config):
                 "state": state_name,
                 "cut": cut_name,
                 "log_negativity": en,
-                "distillable_upper_bound": en,
                 "ppt": lowest >= -PPT_ATOL,
                 "min_pt_eigenvalue": lowest,
             })
@@ -393,49 +382,31 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write ``text``, UTF-8 encoded, to a new file in ``path``'s directory
-    (mode as ``open(path, "w")`` gives), unlink ``path`` and rename the file
-    to it, or on failure remove the file.  Unlinking first spares the flush
-    ext4 forces on a rename over a file; a reader may briefly find no file at
-    ``path``, but never a half-written one.  The new file's name,
-    ``.dctc-sim.<pid>.<thread id>.tmp``, is the process's and thread's, so no
-    other live writer owns it, and it is short whatever ``path``'s name is,
-    so any name the filesystem takes can be written.  It is created
-    exclusively, so a symlink planted at that predictable name is refused,
-    never followed; a file already there, left by a killed run, is removed
-    and the create tried once more.  ``path`` is looked up once: one that
-    exists but is no regular file (a FIFO, a device) is written in place,
-    and only a regular file found there is unlinked.  A ``path`` that no
-    file can have (a NUL byte, a lone surrogate) raises ``OSError``
-    (``EINVAL``).
-
-    Each file is written through its bare descriptor (:func:`_write_all`),
-    with no buffered file object."""
+    """Write ``text``, UTF-8 encoded, to a new file beside ``path`` (mode as
+    ``open(path, "w")`` gives) through its bare descriptor (:func:`_write_all`)
+    and ``os.replace`` it over ``path``, or on failure remove it.  A reader
+    finds the old document or the new one, never none and never part of one;
+    so does ext4 after a crash, as it writes a file's data before a rename
+    over another file.  The new file's name, ``.dctc-sim.<12 random hex
+    digits>.tmp``, is short whatever ``path``'s is; it is created
+    exclusively, so a file or symlink already there is refused, never
+    followed.  A symlink to a regular file is replaced; a ``path`` that is no
+    regular file (a FIFO, a device) is written in place, and one no file can
+    have (a NUL byte, a lone surrogate) raises ``OSError`` (``EINVAL``)."""
     data = text.encode("utf-8")
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
     except OSError:             # as os.path.exists: no file to replace
-        regular = None
+        in_place = False
     except ValueError as exc:   # a NUL byte, or a character the filesystem encoding lacks
         raise OSError(errno.EINVAL, str(exc), path) from None
-    if regular is False:
+    if in_place:
         _write_all(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), data)
         return
-    tmp = os.path.join(os.path.dirname(path),
-                       f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp")
-    create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-    try:
-        fd = os.open(tmp, create, 0o666)
-    except FileExistsError:
-        os.unlink(tmp)
-        fd = os.open(tmp, create, 0o666)
+    tmp = os.path.join(os.path.dirname(path), f".dctc-sim.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         _write_all(fd, data)
-        if regular:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:   # another writer's unlink came first
-                pass
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -21,6 +21,7 @@ from dctcsim import (
     register_swap,
 )
 from dctcsim.circuits import BLOCK_CODES
+from dctcsim.qmath import UNIT_EIGENVALUE_ATOL
 
 from oracles import discrimination_chain, four_blocks, interaction, ket, qubit_swap
 
@@ -194,6 +195,23 @@ class TestInteraction:
                     discrimination_chain(a, b, np.array(bob)))))[::-1]
                 assert np.sum(np.abs(moduli - 1.0) <= 1e-9) == 1
                 assert moduli[1] < 1.0
+
+    @pytest.mark.parametrize("alpha", [
+        5e-7, 1e-6, 1e-3, 0.3, 0.6, 0.7, 0.7071, 0.7071066, 0.7071068, 0.7071075,
+        0.7072, 0.9, 0.999999, (1 - 2.5e-13) ** 0.5])
+    def test_label_chain_gap_is_g(self, alpha):
+        # 1 - |lambda_2| of the label chain on a candidate input is
+        # g = min((a^2 - b^2)^2, 4 a^2 b^2), the quantity is_degenerate bounds:
+        # alpha runs on both sides of 1/sqrt(2) and near 0 and 1, each side of
+        # the degeneracy window.
+        amps = AmplitudePair.from_alpha(alpha)
+        a2, b2 = amps.alpha ** 2, amps.beta ** 2
+        g = min((a2 - b2) ** 2, 4 * a2 * b2)
+        assert amps.is_degenerate == (g <= UNIT_EIGENVALUE_ATOL)
+        for state in candidate_states(amps).values():
+            moduli = np.sort(np.abs(np.linalg.eigvals(
+                discrimination_chain(amps.alpha, amps.beta, state))))
+            assert abs((1 - moduli[-2]) - g) <= 1e-12
 
     def test_layout_matches(self):
         layout = bhw_layout()

@@ -316,11 +316,9 @@ class TestMeasures:
         for cut in ("AB:CD", "AC:BD", "AD:BC"):
             row = rows[("smolin", cut)]
             assert abs(row["log_negativity"]) <= 1e-10
-            assert row["distillable_upper_bound"] == 0.0
             assert row["ppt"] is True
         bell_row = rows[("bell:phi+", "A:B")]
         assert abs(bell_row["log_negativity"] - 1.0) <= 1e-12
-        assert abs(bell_row["distillable_upper_bound"] - 1.0) <= 1e-12
         assert bell_row["ppt"] is False
 
     def test_every_column_reads_the_same_spectrum(self):
@@ -328,7 +326,6 @@ class TestMeasures:
         assert len(rows) == 4
         for row in rows:
             assert row["ppt"] == (row["min_pt_eigenvalue"] >= -PPT_ATOL)
-            assert row["distillable_upper_bound"] == max(0.0, row["log_negativity"])
 
 
 class TestLinearAlgebraCalls:
@@ -606,17 +603,49 @@ class TestOutputFile:
         fresh.write_text("")
         assert target.stat().st_mode == fresh.stat().st_mode
 
-    def test_stale_temporary_file_is_replaced(self, tmp_path, capsys):
-        # A run killed after opening its temporary file leaves it behind, and a
-        # later run with the same PID must not trip over it.
+    def test_leftover_temporary_file_is_left_alone(self, tmp_path, capsys):
+        # A run killed after opening its temporary file leaves it behind (here
+        # under the name an older writer gave it); a later run neither trips
+        # over it nor removes it.
         target = tmp_path / "doc.json"
-        (tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp").write_text("x" * 1000)
+        leftover = tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp"
+        leftover.write_text("x" * 1000)
         code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
                                "--output", str(target))
         assert (code, out) == (0, "")
         _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
         assert target.read_text() == expected
-        assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+        assert leftover.read_text() == "x" * 1000
+        assert sorted(path.name for path in tmp_path.iterdir()) == [leftover.name, "doc.json"]
+
+    def test_rewrite_never_unlinks_the_target(self, tmp_path, capsys, monkeypatch):
+        # The new document is renamed over the old one: at no moment is there
+        # no file at the target.
+        target = tmp_path / "doc.json"
+        target.write_text("x" * 100_000)
+
+        def refused(path, *args, **kwargs):
+            raise AssertionError(f"unlinked {path}")
+        monkeypatch.setattr(cli.os, "unlink", refused)
+        monkeypatch.setattr(cli.os, "remove", refused)
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        for _ in range(2):
+            assert run_cli(capsys, "table1", "--output-format", "json",
+                           "--output", str(target)) == (0, "", "")
+            assert target.read_text() == expected
+            assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_symlink_target_is_replaced_by_a_regular_file(self, tmp_path, capsys):
+        target, pointed = tmp_path / "doc.json", tmp_path / "pointed"
+        pointed.write_text("pointed")
+        target.symlink_to(pointed)
+        code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
+        assert not target.is_symlink()
+        assert target.read_text() == expected
+        assert pointed.read_text() == "pointed"
 
     def test_concurrent_writers_each_use_their_own_temporary_file(self, tmp_path, capsys):
         # Two threads of one process write one path: neither removes the other's
@@ -639,36 +668,13 @@ class TestOutputFile:
         assert target.read_text() in documents
         assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
 
-    def test_symlink_at_temporary_name_is_not_followed(self, tmp_path, capsys):
-        # A symlink planted at the predictable temporary name is removed as a
-        # stale file: the file it points at keeps its bytes.
+    def test_symlink_at_temporary_name_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A symlink planted at the name the next write draws is neither
+        # followed nor removed: the exclusive create refuses it.
         target, victim = tmp_path / "doc.json", tmp_path / "victim"
         victim.write_text("victim")
-        (tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp").symlink_to(victim)
-        code, out, _ = run_cli(capsys, "table1", "--output-format", "json",
-                               "--output", str(target))
-        assert (code, out) == (0, "")
-        assert victim.read_text() == "victim"
-        _, expected, _ = run_cli(capsys, "table1", "--output-format", "json")
-        assert not target.is_symlink()
-        assert target.read_text() == expected
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.json", "victim"]
-
-    def test_symlink_planted_after_stale_unlink_is_refused(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # A symlink planted again between the unlink of a stale file and the
-        # open: exclusive creation refuses it, where O_TRUNC would write through.
-        target, victim = tmp_path / "doc.json", tmp_path / "victim"
-        victim.write_text("victim")
-        tmp = tmp_path / f".dctc-sim.{os.getpid()}.{threading.get_ident()}.tmp"
-        tmp.symlink_to(victim)
-        unlink = os.unlink
-
-        def racing_unlink(path):
-            unlink(path)
-            if os.fspath(path) == os.fspath(tmp):
-                tmp.symlink_to(victim)
-        monkeypatch.setattr(cli.os, "unlink", racing_unlink)
+        monkeypatch.setattr(cli.os, "urandom", bytes)       # bytes(6): six zero bytes
+        (tmp_path / ".dctc-sim.000000000000.tmp").symlink_to(victim)
         code, out, err = run_cli(capsys, "table1", "--output-format", "json",
                                  "--output", str(target))
         assert (code, out) == (2, "")

@@ -172,20 +172,20 @@ def measures_rows() -> dict:
     return {(row["state"], row["cut"]): row for row in rows}
 
 
-class TestDistillableUpperBound:
-    """The ``measures`` column, max(0, E_N) from the row's own spectrum."""
+class TestMeasuresLogNegativity:
+    """The ``measures`` E_N column, log2 of the row's own spectrum's trace norm."""
 
-    def test_bell_pair_bound_is_one(self):
-        assert abs(measures_rows()[("bell:phi+", "A:B")]["distillable_upper_bound"] - 1.0) <= 1e-12
+    def test_bell_pair_is_one(self):
+        assert abs(measures_rows()[("bell:phi+", "A:B")]["log_negativity"] - 1.0) <= 1e-12
 
-    def test_smolin_cuts_bound_is_zero(self):
+    def test_smolin_cuts_are_zero(self):
         rows = measures_rows()
         for cut in smolin_cuts():
-            assert rows[("smolin", cut)]["distillable_upper_bound"] == 0.0
+            assert rows[("smolin", cut)]["log_negativity"] == 0.0
 
     def test_never_negative(self):
         for row in measures_rows().values():
-            assert row["distillable_upper_bound"] >= 0.0
+            assert row["log_negativity"] >= 0.0
 
 
 class TestPtSpectra:
