@@ -172,16 +172,14 @@ def register_swap(block_qubits: int) -> UnitaryOperator:
     return UnitaryOperator(swap.reshape(d * d, d * d))
 
 
-_REGISTER_SWAP = register_swap(2).matrix
-
-
 def bhw_interaction(amps: AmplitudePair) -> UnitaryOperator:
     """Full 16x16 interaction on (CR1, CR2, CTC1, CTC2): swap the registers,
     then dispatch U_xy on the CTC register controlled by the CR value |xy>.
-    Its one unitarity check covers every block."""
+    The swap reorders the column axes of the controlled blocks; the one
+    unitarity check covers every block."""
     controlled = np.zeros((4, 4, 4, 4), dtype=complex)
     controlled[range(4), :, range(4)] = _blocks(amps)
-    return UnitaryOperator(controlled.reshape(16, 16) @ _REGISTER_SWAP)
+    return UnitaryOperator(controlled.transpose(0, 1, 3, 2).reshape(16, 16))
 
 
 def bhw_layout() -> RegisterLayout:

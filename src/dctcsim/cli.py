@@ -15,8 +15,8 @@ document or the new one, never part of one.
 
 The experiments run the stacked CTC stage and teleportation of
 :mod:`dctcsim.protocols`, whose docstring describes them; ``measures`` and
-``smolin`` read the partial-transpose spectra of their constant states,
-taken once per process, on first use.
+``smolin`` read their constant states' measures from the one table of
+:mod:`dctcsim.entanglement`, filled once per process, on first use.
 
 :func:`main` may be called any number of times in one process (a test
 suite, a benchmark or a scripted sweep does so); the argument parser is
@@ -44,7 +44,7 @@ import numpy as np
 
 from .circuits import AmplitudePair, candidate_states
 from .deutsch import SolverConfig
-from .entanglement import PPT_ATOL, _bell_spectra, _log_negativities, _smolin_spectra, smolin_cuts
+from .entanglement import _constant_measures
 from .errors import (
     DegenerateAmplitudesError,
     FixedPointConvergenceError,
@@ -301,19 +301,9 @@ def run_smolin(args, amps, config):
 
 
 def run_measures(args, amps, config):
-    rows = []
-    for state_name, cuts, spectra in (("smolin", smolin_cuts(), _smolin_spectra()),
-                                      ("bell:phi+", ("A:B",), _bell_spectra()[0])):
-        for cut_name, lowest, en in zip(cuts, spectra[:, 0].tolist(),
-                                        _log_negativities(spectra).tolist()):
-            rows.append({
-                "state": state_name,
-                "cut": cut_name,
-                "log_negativity": en,
-                "ppt": lowest >= -PPT_ATOL,
-                "min_pt_eigenvalue": lowest,
-            })
-    return rows, {}, []
+    table = _constant_measures()
+    return [{"state": state, "cut": cut, **measures._asdict()}
+            for state in ("smolin", "bell:phi+") for cut, measures in table[state].items()], {}, []
 
 
 _RUNNERS = {
@@ -370,10 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    """Write ``data`` to the descriptor ``fd`` in as many ``os.write`` calls
-    as it takes, then close ``fd``."""
+def _write_all(fd: int, data: bytes, mode=None) -> None:
+    """Set the permission bits of the file at ``fd`` to ``mode`` if given, write
+    ``data`` to it in as many ``os.write`` calls as it takes, close ``fd``."""
     try:
+        if mode is not None:
+            os.fchmod(fd, mode)
         done = 0
         while done < len(data):
             done += os.write(fd, data[done:])     # data[0:] is data: no copy
@@ -382,31 +374,33 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write ``text``, UTF-8 encoded, to a new file beside ``path`` (mode as
-    ``open(path, "w")`` gives) through its bare descriptor (:func:`_write_all`)
-    and ``os.replace`` it over ``path``, or on failure remove it.  A reader
-    finds the old document or the new one, never none and never part of one;
-    so does ext4 after a crash, as it writes a file's data before a rename
-    over another file.  The new file's name, ``.dctc-sim.<12 random hex
-    digits>.tmp``, is short whatever ``path``'s is; it is created
-    exclusively, so a file or symlink already there is refused, never
-    followed.  A symlink to a regular file is replaced; a ``path`` that is no
-    regular file (a FIFO, a device) is written in place, and one no file can
-    have (a NUL byte, a lone surrogate) raises ``OSError`` (``EINVAL``)."""
+    """Write ``text``, UTF-8 encoded, to a new file beside ``path`` (with the
+    permission bits of the file at ``path``, as ``open(path, "w")`` keeps
+    them, or the mode it gives a new file) through its bare descriptor
+    (:func:`_write_all`) and ``os.replace`` it over ``path``, or on failure
+    remove it.  A reader finds the old document or the new one, never none
+    and never part of one; so does ext4 after a crash, as it writes a file's
+    data before a rename over another file.  The new file's name,
+    ``.dctc-sim.<12 random hex digits>.tmp``, is short whatever ``path``'s
+    is; it is created exclusively, so a file or symlink already there is
+    refused, never followed.  A symlink to a regular file is replaced; a
+    ``path`` that is no regular file (a FIFO, a device) is written in place,
+    and one no file can have (a NUL byte, a lone surrogate) raises
+    ``OSError`` (``EINVAL``)."""
     data = text.encode("utf-8")
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except OSError:             # as os.path.exists: no file to replace
-        in_place = False
+        mode = None
     except ValueError as exc:   # a NUL byte, or a character the filesystem encoding lacks
         raise OSError(errno.EINVAL, str(exc), path) from None
-    if in_place:
+    if mode is not None and not stat.S_ISREG(mode):
         _write_all(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), data)
         return
     tmp = os.path.join(os.path.dirname(path), f".dctc-sim.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        _write_all(fd, data)
+        _write_all(fd, data, None if mode is None else mode & 0o777)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -3,16 +3,19 @@ tests, and the four-qubit bound-entangled Smolin state.
 
 Every measure is read from one primitive, :func:`_pt_spectra`: the spectra
 of the partial transposes of a stack of states across one or more cuts, from
-one ``eigvalsh``; the spectra of the constant states the experiments report
-(the Smolin state's cuts and the four Bell pairs) are taken once per
-process, on first use, never at import.  PPT is necessary for separability,
-so outputs say "PPT", never "separable".  E_N upper-bounds distillable
-entanglement, so 0 across a cut certifies that LOCC distils nothing across
-it.
+one ``eigvalsh``, and read out in one place, :func:`_pt_measures`.  The
+measures of the constant states the experiments report (the Smolin state's
+cuts and the four Bell pairs) are one read-only table,
+:func:`_constant_measures`, filled once per process, on first use, never at
+import.  PPT is necessary for separability, so outputs say "PPT", never
+"separable".  E_N upper-bounds distillable entanglement, so 0 across a cut
+certifies that LOCC distils nothing across it.
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,12 +25,13 @@ from .qmath import (
     DensityOperator,
     RegisterLayout,
     _label_set,
-    _readonly,
     _require,
     kron,
 )
 
 PPT_ATOL = 1e-10
+# What the experiments report of one state across one cut.
+PtMeasures = namedtuple("PtMeasures", ("log_negativity", "ppt", "min_pt_eigenvalue"))
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ def _partial_transposes(states, layout: RegisterLayout, cuts) -> np.ndarray:
 
 def _pt_spectra(states, layout: RegisterLayout, cuts) -> np.ndarray:
     """Ascending eigenvalues of each of :func:`_partial_transposes`, from one
-    ``eigvalsh``: shape (states, cuts, dim).  PPT is ``[..., 0] >= -PPT_ATOL``."""
+    ``eigvalsh``: shape (states, cuts, dim), read out by :func:`_pt_measures`."""
     return np.linalg.eigvalsh(_partial_transposes(states, layout, cuts))
 
 
@@ -85,6 +89,13 @@ def _log_negativities(spectra: np.ndarray) -> np.ndarray:
     return np.log1p(2.0 * np.abs(np.minimum(spectra, 0.0)).sum(axis=-1)) / np.log(2.0)
 
 
+def _pt_measures(spectra: np.ndarray) -> tuple:
+    """The :class:`PtMeasures` of each ascending spectrum of ``spectra`` (k x
+    dim), as Python scalars: PPT is lambda_min >= -PPT_ATOL."""
+    return tuple(PtMeasures(en, lowest >= -PPT_ATOL, lowest) for en, lowest
+                 in zip(_log_negativities(spectra).tolist(), spectra[:, 0].tolist()))
+
+
 def partial_transpose(rho: DensityOperator, layout: RegisterLayout,
                       cut: BipartiteCut) -> np.ndarray:
     """Transpose the indices of ``cut.side_a`` only.  The result is Hermitian
@@ -95,12 +106,12 @@ def partial_transpose(rho: DensityOperator, layout: RegisterLayout,
 def log_negativity(rho: DensityOperator, layout: RegisterLayout,
                    cut: BipartiteCut) -> float:
     """log2 of the trace norm of the partial transpose across the cut."""
-    return float(_log_negativities(_pt_spectra((rho,), layout, (cut,)))[0, 0])
+    return _pt_measures(_pt_spectra((rho,), layout, (cut,))[0])[0].log_negativity
 
 
 def is_ppt(rho: DensityOperator, layout: RegisterLayout, cut: BipartiteCut) -> bool:
     """True when the partial transpose has no eigenvalue below ``-PPT_ATOL``."""
-    return bool(_pt_spectra((rho,), layout, (cut,))[0, 0, 0] >= -PPT_ATOL)
+    return _pt_measures(_pt_spectra((rho,), layout, (cut,))[0])[0].ppt
 
 
 @functools.cache
@@ -120,22 +131,19 @@ def smolin_state() -> DensityOperator:
 
 
 @functools.cache
-def _smolin_spectra() -> np.ndarray:
-    """:func:`_pt_spectra` of the Smolin state across the cuts of
-    :func:`smolin_cuts`, in their order (3 x 16): taken once per process, on
-    first use, and read-only."""
-    return _readonly(_pt_spectra((smolin_state(),), smolin_layout(),
-                                 tuple(smolin_cuts().values()))[0])
-
-
-@functools.cache
-def _bell_spectra() -> np.ndarray:
-    """:func:`_pt_spectra` of the four Bell pairs (phi+, phi-, psi+, psi-, the
-    ``BellLabel`` order) across their 1:1 cut (4 x 1 x 4), their density
-    checks included: taken once per process, on first use, and read-only."""
-    return _readonly(_pt_spectra([DensityOperator.from_state_vector(v)
-                                  for v in BELL_VECTORS.values()],
-                                 RegisterLayout(("A", "B")), (BipartiteCut(("A",), ("B",)),)))
+def _constant_measures() -> MappingProxyType:
+    """The :class:`PtMeasures` of the constant states, by state and cut name:
+    ``"smolin"`` at each cut of :func:`smolin_cuts`, then ``"bell:phi+"`` to
+    ``"bell:psi-"`` (the ``BellLabel`` order) at ``"A:B"``, the Bell pairs'
+    density checks included.  Read from two :func:`_pt_spectra` calls once
+    per process, on first use; the table is read-only."""
+    cuts = smolin_cuts()
+    smolin = _pt_spectra((smolin_state(),), smolin_layout(), tuple(cuts.values()))[0]
+    bell = _pt_spectra([DensityOperator.from_state_vector(v) for v in BELL_VECTORS.values()],
+                       RegisterLayout(("A", "B")), (BipartiteCut(("A",), ("B",)),))[:, 0]
+    return MappingProxyType({"smolin": MappingProxyType(dict(zip(cuts, _pt_measures(smolin)))),
+                             **{f"bell:{name}": MappingProxyType({"A:B": measures})
+                                for name, measures in zip(BELL_VECTORS, _pt_measures(bell))}})
 
 
 def smolin_layout() -> RegisterLayout:

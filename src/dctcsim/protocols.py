@@ -25,9 +25,9 @@ experiments here read branch-wise, one pure input per branch.  Handing the
 stage one input that holds every branch as a column solves Deutsch on the
 actual state instead; ``dctc-sim smolin --improper-mixture`` does so for
 the Smolin AB marginal (:data:`_SMOLIN_AB_FACTOR`), an experimental run
-with no correctness claim.  The spectra of the constant states (the Smolin
-baseline and the four C:D Bell pairs) are taken once per process, on first
-use (:mod:`dctcsim.entanglement`).
+with no correctness claim.  The measures of the constant states (the Smolin
+baseline and the four C:D Bell pairs) are read from the table of
+:mod:`dctcsim.entanglement`, filled once per process, on first use.
 """
 
 import enum
@@ -39,7 +39,7 @@ import numpy as np
 
 from .circuits import AmplitudePair, BLOCK_CODES, _PAULI_ERRORS, block_outputs
 from .deutsch import FixedPointResult, SolverConfig, apply_label_chains
-from .entanglement import PPT_ATOL, _bell_spectra, _log_negativities, _smolin_spectra, smolin_cuts
+from .entanglement import _constant_measures
 from .errors import DegenerateAmplitudesError, InvariantViolationError
 from .qmath import (
     BELL_VECTORS,
@@ -303,19 +303,18 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     and Dan with a known Bell pair (one ebit).  The report carries the
     pre-protocol baseline: log-negativity 0 and PPT across all three
     balanced cuts of the Smolin state, and each branch's C:D log-negativity,
-    from spectra taken once per process, on first use."""
+    read from the constant states' table."""
     records = discriminate_bells(_OUTCOMES, amps, config, seed=seed)
+    table = _constant_measures()
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
         cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
-        cd_log_negativity=en,
-    ) for branch, record, en in zip(_OUTCOMES, records,
-                                    _log_negativities(_bell_spectra())[:, 0].tolist()))
-    cuts, spectra = smolin_cuts(), _smolin_spectra()
+        cd_log_negativity=table[f"bell:{branch.value}"]["A:B"].log_negativity,
+    ) for branch, record in zip(_OUTCOMES, records))
+    baseline = table["smolin"]
     return DistillationReport(
         branches=branches,
-        baseline_log_negativity=dict(zip(cuts, _log_negativities(spectra).tolist())),
-        baseline_ppt=dict(zip(cuts, (spectra[:, 0] >= -PPT_ATOL).tolist())),
+        baseline_log_negativity={cut: m.log_negativity for cut, m in baseline.items()},
+        baseline_ppt={cut: m.ppt for cut, m in baseline.items()},
         all_identified=all(b.message is b.branch for b in branches),
     )
-

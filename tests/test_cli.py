@@ -20,7 +20,7 @@ from dctcsim import (
     candidate_states,
 )
 from dctcsim.cli import build_parser, main, serialize
-from dctcsim.entanglement import PPT_ATOL
+from dctcsim.entanglement import PPT_ATOL, _constant_measures
 from oracles import rounded
 
 
@@ -327,14 +327,29 @@ class TestMeasures:
         for row in rows:
             assert row["ppt"] == (row["min_pt_eigenvalue"] >= -PPT_ATOL)
 
+    def test_smolin_document_reads_the_same_values(self, capsys):
+        # The smolin baseline is the measures document's Smolin rows, and each
+        # branch's C:D log-negativity is its Bell pair's row, value for value.
+        _, measures, _ = run_json(capsys, "measures")
+        _, smolin, _ = run_json(capsys, "smolin")
+        rows = {(r["state"], r["cut"]): r for r in measures["rows"]}
+        for key in ("log_negativity", "ppt"):
+            assert smolin["diagnostics"][f"baseline_{key}"] == {
+                cut: row[key] for (state, cut), row in rows.items() if state == "smolin"}
+        table = _constant_measures()
+        cd = {row["branch"]: row["cd_log_negativity"] for row in smolin["rows"]}
+        assert cd == {label.value: rounded(table[f"bell:{label.value}"]["A:B"].log_negativity)
+                      for label in BellLabel}
+        assert cd["phi+"] == rows[("bell:phi+", "A:B")]["log_negativity"]
+
 
 class TestLinearAlgebraCalls:
-    """Steady-state LAPACK calls per run.  ``measures``: none, as the spectra
-    of the Smolin cuts and of the Bell states (with their density checks)
-    are taken on the first run only.  Every other experiment: the CTC
-    stage's one ``eigvalsh``, which checks every sigma* and CR output and
-    takes every residual; ``smolin`` reads the same two cached spectra, for
-    its baseline and its C:D pairs, and ``smolin --improper-mixture`` reads
+    """Steady-state LAPACK calls per run.  ``measures``: none, as the table
+    of the Smolin cuts' and the Bell states' measures (with their density
+    checks) is filled on the first run only.  Every other experiment: the
+    CTC stage's one ``eigvalsh``, which checks every sigma* and CR output and
+    takes every residual; ``smolin`` reads the same table, for its baseline
+    and its C:D pairs, and ``smolin --improper-mixture`` reads
     Bob's purity from K K^dag, whose trace the stage has checked."""
 
     NAMES = ("eigvalsh", "svd", "eigh", "eig", "solve")
@@ -599,9 +614,22 @@ class TestOutputFile:
         # The old file was replaced, not truncated and rewritten in place.
         assert (tmp_path / "old.json").read_text() == "x" * 100_000
         assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.json", "old.json"]
-        # The document gets the mode open(path, "w") gives a new file.
+        # The document keeps the replaced file's mode, here the one
+        # open(path, "w") gives a new file.
         fresh.write_text("")
         assert target.stat().st_mode == fresh.stat().st_mode
+
+    def test_rewrite_keeps_the_target_permissions(self, tmp_path, capsys):
+        # As open(path, "w") does: a rewrite neither widens nor narrows the
+        # mode the user gave the file, whatever the umask.
+        for mode in (0o600, 0o664, 0o400):
+            target = tmp_path / f"{mode:o}.json"
+            target.write_text("old")
+            target.chmod(mode)
+            assert run_cli(capsys, "measures", "--output", str(target)) == (0, "", "")
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "400.json", "600.json", "664.json"]
 
     def test_leftover_temporary_file_is_left_alone(self, tmp_path, capsys):
         # A run killed after opening its temporary file leaves it behind (here

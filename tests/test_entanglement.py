@@ -25,8 +25,8 @@ from dctcsim import (
     smolin_state,
     trace_norm,
 )
-from dctcsim.cli import run_measures
-from dctcsim.entanglement import _bell_spectra, _log_negativities, _pt_spectra, _smolin_spectra
+from dctcsim.cli import main, run_measures
+from dctcsim.entanglement import PPT_ATOL, _constant_measures, _log_negativities, _pt_spectra
 from dctcsim.qmath import PHI_PLUS
 
 from oracles import pt_brute, ptrace_brute, qubit_swap, random_density, smolin_pauli_form
@@ -142,9 +142,11 @@ class TestLogNegativity:
 
     def test_constant_states_read_zero_and_one(self):
         # log2 of the summed |eigenvalues| read -6.4e-16 for the Smolin cuts.
-        smolin = _log_negativities(_smolin_spectra())
+        table = _constant_measures()
+        smolin = np.array([measures.log_negativity for measures in table["smolin"].values()])
         assert smolin.tolist() == [0.0, 0.0, 0.0] and not np.signbit(smolin).any()
-        np.testing.assert_allclose(_log_negativities(_bell_spectra()), 1.0, rtol=0, atol=1e-15)
+        bell = [table[f"bell:{label.value}"]["A:B"].log_negativity for label in BellLabel]
+        np.testing.assert_allclose(bell, 1.0, rtol=0, atol=1e-15)
 
     def test_zero_iff_ppt(self):
         rng = np.random.default_rng(131)
@@ -226,28 +228,49 @@ class TestPtSpectra:
             measure(rho, layout, cut)
 
 
-class TestCachedSpectra:
-    """The constant states' spectra, taken once per process on first use."""
+class TestConstantMeasures:
+    """The constant states' measures: one read-only table, filled once per
+    process on first use."""
 
-    @pytest.mark.parametrize("cached, fresh", [
-        (_smolin_spectra, lambda: _pt_spectra((smolin_state(),), smolin_layout(),
-                                              tuple(smolin_cuts().values()))[0]),
-        (_bell_spectra, lambda: _pt_spectra(
+    def test_cached_and_read_only(self):
+        table = _constant_measures()
+        assert table is _constant_measures()
+        assert list(table) == ["smolin", *(f"bell:{label.value}" for label in BellLabel)]
+        assert list(table["smolin"]) == list(smolin_cuts())
+        with pytest.raises(TypeError):
+            table["smolin"] = {}
+        with pytest.raises(TypeError):
+            table["smolin"]["AB:CD"] = None
+        with pytest.raises(AttributeError):
+            table["smolin"]["AB:CD"].ppt = False
+
+    @pytest.mark.parametrize("states, fresh", [
+        (("smolin",), lambda: _pt_spectra((smolin_state(),), smolin_layout(),
+                                          tuple(smolin_cuts().values()))[0]),
+        ([f"bell:{label.value}" for label in BellLabel], lambda: _pt_spectra(
             [DensityOperator.from_state_vector(label.state_vector()) for label in BellLabel],
-            TWO_QUBITS, (CUT_AB,))),
+            TWO_QUBITS, (CUT_AB,))[:, 0]),
     ], ids=["smolin", "bell"])
-    def test_read_only_and_equal_to_a_fresh_call(self, cached, fresh):
-        spectra = cached()
-        assert spectra is cached()
-        assert not spectra.flags.writeable
-        with pytest.raises(ValueError):
-            spectra[0, 0] = 1.0
-        expected = fresh()
-        assert spectra.shape == expected.shape
-        assert spectra.tobytes() == expected.tobytes()
+    def test_equal_to_a_fresh_read(self, states, fresh):
+        spectra = fresh()
+        rows = [measures for state in states for measures in _constant_measures()[state].values()]
+        assert [tuple(map(type, row)) for row in rows] == [(float, bool, float)] * len(spectra)
+        assert [row.log_negativity for row in rows] == _log_negativities(spectra).tolist()
+        assert [row.min_pt_eigenvalue for row in rows] == spectra[:, 0].tolist()
+        assert [row.ppt for row in rows] == (spectra[:, 0] >= -PPT_ATOL).tolist()
+
+    @pytest.mark.parametrize("argv", [["measures"], ["smolin"]], ids=" ".join)
+    def test_repeated_run_builds_no_cut(self, argv, capsys, monkeypatch):
+        assert main(argv) == 0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built a BipartiteCut")
+        monkeypatch.setattr(BipartiteCut, "__init__", refused)
+        assert main(argv) == 0
+        capsys.readouterr()
 
     def test_not_filled_at_import(self):
-        # The caches fill on first use, so importing the package and its CLI
+        # The table fills on first use, so importing the package and its CLI
         # takes no spectrum and makes no numpy.linalg call at all.
         code = textwrap.dedent("""
             import numpy.linalg as la
@@ -261,13 +284,12 @@ class TestCachedSpectra:
                     setattr(la, name, counted)
             import dctcsim, dctcsim.cli
             from dctcsim import entanglement as e
-            print(e._smolin_spectra.cache_info().currsize,
-                  e._bell_spectra.cache_info().currsize, len(calls), *calls)
+            print(e._constant_measures.cache_info().currsize, len(calls), *calls)
         """)
         src = str(Path(dctcsim.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.split() == ["0", "0", "0"]
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestSmolinState:
