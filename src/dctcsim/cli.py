@@ -360,12 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_all(fd: int, data: bytes, mode=None) -> None:
-    """Set the permission bits of the file at ``fd`` to ``mode`` if given, write
-    ``data`` to it in as many ``os.write`` calls as it takes, close ``fd``."""
+def _write_all(fd: int, data: bytes, target=None) -> None:
+    """Give the file at ``fd`` the owner, group and permission bits of the
+    ``os.stat`` result ``target`` if given, write ``data`` to it in as many
+    ``os.write`` calls as it takes, close ``fd``.  Where the writer may not
+    set that owner or group (``PermissionError``, as for a writer that is not
+    root rewriting another user's file), the file keeps the writer's."""
     try:
-        if mode is not None:
-            os.fchmod(fd, mode)
+        if target is not None:
+            try:
+                os.fchown(fd, target.st_uid, target.st_gid)
+            except PermissionError:
+                pass
+            os.fchmod(fd, target.st_mode & 0o777)
         done = 0
         while done < len(data):
             done += os.write(fd, data[done:])     # data[0:] is data: no copy
@@ -375,10 +382,10 @@ def _write_all(fd: int, data: bytes, mode=None) -> None:
 
 def _write_replacing(path: str, text: str) -> None:
     """Write ``text``, UTF-8 encoded, to a new file beside ``path`` (with the
-    permission bits of the file at ``path``, as ``open(path, "w")`` keeps
-    them, or the mode it gives a new file) through its bare descriptor
-    (:func:`_write_all`) and ``os.replace`` it over ``path``, or on failure
-    remove it.  A reader finds the old document or the new one, never none
+    owner, group and permission bits of the file at ``path``, as
+    ``open(path, "w")`` keeps them, or the mode it gives a new file) through
+    its bare descriptor (:func:`_write_all`) and ``os.replace`` it over
+    ``path``, or on failure remove it.  A reader finds the old document or the new one, never none
     and never part of one; so does ext4 after a crash, as it writes a file's
     data before a rename over another file.  The new file's name,
     ``.dctc-sim.<12 random hex digits>.tmp``, is short whatever ``path``'s
@@ -389,18 +396,18 @@ def _write_replacing(path: str, text: str) -> None:
     ``OSError`` (``EINVAL``)."""
     data = text.encode("utf-8")
     try:
-        mode = os.stat(path).st_mode
+        target = os.stat(path)
     except OSError:             # as os.path.exists: no file to replace
-        mode = None
+        target = None
     except ValueError as exc:   # a NUL byte, or a character the filesystem encoding lacks
         raise OSError(errno.EINVAL, str(exc), path) from None
-    if mode is not None and not stat.S_ISREG(mode):
+    if target is not None and not stat.S_ISREG(target.st_mode):
         _write_all(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), data)
         return
     tmp = os.path.join(os.path.dirname(path), f".dctc-sim.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        _write_all(fd, data, None if mode is None else mode & 0o777)
+        _write_all(fd, data, target)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -431,8 +438,11 @@ def main(argv=None) -> int:
     try:
         amps = AmplitudePair.from_alpha(args.alpha)
         if amps.is_degenerate and not args.allow_degenerate:
-            parser.error(f"{amps} is degenerate, its CTC fixed point not unique; "
-                         "pass --allow-degenerate to run it")
+            advice = ("pass --allow-degenerate to run it"
+                      if args.experiment in ("fixed-point", "measures") else
+                      f"{args.experiment} needs alpha != beta and both clear of 0; "
+                      "fixed-point runs a degenerate pair with --allow-degenerate")
+            parser.error(f"{amps} is degenerate, its CTC fixed point not unique; {advice}")
         config = SolverConfig(tolerance=args.tolerance)
         _quantized(args.tolerance)      # the document must hold it
     except InvariantViolationError as exc:

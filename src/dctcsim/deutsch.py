@@ -309,15 +309,14 @@ def apply_label_chains(outputs: np.ndarray, config: SolverConfig | None = None) 
     with np.errstate(over="ignore", invalid="ignore"):   # inf, or inf * 0: fails the trace test
         gram = (rows @ rows.conj().transpose(0, 2, 1)).reshape(n, d, d, d, d)
         taus = gram.diagonal(axis1=1, axis2=3)      # taus[i, a, b, c] = tau_c[a, b]
-        P = taus.diagonal(axis1=1, axis2=2).real    # P[i, c, c'] = M_i[c', c]
-        traces = np.add.reduce(P, axis=2).tolist()  # row c: ||U_c K||_F^2 = Tr(rho_CR)
-    for i, trace in enumerate(traces):
-        for t in trace:
-            if not abs(t - 1.0) <= TRACE_ATOL:      # fails on NaN or inf too
-                raise InvariantViolationError(f"CR input has trace {trace}, not 1"
-                                              if np.isfinite(outputs[i]).all()
-                                              else "block outputs must be finite")
-    walks = [_cesaro_limit(chain) for chain in P.tolist()]
+        P = taus.diagonal(axis1=1, axis2=2).real.tolist()   # P[i][c][c'] = M_i[c', c]
+    for i, chain in enumerate(P):
+        for row in chain:                           # sum: ||U_c K||_F^2 = Tr(rho_CR)
+            if not abs(sum(row) - 1.0) <= TRACE_ATOL:   # fails on NaN or inf too
+                raise InvariantViolationError(
+                    f"CR input has trace {[sum(r) for r in chain]}, not 1"
+                    if np.isfinite(outputs[i]).all() else "block outputs must be finite")
+    walks = [_cesaro_limit(chain) for chain in P]
     sigma = (taus @ np.array([p for p, _ in walks])[:, None, :, None])[..., 0]
     sigma = sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]
     joint = sigma[:, :, None, :, None] * gram       # U (rho_CR (x) sigma*) U^dag, CR axes first

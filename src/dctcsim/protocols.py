@@ -54,7 +54,6 @@ from .qmath import (
     _label_tuple,
     _readonly,
     _require,
-    pure_fidelity,
 )
 
 READOUT_TIE_ATOL = 1e-9   # CR probabilities this close to the largest count as tied
@@ -139,8 +138,7 @@ def _alice_branches(pair: np.ndarray, amps: AmplitudePair) -> tuple:
     psi = np.array([amps.alpha, amps.beta], dtype=complex)
     full = (psi[:, None] * pair[..., None, :]).reshape(*pair.shape[:-1], 4, 2)
     branches = _BELL_BRAS @ full
-    # np.linalg.norm(branches, axis=-1) ** 2, the same operations without its dispatch
-    return branches, np.sqrt(np.add.reduce((branches.conj() * branches).real, axis=-1)) ** 2
+    return branches, np.add.reduce((branches.conj() * branches).real, axis=-1)
 
 
 def teleport_and_correct(pairs, amps: AmplitudePair, seed=None, alice_outcome=None) -> tuple:
@@ -308,7 +306,8 @@ def distill_smolin(amps: AmplitudePair, config: SolverConfig | None = None,
     table = _constant_measures()
     branches = tuple(BranchOutcome(
         branch=branch, probability=0.25, record=record, message=record.identified,
-        cd_fidelity=pure_fidelity(record.identified.state_vector(), branch.state_vector()),
+        cd_fidelity=float(abs(np.vdot(record.identified.state_vector(),
+                                      branch.state_vector())) ** 2),
         cd_log_negativity=table[f"bell:{branch.value}"]["A:B"].log_negativity,
     ) for branch, record in zip(_OUTCOMES, records))
     baseline = table["smolin"]

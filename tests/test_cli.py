@@ -435,6 +435,17 @@ class TestFixedPointExperiment:
         assert (code, out) == (2, "")
         assert f"alpha={float(alpha)}" in err and "--allow-degenerate" in err
 
+    @pytest.mark.parametrize("argv", [["discriminate"], ["table1"], ["smolin"],
+                                      ["smolin", "--improper-mixture"]])
+    def test_strict_mode_points_discrimination_to_fixed_point(self, capsys, argv):
+        # --allow-degenerate cannot run a discrimination (it exits 4), so the
+        # usage error says what the pair needs and where the flag does run it.
+        code, out, err = run_any(capsys, [*argv, "--alpha", "0.7071067811865475"])
+        assert (code, out) == (2, "")
+        assert "to run it" not in err
+        assert f"{argv[0]} needs alpha != beta" in err
+        assert "fixed-point runs a degenerate pair with --allow-degenerate" in err
+
     def test_degenerate_allowed_with_flag(self, capsys):
         code, doc, _ = run_json(capsys, "fixed-point",
                                 "--alpha", str(1 / np.sqrt(2)), "--allow-degenerate")
@@ -630,6 +641,20 @@ class TestOutputFile:
             assert stat.S_IMODE(target.stat().st_mode) == mode
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "400.json", "600.json", "664.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                        reason="only root can give a file another owner")
+    def test_rewrite_keeps_the_target_owner_and_group(self, tmp_path, capsys):
+        # As open(path, "w") does: the replaced file's owner and group, not the writer's.
+        target = tmp_path / "doc.json"
+        target.write_text("old")
+        os.chown(target, 65534, 65534)
+        target.chmod(0o640)
+        assert run_cli(capsys, "measures", "--output-format", "json",
+                       "--output", str(target)) == (0, "", "")
+        info = target.stat()
+        assert (info.st_uid, info.st_gid, stat.S_IMODE(info.st_mode)) == (65534, 65534, 0o640)
+        assert json.loads(target.read_text())["experiment"] == "measures"
 
     def test_leftover_temporary_file_is_left_alone(self, tmp_path, capsys):
         # A run killed after opening its temporary file leaves it behind (here

@@ -19,7 +19,6 @@ from dctcsim.qmath import (
     PSI_MINUS,
     X,
     as_state_vector,
-    pure_fidelity,
 )
 from dctcsim.deutsch import apply_label_chains
 from dctcsim.protocols import ctc_readouts, teleport_and_correct
@@ -114,7 +113,6 @@ class TestNonNumericInput:
         "apply_label_chains": apply_label_chains,
         "teleport_and_correct": lambda x: teleport_and_correct(x, AmplitudePair.from_alpha(0.6)),
         "kron": kron,
-        "pure_fidelity": lambda x: pure_fidelity(x, [1, 0]),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -210,13 +208,3 @@ class TestStateVector:
     def test_valid(self):
         v = as_state_vector([0.6, 0.8])
         assert v.flags.writeable is False
-
-
-class TestPureFidelity:
-    def test_overlap(self):
-        assert abs(pure_fidelity([1, 0], [0.6, 0.8]) - 0.36) <= 1e-15
-
-    @pytest.mark.parametrize("u, v", [([1, 0], [1, 0, 0]), ([1, 0], [[1], [0]])])
-    def test_mismatched_shapes_rejected(self, u, v):
-        with pytest.raises(InvariantViolationError, match="shapes"):
-            pure_fidelity(u, v)
